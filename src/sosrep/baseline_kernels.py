@@ -42,17 +42,21 @@ def _pairwise_diff(X, Y):
     return X[:, None, :] - Y[None, :, :]  # (N, M, d)
 
 
-def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
-    """Dense N x M matrix of kernel values k(x_i, y_j)."""
-    diff = _pairwise_diff(X, Y)
+def _kernel_from_diff(k: ClosedFormKernel, diff: np.ndarray):
+    """(N x M kernel values, N x M distances or None) from the (N, M, d) differences."""
     if diff.shape[2] != k.d:
         raise DataError(f"data dimension {diff.shape[2]} does not match kernel dimension {k.d}")
     norm = k.sigma ** (-k.d)
     if k.family == "gaussian":
         sq = np.einsum("nmd,nmd->nm", diff, diff)
-        return norm * np.exp(-sq / (2.0 * k.sigma**2))
+        return norm * np.exp(-sq / (2.0 * k.sigma**2)), None
     dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
-    return norm * np.exp(-dist / k.sigma)
+    return norm * np.exp(-dist / k.sigma), dist
+
+
+def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
+    """Dense N x M matrix of kernel values k(x_i, y_j)."""
+    return _kernel_from_diff(k, _pairwise_diff(X, Y))[0]
 
 
 def eval_kernel(k: ClosedFormKernel, x, y) -> float:
@@ -62,21 +66,25 @@ def eval_kernel(k: ClosedFormKernel, x, y) -> float:
     return float(kernel_matrix_closed_form(k, x, y)[0, 0])
 
 
+def kernel_and_gradient_closed_form(k: ClosedFormKernel, X, Y):
+    """(kernel_matrix_closed_form, kernel_gradient_closed_form) from one difference tensor."""
+    diff = _pairwise_diff(X, Y)  # x_i - y_j
+    vals, dist = _kernel_from_diff(k, diff)
+    if k.family == "gaussian":
+        return vals, vals[:, :, None] * diff / k.sigma**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = diff / dist[:, :, None]
+    unit[~np.isfinite(unit)] = 0.0
+    return vals, vals[:, :, None] * unit / k.sigma
+
+
 def kernel_gradient_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
     """Gradient of k(x_i, y_j) with respect to the query y_j.
 
     Returns an (N, M, d) array.  The Laplacian kernel is not differentiable
     at coinciding points; that measure-zero case contributes zero.
     """
-    diff = _pairwise_diff(X, Y)  # x_i - y_j
-    vals = kernel_matrix_closed_form(k, X, Y)
-    if k.family == "gaussian":
-        return vals[:, :, None] * diff / k.sigma**2
-    dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = diff / dist[:, :, None]
-    unit[~np.isfinite(unit)] = 0.0
-    return vals[:, :, None] * unit / k.sigma
+    return kernel_and_gradient_closed_form(k, X, Y)[1]
 
 
 def kde_density(X_train, Y, kernel) -> np.ndarray:

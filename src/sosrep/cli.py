@@ -32,7 +32,7 @@ from .harness import (
     split,
     _make_fit_fn,
 )
-from .score_fd import FdOptions, profile_to_csv, tune
+from .score_fd import FdOptions, profile_to_csv, tune, write_atomic
 from .sdo_kernel import SdoParams
 from .solver import SolverOptions, evaluate_density, fit_model, model_from_json, model_to_json
 from .two_block import BlockSpec, verify_against_solver
@@ -54,13 +54,6 @@ class _Parser(argparse.ArgumentParser):
 def _emit_error(kind: str, message: str) -> None:
     json.dump({"error": {"kind": kind, "message": message}}, sys.stderr)
     sys.stderr.write("\n")
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _n_threads() -> int:
@@ -182,7 +175,7 @@ def cmd_fit(args) -> int:
         "grad_tol": args.grad_tol, "exact_normalization": args.exact_normalization,
         "data": str(args.data),
     }
-    _write_atomic(args.out, model_to_json(model, run_config=run_config))
+    write_atomic(args.out, model_to_json(model, run_config=run_config))
     if args.metrics:
         metrics = {
             "format_version": "1",
@@ -192,7 +185,7 @@ def cmd_fit(args) -> int:
             "run_config": run_config,
             **model.fit_info,
         }
-        _write_atomic(args.metrics, json.dumps(metrics, sort_keys=True, indent=1) + "\n")
+        write_atomic(args.metrics, json.dumps(metrics, sort_keys=True, indent=1) + "\n")
     return 0
 
 
@@ -210,7 +203,7 @@ def cmd_score(args) -> int:
     buf.write("pre_density,anomaly_score\n")
     for v in dens:
         buf.write(f"{_fmt(v)},{_fmt(-v)}\n")
-    _write_atomic(args.out, buf.getvalue())
+    write_atomic(args.out, buf.getvalue())
     return 0
 
 
@@ -243,9 +236,9 @@ def cmd_tune(args) -> int:
         "run_config": config.snapshot(),
         "seed": args.seed,
     }
-    _write_atomic(args.out, json.dumps(selection, sort_keys=True, indent=1) + "\n")
+    write_atomic(args.out, json.dumps(selection, sort_keys=True, indent=1) + "\n")
     if args.profile_out:
-        _write_atomic(args.profile_out, profile_to_csv(profile))
+        write_atomic(args.profile_out, profile_to_csv(profile))
     return 0
 
 
@@ -264,7 +257,7 @@ def cmd_two_block(args) -> int:
         "beta": args.beta, "lr": args.lr, "n_iters": args.n_iters,
         "grad_tol": args.grad_tol,
     }
-    _write_atomic(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    write_atomic(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
     return 0
 
 
@@ -303,7 +296,7 @@ def _experiment_ad(args, ds) -> dict:
             rank = out.get("rank", {}).get("per_dataset", {}).get(r.method, {})
             rank_val = rank.get(ds.name, 1.0) if isinstance(rank, dict) else 1.0
             buf.write(f"{ds.name},{r.method},{_fmt(r.mean_auc)},{_fmt(rank_val)}\n")
-        _write_atomic(args.summary_csv, buf.getvalue())
+        write_atomic(args.summary_csv, buf.getvalue())
     return out
 
 
@@ -396,7 +389,7 @@ def cmd_experiment(args) -> int:
         else:
             out = _experiment_negfrac(args, ds)
     out["format_version"] = "1"
-    _write_atomic(args.out, json.dumps(out, sort_keys=True, indent=1) + "\n")
+    write_atomic(args.out, json.dumps(out, sort_keys=True, indent=1) + "\n")
     return 0
 
 

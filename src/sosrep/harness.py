@@ -7,6 +7,14 @@ Mann-Whitney AUC-ROC with rank aggregation across datasets.  Also contains
 the three experiment protocols: standard AD, duplicated anomalies (masking),
 the negative-fraction comparison of the two gradient iterations, and the
 empirical consistency trend check with a = 1/N.
+
+Each of the six AD methods is a (kernel backend, squared) pair, named
+"<kind>_<backend>": kind "sosrep" fits alpha and scores by the pre-density
+f^2, kind "kde" takes uniform alpha and scores by f; backend "sdo" is the
+sampled-feature solver.FittedModel, "gaussian"/"laplacian" the closed-form
+ClosedFormRepresenterModel.  Both backends follow the solver module's model
+protocol: f_values and f_and_grad, with density and score_batch derived
+from them by the squared flag.
 """
 
 from __future__ import annotations
@@ -23,13 +31,19 @@ from scipy.stats import rankdata
 
 from .baseline_kernels import (
     ClosedFormKernel,
-    kde_density,
-    kernel_gradient_closed_form,
+    kernel_and_gradient_closed_form,
     kernel_matrix_closed_form,
 )
 from .errors import DataError, NumericsError, SosrepError, ValidationError
 from .score_fd import FdOptions, FdProfile, fd_statistic, tune
-from .sdo_kernel import FrequencySample, SdoParams, feature_map, kernel_matrix, sample_frequencies
+from .sdo_kernel import (
+    FrequencySample,
+    SdoParams,
+    feature_map,
+    kernel_matrix,
+    rng_from_seed,
+    sample_frequencies,
+)
 from .solver import FittedModel, SolverOptions, add_jitter, fit, fit_model
 
 AD_METHODS = (
@@ -132,11 +146,6 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
     return Dataset(X=X, y=y, name=name)
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def split(ds: Dataset, seed: int, train_frac: float = 0.7):
     """Deterministic shuffle split; stratified by label when labels exist.
 
@@ -149,7 +158,7 @@ def split(ds: Dataset, seed: int, train_frac: float = 0.7):
     n = ds.n
     if n < 2:
         raise ValidationError("need at least 2 rows to split")
-    rng = _rng(seed)
+    rng = rng_from_seed(seed)
     n_train = int(round(train_frac * n))
     if ds.y is None:
         perm = rng.permutation(n)
@@ -244,22 +253,19 @@ class ClosedFormRepresenterModel:
     def f_values(self, Y) -> np.ndarray:
         return self.alpha @ kernel_matrix_closed_form(self.kernel, self.X_train, Y)
 
-    def density(self, Y) -> np.ndarray:
-        f = self.f_values(Y)
-        return f * f if self.squared else f
+    def f_and_grad(self, Y):
+        vals, grads = kernel_and_gradient_closed_form(self.kernel, self.X_train, Y)
+        return self.alpha @ vals, np.einsum("n,nmd->md", self.alpha, grads)
 
-    def score_batch(self, Y):
-        f = self.f_values(Y)
-        grads = kernel_gradient_closed_form(self.kernel, self.X_train, Y)
-        G = np.einsum("n,nmd->md", self.alpha, grads)
-        factor = 2.0 if self.squared else 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S = factor * G / f[:, None]
-        return S, f
+    # The protocol's density and score, taken from FittedModel rather than
+    # inherited so that each class owns its score_batch attribute, which
+    # bench/layers.py traces per class.
+    density = FittedModel.density
+    score_batch = FittedModel.score_batch
 
 
-class SdoKdeModel:
-    """KDE with the sampled kernel: f(y) = (1/N) sum_i k_hat(x_i, y).
+class SdoKdeModel(FittedModel):
+    """KDE with the sampled kernel: f(y) = (1/N) sum_i k_hat(x_i, y), unsquared.
 
     Evaluated through the mean feature weight vector; finite-T values can be
     slightly negative and are reported as-is.
@@ -270,21 +276,7 @@ class SdoKdeModel:
         n = X_train.shape[0]
         alpha = np.full(n, 1.0 / n)
         Phi = feature_map(X_train, fs)
-        self._inner = FittedModel(
-            alpha=alpha, fs=fs, feature_weights=Phi.T @ alpha, X_train=X_train
-        )
-
-    def f_values(self, Y) -> np.ndarray:
-        return self._inner.f_values(Y)
-
-    def density(self, Y) -> np.ndarray:
-        return self._inner.f_values(Y)
-
-    def score_batch(self, Y):
-        f, G = self._inner.f_and_grad(Y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S = G / f[:, None]
-        return S, f
+        super().__init__(alpha=alpha, fs=fs, feature_weights=Phi.T @ alpha, squared=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +307,14 @@ class AdConfig:
     sigma_grid: tuple = field(default_factory=_default_sigma_grid)
     train_frac: float = 0.7
     fd_max_rows: int | None = None
+
+    def __post_init__(self):
+        if not (0.0 < self.train_frac < 1.0):
+            raise ValidationError(
+                f"train_frac must lie strictly between 0 and 1, got {self.train_frac}"
+            )
+        if self.fd_max_rows is not None and self.fd_max_rows < 1:
+            raise ValidationError(f"fd_max_rows must be at least 1, got {self.fd_max_rows}")
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -355,38 +355,27 @@ class ExperimentReport:
 def _make_fit_fn(method: str, train_X: np.ndarray, seed: int, config: AdConfig):
     """Candidate-to-model factory for one (method, seed) tuple, with a cache."""
     d = train_X.shape[1]
+    kind, backend = method.split("_")
+    squared = kind == "sosrep"
+    candidates = tuple(config.a_grid if backend == "sdo" else config.sigma_grid)
+    opts = SolverOptions(
+        method="natural", lr=config.lr, n_iters=config.n_iters,
+        seed=seed, grad_tol=config.grad_tol,
+    ) if squared else None
     cache: dict[float, object] = {}
-    if method in ("sosrep_sdo", "kde_sdo"):
-        candidates = tuple(config.a_grid)
-    else:
-        candidates = tuple(config.sigma_grid)
 
     def build(value: float):
-        if method == "sosrep_sdo":
+        if backend == "sdo":
             params = SdoParams(a=value, d=d, m=config.m)
-            opts = SolverOptions(
-                method="natural", lr=config.lr, n_iters=config.n_iters,
-                seed=seed, grad_tol=config.grad_tol,
-            )
-            return fit_model(train_X, params, config.T, seed=seed, opts=opts)
-        if method == "kde_sdo":
-            params = SdoParams(a=value, d=d, m=config.m)
-            fs = sample_frequencies(params, config.T, seed)
-            return SdoKdeModel(train_X, fs)
-        family = method.split("_")[1]
-        kernel = ClosedFormKernel(family=family, sigma=value, d=d)
-        if method.startswith("kde"):
-            n = train_X.shape[0]
-            return ClosedFormRepresenterModel(
-                train_X, np.full(n, 1.0 / n), kernel, squared=False
-            )
-        K = kernel_matrix_closed_form(kernel, train_X, train_X)
-        opts = SolverOptions(
-            method="natural", lr=config.lr, n_iters=config.n_iters,
-            seed=seed, grad_tol=config.grad_tol,
-        )
-        res = fit(K, opts)
-        return ClosedFormRepresenterModel(train_X, res.alpha, kernel, squared=True)
+            if squared:
+                return fit_model(train_X, params, config.T, seed=seed, opts=opts)
+            return SdoKdeModel(train_X, sample_frequencies(params, config.T, seed))
+        kernel = ClosedFormKernel(family=backend, sigma=value, d=d)
+        if squared:
+            alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X), opts).alpha
+        else:
+            alpha = np.full(train_X.shape[0], 1.0 / train_X.shape[0])
+        return ClosedFormRepresenterModel(train_X, alpha, kernel, squared)
 
     def fit_fn(value: float):
         if value not in cache:
@@ -424,7 +413,7 @@ def run_ad(
             stats_last = stats
             Y_fd = test2.X
             if config.fd_max_rows is not None and Y_fd.shape[0] > config.fd_max_rows:
-                sel = _rng(seed, 1).permutation(Y_fd.shape[0])[: config.fd_max_rows]
+                sel = rng_from_seed(seed, 1).permutation(Y_fd.shape[0])[: config.fd_max_rows]
                 Y_fd = Y_fd[np.sort(sel)]
             candidates, fit_fn, cache = _make_fit_fn(method, train2.X, seed, config)
             fd_opts = FdOptions(
@@ -511,7 +500,7 @@ def negative_fraction_experiment(
 
     inits = []
     for i in range(n_init):
-        rng = _rng(seed, i + 1)
+        rng = rng_from_seed(seed, i + 1)
         inits.append(np.abs(rng.standard_normal(n)))
 
     warn_list: list[str] = []
@@ -646,7 +635,7 @@ def consistency_experiment(
         errors = []
         for rep in range(n_reps):
             sub = i_n * max(1000, n_reps) + rep + 1
-            rng = _rng(seed, sub)
+            rng = rng_from_seed(seed, sub)
             X = density.sample(N, rng)
             fit_seed = seed * 1_000_003 + sub
             opts = SolverOptions(

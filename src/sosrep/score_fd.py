@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     VanishingDensity,
 )
+from .sdo_kernel import rng_from_seed
 
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
@@ -101,11 +102,6 @@ class FdStat:
     skipped_rows: int
 
 
-def _probe_rng(seed: int, row_index: int) -> np.random.Generator:
-    key = np.array([seed, row_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draw_probes(rng: np.random.Generator, n: int, d: int, probe: str) -> np.ndarray:
     if probe == "rademacher":
         return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
@@ -148,7 +144,7 @@ def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.shape[0]
-    rng = _probe_rng(opts.seed, row_index)
+    rng = rng_from_seed(opts.seed, row_index)
     eps = _draw_probes(rng, opts.n_fd_iters, d, opts.probe)
     s0 = np.asarray(score_fn(x), dtype=float)
     total = 0.0
@@ -177,7 +173,7 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
 
     eps = np.empty((n_rows, opts.n_fd_iters, d))
     for i in range(n_rows):
-        eps[i] = _draw_probes(_probe_rng(opts.seed, i), opts.n_fd_iters, d, opts.probe)
+        eps[i] = _draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe)
 
     trace_acc = np.zeros(n_rows)
     for j in range(opts.n_fd_iters):
@@ -285,6 +281,14 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions(), window: in
     return cand[int(np.argmin(fd))], profile
 
 
+def write_atomic(path, text: str) -> None:
+    """Write text through a temp file named per process, then rename over path."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def profile_to_csv(profile: FdProfile, path=None) -> str:
     """Write the profile as CSV (a, fd, retained_rows, skipped_rows).
 
@@ -298,10 +302,7 @@ def profile_to_csv(profile: FdProfile, path=None) -> str:
         writer.writerow([f"{e.a:.17g}", f"{e.fd:.17g}", e.retained_rows, e.skipped_rows])
     text = buf.getvalue()
     if path is not None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        write_atomic(path, text)
     return text
 
 

@@ -183,9 +183,12 @@ def sample_radii(grid: RadialGrid, T: int, rng: np.random.Generator) -> np.ndarr
     return np.interp(rng.random(T), grid.cdf, grid.r_values)
 
 
-def _rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
-    # Counter-based generator keyed by (seed, stream): deterministic and
-    # independent of evaluation order.
+def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
+    """The package's one seeded generator: Philox keyed by (seed, stream).
+
+    Counter-based, so each stream is deterministic and independent of the
+    order in which streams are drawn.
+    """
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -202,7 +205,7 @@ def sample_frequencies(params: SdoParams, T: int, seed: int) -> FrequencySample:
     if T < 1:
         raise ValidationError(f"T must be a positive integer, got {T}")
     grid = _unit_grid(params.m, params.d, _SAMPLER_N_GRID)
-    rng = _rng_from_seed(seed)
+    rng = rng_from_seed(seed)
     r = sample_radii(grid, T, rng)
     g = rng.standard_normal((T, params.d))
     norms = np.linalg.norm(g, axis=1)
@@ -238,11 +241,12 @@ def spectral_mass(params: SdoParams, n_grid: int = DEFAULT_N_GRID) -> float:
     return _spectral_mass_cached(params.a, params.m, params.d, n_grid)
 
 
-def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np.ndarray:
-    """N x T cosine features Phi[i, t] = cos(<Z_t, x_i> + b_t) / sqrt(T).
+def feature_phases(X, fs: FrequencySample, exact_normalization: bool = False):
+    """(U, scale): phases U[i, t] = <Z_t, x_i> + b_t and the feature scale.
 
-    With exact_normalization the features carry sqrt(2W) so that Phi @ Phi.T
-    estimates the kernel itself instead of kernel/(2W).
+    The scale is 1/sqrt(T), times sqrt(2W) with exact_normalization.  Every
+    feature-space evaluation (features, f, its gradient and Laplacian) starts
+    from these two values.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != fs.base_params.d:
@@ -251,10 +255,20 @@ def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np
         )
     U = X @ fs.Z.T
     U += fs.b
-    Phi = np.cos(U)
     scale = 1.0 / math.sqrt(fs.T)
     if exact_normalization:
         scale *= math.sqrt(2.0 * spectral_mass(fs.base_params))
+    return U, scale
+
+
+def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np.ndarray:
+    """N x T cosine features Phi[i, t] = cos(<Z_t, x_i> + b_t) / sqrt(T).
+
+    With exact_normalization the features carry sqrt(2W) so that Phi @ Phi.T
+    estimates the kernel itself instead of kernel/(2W).
+    """
+    U, scale = feature_phases(X, fs, exact_normalization)
+    Phi = np.cos(U)
     Phi *= scale
     return Phi
 

@@ -15,6 +15,13 @@ function-space inner product; it is invariant to the overall kernel scale and
 keeps f = K alpha nonnegative for entrywise-nonnegative kernels when
 lr < 0.5.  Any fixed point satisfies alpha_i (K alpha)_i = 1/N and therefore
 alpha^T K alpha = 1.
+
+Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
+`squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
+(f and its gradient at query rows); `density` is f^2 when squared (the
+pre-density) and f otherwise (KDE), and `score_batch` is grad log density,
+2 grad f / f or grad f / f.  FittedModel is the sampled-feature backend;
+harness.ClosedFormRepresenterModel is the closed-form one.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .sdo_kernel import (
     FrequencySample,
     SdoParams,
     feature_map,
+    feature_phases,
+    rng_from_seed,
     sample_frequencies,
 )
 
@@ -147,7 +156,7 @@ def _objective_value(alpha: np.ndarray, f: np.ndarray) -> float:
 
 
 def _draw_init(n: int, seed: int, K: np.ndarray) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = rng_from_seed(seed)
     for _ in range(_MAX_INIT_REDRAWS):
         alpha = np.abs(rng.standard_normal(n))
         if np.all(K @ alpha != 0.0):
@@ -239,75 +248,58 @@ def data_hash(X: np.ndarray) -> str:
 
 @dataclass
 class FittedModel:
-    """Pre-density model (f)^2 with f(x) = <w, phi(x)> in feature space.
+    """Representer model f = sum_i alpha_i k(x_i, .) = <w, phi(.)> in feature space.
 
     feature_weights caches w = Phi_train^T alpha so that evaluation is O(T)
-    per query instead of O(N*T).
+    per query instead of O(N*T).  The density is f^2 when squared (the
+    pre-density) and f otherwise (the sampled-kernel KDE).
     """
 
     alpha: np.ndarray
     fs: FrequencySample
     feature_weights: np.ndarray
-    X_train: np.ndarray | None = None
     kernel_scale_flag: bool = False
     train_data_hash: str = ""
     fit_info: dict = field(default_factory=dict)
-
-    def _features(self, Y) -> np.ndarray:
-        return feature_map(Y, self.fs, self.kernel_scale_flag)
+    squared: bool = True
 
     def f_values(self, Y) -> np.ndarray:
         """f(y_j) = <w, phi(y_j)> for each query row."""
-        return self._features(Y) @ self.feature_weights
+        return feature_map(Y, self.fs, self.kernel_scale_flag) @ self.feature_weights
 
     def density(self, Y) -> np.ndarray:
-        """Pre-density values f(y_j)^2."""
+        """Density values: f(y_j)^2 when squared, else f(y_j)."""
         f = self.f_values(Y)
-        return f * f
+        return f * f if self.squared else f
 
     def f_and_grad(self, Y):
         """(f values, gradient rows) of f at the query rows; both analytic."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        fs = self.fs
-        U = Y @ fs.Z.T
-        U += fs.b
-        scale = 1.0 / math.sqrt(fs.T)
-        if self.kernel_scale_flag:
-            from .sdo_kernel import spectral_mass
-
-            scale *= math.sqrt(2.0 * spectral_mass(fs.base_params))
+        U, scale = feature_phases(Y, self.fs, self.kernel_scale_flag)
         w = self.feature_weights
         f = (np.cos(U) @ w) * scale
-        G = -(np.sin(U) * w) @ fs.Z * scale
+        G = -(np.sin(U) * w) @ self.fs.Z * scale
         return f, G
 
     def score_batch(self, Y):
-        """(score rows, f values); score = grad log f^2 = 2 grad f / f.
+        """(score rows, f values); score = grad log density, 2 grad f / f or grad f / f.
 
         Rows where f vanishes produce non-finite scores; callers mask on f.
         """
         f, G = self.f_and_grad(Y)
+        factor = 2.0 if self.squared else 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            S = 2.0 * G / f[:, None]
+            S = factor * G / f[:, None]
         return S, f
 
     def laplacian_f(self, Y) -> np.ndarray:
         """Analytic Laplacian of f at the query rows (for trace oracles)."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        fs = self.fs
-        U = Y @ fs.Z.T
-        U += fs.b
-        scale = 1.0 / math.sqrt(fs.T)
-        if self.kernel_scale_flag:
-            from .sdo_kernel import spectral_mass
-
-            scale *= math.sqrt(2.0 * spectral_mass(fs.base_params))
-        zsq = np.einsum("td,td->t", fs.Z, fs.Z)
+        U, scale = feature_phases(Y, self.fs, self.kernel_scale_flag)
+        zsq = np.einsum("td,td->t", self.fs.Z, self.fs.Z)
         return -(np.cos(U) @ (self.feature_weights * zsq)) * scale
 
 
 def evaluate_density(model: FittedModel, Y) -> np.ndarray:
-    """Pre-density (sum_i alpha_i k(x_i, y))^2 via the cached feature weights."""
+    """model.density(Y): (sum_i alpha_i k(x_i, y))^2, or the sum itself when unsquared."""
     return model.density(Y)
 
 
@@ -332,7 +324,6 @@ def fit_model(
         alpha=res.alpha,
         fs=fs,
         feature_weights=w,
-        X_train=X,
         kernel_scale_flag=exact_normalization,
         train_data_hash=data_hash(X),
         fit_info={
@@ -381,7 +372,6 @@ def model_from_json(text: str) -> FittedModel:
             alpha=np.array(record["alpha"], dtype=float),
             fs=fs,
             feature_weights=np.array(record["feature_weights"], dtype=float),
-            X_train=None,
             kernel_scale_flag=bool(record["kernel_scale_flag"]),
             train_data_hash=record.get("train_data_hash", ""),
             fit_info=record.get("fit_info", {}),

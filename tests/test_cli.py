@@ -329,3 +329,19 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "fit" in capsys.readouterr().out
+
+
+class TestAdConfigValidation:
+    @pytest.mark.parametrize("flags", [
+        ["--train-frac", "1.5"],
+        ["--fd-max-rows", "0"],
+        ["--fd-max-rows", "-5"],
+    ])
+    def test_out_of_range_config_is_validation_error(self, tmp_path, mixture_csv,
+                                                     capsys, flags):
+        rc = main(["experiment", "--protocol", "ad", "--data", mixture_csv,
+                   "--methods", "kde_gaussian", *EXP_FLAGS, *flags,
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert _stderr_error(capsys)["kind"] == "validation"
+        assert not (tmp_path / "x.json").exists()

@@ -442,3 +442,33 @@ class TestInternalModels:
         model = SdoKdeModel(X, fs)
         q = rng.normal(size=(6, 2))
         np.testing.assert_allclose(model.density(q), sp.kde_density(X, q, fs), rtol=1e-12)
+
+
+class TestRepresenterProtocol:
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_closed_form_score_matches_public_kernels(self, family, squared):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(25, 2))
+        Y = np.vstack([rng.normal(size=(7, 2)), X[:2]])  # X rows: Laplacian cusp
+        alpha = rng.random(25)
+        k = sp.ClosedFormKernel(family=family, sigma=0.8, d=2)
+        model = ClosedFormRepresenterModel(X, alpha, k, squared=squared)
+        f = alpha @ sp.kernel_matrix_closed_form(k, X, Y)
+        G = np.einsum("n,nmd->md", alpha, sp.kernel_gradient_closed_form(k, X, Y))
+        S, fv = model.score_batch(Y)
+        np.testing.assert_array_equal(fv, f)
+        np.testing.assert_array_equal(S, (2.0 if squared else 1.0) * G / f[:, None])
+        np.testing.assert_array_equal(model.density(Y), f * f if squared else f)
+
+    def test_sdo_kde_score_is_grad_over_f(self):
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(15, 2))
+        fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 128, seed=35)
+        model = SdoKdeModel(X, fs)
+        q = rng.normal(size=(6, 2))
+        f, G = model.f_and_grad(q)
+        S, fv = model.score_batch(q)
+        np.testing.assert_array_equal(fv, f)
+        np.testing.assert_array_equal(S, G / f[:, None])
+        np.testing.assert_array_equal(model.density(q), model.f_values(q))

@@ -329,3 +329,14 @@ class TestProfileCsv:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             profile_from_csv("x,y\n1,2\n")
+
+
+class TestAtomicWrite:
+    def test_profile_file_ignores_a_stale_fixed_temp_name(self, tmp_path):
+        # A leftover "<path>.tmp" from another writer must not block this one.
+        _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
+        path = tmp_path / "profile.csv"
+        (tmp_path / "profile.csv.tmp").mkdir()
+        profile_to_csv(profile, path=str(path))
+        assert profile_from_csv(path.read_text(encoding="utf-8")) == profile
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "profile.csv.tmp"]

@@ -288,3 +288,15 @@ class TestHelpers:
         Y = X.copy()
         Y[0, 0] += 1e-12
         assert data_hash(X) != data_hash(Y)
+
+
+class TestModelQueryDimension:
+    def test_wrong_dimension_query_is_validation_error(self):
+        rng = np.random.default_rng(40)
+        model = sp.fit_model(rng.normal(size=(12, 2)), sp.SdoParams(a=0.5, d=2), T=64,
+                             seed=1, opts=sp.SolverOptions(n_iters=20))
+        Y = rng.normal(size=(3, 3))
+        with pytest.raises(ValidationError):
+            model.f_and_grad(Y)
+        with pytest.raises(ValidationError):
+            model.laplacian_f(Y)

@@ -35,7 +35,7 @@ from .baseline_kernels import (
     kernel_matrix_closed_form,
 )
 from .errors import DataError, NumericsError, SosrepError, ValidationError
-from .score_fd import FdOptions, FdProfile, fd_statistic, tune
+from .score_fd import FdOptions, FdProfile, fd_statistic, selection_kind, tune
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
@@ -325,6 +325,12 @@ class AdConfig:
 
 @dataclass
 class ExperimentReport:
+    """One method's AD results, keyed by seed where they vary per seed.
+
+    `standardization` maps each seed to its train-split z-score statistics
+    and `profiles` to the FdProfile that tune evaluated.
+    """
+
     dataset: str
     method: str
     seeds: tuple
@@ -347,8 +353,23 @@ class ExperimentReport:
             "mean_auc": self.mean_auc,
             "config": self.config,
             "chosen": {str(k): v for k, v in self.chosen.items()},
-            "standardization": self.standardization,
+            "standardization": {str(k): v for k, v in self.standardization.items()},
             "warnings": list(self.warnings),
+            "profiles": {
+                str(k): [
+                    {
+                        "a": e.a,
+                        "fd": e.fd if math.isfinite(e.fd) else None,
+                        "retained_rows": e.retained_rows,
+                        "skipped_rows": e.skipped_rows,
+                    }
+                    for e in p.entries
+                ]
+                for k, p in self.profiles.items()
+            },
+            "selection": {
+                str(k): selection_kind(p, self.chosen[k]) for k, p in self.profiles.items()
+            },
         }
 
 
@@ -404,13 +425,12 @@ def run_ad(
     aucs: dict[int, float] = {}
     chosen: dict[int, float] = {}
     profiles: dict[int, FdProfile] = {}
+    standardization: dict[int, dict] = {}
     warn_list: list[str] = []
-    stats_last: dict = {}
     for seed in seeds:
         try:
             train, test = split(ds, seed, config.train_frac)
-            train2, test2, stats = standardize(train, test)
-            stats_last = stats
+            train2, test2, standardization[seed] = standardize(train, test)
             Y_fd = test2.X
             if config.fd_max_rows is not None and Y_fd.shape[0] > config.fd_max_rows:
                 sel = rng_from_seed(seed, 1).permutation(Y_fd.shape[0])[: config.fd_max_rows]
@@ -440,7 +460,7 @@ def run_ad(
         mean_auc=mean_auc,
         config=config.snapshot(),
         chosen=chosen,
-        standardization=stats_last,
+        standardization=standardization,
         warnings=tuple(warn_list),
         profiles=profiles,
     )

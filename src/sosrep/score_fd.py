@@ -6,9 +6,11 @@ the score-matching objective up to an additive constant:
     FD = mean over rows y of [ trace(J_s(y)) + 0.5 * ||s(y)||^2 ],
 
 where s = grad log q and J_s its Jacobian, whose trace is estimated by
-finite-difference Hutchinson probes.  Because scores are invariant to the
-density's normalization, the statistic can rank smoothness candidates
-without normalizing the fitted pre-density.
+finite-difference Hutchinson probes.  A probe takes few values, so the
+statistic evaluates each distinct probe point of a row once, in model calls
+of len(Y) rows.  Because scores are invariant to the density's
+normalization, the statistic can rank smoothness candidates without
+normalizing the fitted pre-density.
 
 Hyperparameter selection follows a stable-local-minimum rule on the profile
 of FD values over a descending grid of smoothness candidates: the chosen
@@ -157,12 +159,41 @@ def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:
     return est
 
 
+def _distinct_probes(eps: np.ndarray):
+    """Each row's distinct probes, numbered in order of first appearance.
+
+    Returns (slot, first): slot[i, j] is the number of probe j among row i's
+    distinct probes, and first[i, r] the index of the first probe of row i
+    with number r (0, the row's first probe, where the row has fewer than
+    r + 1 distinct probes).
+    """
+    n_rows, n_probes, _ = eps.shape
+    slot = np.empty((n_rows, n_probes), dtype=np.intp)
+    first = np.zeros((n_rows, n_probes), dtype=np.intp)
+    for i in range(n_rows):
+        seen: dict[bytes, int] = {}
+        for j in range(n_probes):
+            key = eps[i, j].tobytes()
+            if key not in seen:
+                first[i, len(seen)] = j
+                seen[key] = len(seen)
+            slot[i, j] = seen[key]
+    return slot, first[:, : slot.max() + 1]
+
+
 def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     """Fisher-divergence statistic of the model over test rows Y.
 
     Rows where the model's underlying f vanishes (at the base point or any
     probe displacement) are skipped and counted; the statistic is the mean
     over retained rows of [Hutchinson trace + 0.5 ||score||^2].
+
+    Probes take few values (2^d Rademacher, 3^d three-point), so a row's
+    probes repeat.  Each distinct probe point is evaluated once: round r
+    scores row i's r-th distinct displacement, in one model call of len(Y)
+    rows with row i at position i, and the Hutchinson sum then gathers the
+    scores probe by probe.  The values equal those of one call per probe,
+    bit for bit.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n_rows, d = Y.shape
@@ -175,10 +206,17 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     for i in range(n_rows):
         eps[i] = _draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe)
 
+    slot, first = _distinct_probes(eps)
+    rows = np.arange(n_rows)
+    S_round = np.empty((first.shape[1], n_rows, d))
+    f_round = np.empty((first.shape[1], n_rows))
+    for r in range(first.shape[1]):
+        S_round[r], f_round[r] = model.score_batch(Y + opts.h * eps[rows, first[:, r]])
+
     trace_acc = np.zeros(n_rows)
     for j in range(opts.n_fd_iters):
         E = eps[:, j, :]
-        Sj, fj = model.score_batch(Y + opts.h * E)
+        Sj, fj = S_round[slot[:, j], rows], f_round[slot[:, j], rows]
         ok &= np.abs(fj) >= _DENSITY_FLOOR
         with np.errstate(invalid="ignore"):
             trace_acc += np.einsum("md,md->m", Sj - S0, E)
@@ -225,6 +263,20 @@ def stable_minimum(profile: FdProfile, window: int = 3):
         if _is_stable_center(fd, i, window):
             return profile.entries[i].a
     return None
+
+
+def selection_kind(profile: FdProfile, a_star: float) -> str:
+    """How tune arrived at a_star on its profile.
+
+    "stable" when a_star is the profile's stable minimum, "edge" when the
+    global-minimum fallback landed on the first or last grid value, and
+    "fallback" for any other global-minimum pick.
+    """
+    if stable_minimum(profile) == a_star:
+        return "stable"
+    if a_star in (profile.entries[0].a, profile.entries[-1].a):
+        return "edge"
+    return "fallback"
 
 
 def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions(), window: int = 3):

@@ -1,6 +1,7 @@
 """Tests for dataset handling, splits, AUC, and the experiment protocols."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -309,6 +310,44 @@ class TestRunAd:
         for key in ("T", "lr", "n_iters", "n_fd_iters", "h", "probe",
                     "a_grid", "train_frac"):
             assert key in snap
+
+    def test_standardization_is_recorded_per_seed(self, mixture2d):
+        report = sp.run_ad(mixture2d, "kde_gaussian", seeds=(0, 1), config=SMALL_AD_CONFIG)
+        assert set(report.standardization) == {0, 1}
+        for seed in (0, 1):
+            train, test = sp.split(mixture2d, seed, SMALL_AD_CONFIG.train_frac)
+            assert report.standardization[seed] == sp.standardize(train, test)[2]
+        assert report.standardization[0]["mean"] != report.standardization[1]["mean"]
+        assert set(report.to_dict()["standardization"]) == {"0", "1"}
+
+    def test_report_dict_carries_profiles_and_selection(self, mixture2d):
+        report = sp.run_ad(mixture2d, "kde_gaussian", seeds=(0, 1), config=SMALL_AD_CONFIG)
+        out = report.to_dict()
+        for seed in (0, 1):
+            entries = report.profiles[seed].entries
+            assert out["profiles"][str(seed)] == [
+                {"a": e.a, "fd": e.fd, "retained_rows": e.retained_rows,
+                 "skipped_rows": e.skipped_rows}
+                for e in entries
+            ]
+            assert out["selection"][str(seed)] in ("stable", "fallback", "edge")
+
+    def test_failed_candidate_serializes_as_null(self):
+        cand = np.geomspace(5.0, 0.05, 7)
+        fds = [math.inf, 3.0, 2.0, 1.0, 2.0, 3.0, 4.0]
+        profile = sp.FdProfile(entries=tuple(
+            sp.FdEntry(a=float(a), fd=v, retained_rows=0 if math.isinf(v) else 10,
+                       skipped_rows=10 if math.isinf(v) else 0)
+            for a, v in zip(cand, fds)))
+        report = sp.ExperimentReport(
+            dataset="d", method="kde_gaussian", seeds=(0,), aucs={0: 0.9}, mean_auc=0.9,
+            config={}, chosen={0: float(cand[3])}, standardization={}, warnings=(),
+            profiles={0: profile})
+        out = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert out["profiles"]["0"][0] == {"a": float(cand[0]), "fd": None,
+                                           "retained_rows": 0, "skipped_rows": 10}
+        assert [e["fd"] for e in out["profiles"]["0"][1:]] == fds[1:]
+        assert out["selection"] == {"0": "stable"}
 
 
 class TestNegativeFraction:

@@ -12,7 +12,18 @@ from sosrep.errors import (
     ValidationError,
     VanishingDensity,
 )
-from sosrep.score_fd import FdEntry, profile_from_csv, profile_to_csv
+from sosrep.harness import ClosedFormRepresenterModel, SdoKdeModel
+from sosrep.score_fd import (
+    _DENSITY_FLOOR,
+    _THREE_POINT_CORRECTION,
+    FdEntry,
+    FdStat,
+    _draw_probes,
+    profile_from_csv,
+    profile_to_csv,
+    selection_kind,
+)
+from sosrep.sdo_kernel import rng_from_seed
 
 
 def _fit_toy_model(seed=0, n=40, d=2, a=0.7, T=256):
@@ -174,6 +185,119 @@ class TestFdStatistic:
         assert fds[0.1] < fds[100.0]
 
 
+def _fd_statistic_reference(model, Y, opts):
+    """fd_statistic as one model call per probe: the oracle for the
+    distinct-probe evaluation, which must reproduce it bit for bit."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n_rows, d = Y.shape
+    if n_rows < 1:
+        raise ValidationError("fd_statistic requires at least one test row")
+    S0, f0 = model.score_batch(Y)
+    ok = np.abs(f0) >= _DENSITY_FLOOR
+
+    eps = np.empty((n_rows, opts.n_fd_iters, d))
+    for i in range(n_rows):
+        eps[i] = _draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe)
+
+    trace_acc = np.zeros(n_rows)
+    for j in range(opts.n_fd_iters):
+        E = eps[:, j, :]
+        Sj, fj = model.score_batch(Y + opts.h * E)
+        ok &= np.abs(fj) >= _DENSITY_FLOOR
+        with np.errstate(invalid="ignore"):
+            trace_acc += np.einsum("md,md->m", Sj - S0, E)
+    trace = trace_acc / (opts.n_fd_iters * opts.h)
+    if opts.probe == "paper_three_point":
+        trace *= _THREE_POINT_CORRECTION
+
+    with np.errstate(invalid="ignore"):
+        vals = trace + 0.5 * np.einsum("md,md->m", S0, S0)
+    ok &= np.isfinite(vals)
+    retained = int(ok.sum())
+    if retained == 0:
+        raise NumericsError("all rows skipped: the density vanishes at every test row")
+    return FdStat(
+        value=float(np.mean(vals[ok])),
+        retained_rows=retained,
+        skipped_rows=int(n_rows - retained),
+    )
+
+
+def _backend_model(backend, d, seed=40):
+    rng = np.random.default_rng(seed + d)
+    X = rng.normal(size=(30, d))
+    params = sp.SdoParams(a=0.7, d=d)
+    if backend == "sdo_squared":
+        return sp.fit_model(X, params, T=128, seed=seed,
+                            opts=sp.SolverOptions(n_iters=100))
+    if backend == "sdo_kde":
+        return SdoKdeModel(X, sp.sample_frequencies(params, 128, seed))
+    kernel = sp.ClosedFormKernel(family=backend, sigma=0.8, d=d)
+    return ClosedFormRepresenterModel(X, rng.random(30), kernel, squared=True)
+
+
+class TestFdStatisticDistinctProbes:
+    @pytest.mark.parametrize("backend", ["sdo_squared", "sdo_kde", "gaussian", "laplacian"])
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_equals_one_call_per_probe(self, backend, probe, d):
+        model = _backend_model(backend, d)
+        Y = np.random.default_rng(41 + d).normal(size=(17, d))
+        opts = sp.FdOptions(n_fd_iters=25, h=1e-4, probe=probe, seed=3)
+        assert sp.fd_statistic(model, Y, opts) == _fd_statistic_reference(model, Y, opts)
+
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    def test_vanishing_rows_match_one_call_per_probe(self, probe):
+        model = _cosine_model(Z=np.ones((1, 1)), b=[0.0], weights=[1.0], d=1)
+        Y = np.array([[0.0], [math.pi / 2.0], [0.3]])
+        opts = sp.FdOptions(n_fd_iters=20, h=1e-4, probe=probe, seed=1)
+        stat = sp.fd_statistic(model, Y, opts)
+        assert stat == _fd_statistic_reference(model, Y, opts)
+        assert stat.skipped_rows == 1
+
+
+class _RecordingModel:
+    """Passes score_batch through and records the row count of each call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = []
+
+    def score_batch(self, Y):
+        self.rows.append(len(Y))
+        return self.model.score_batch(Y)
+
+
+def _most_distinct_probes(n_rows, d, opts):
+    return max(
+        len(np.unique(_draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe),
+                      axis=0))
+        for i in range(n_rows)
+    )
+
+
+class TestFdStatisticCallShape:
+    def _calls(self, d, opts, n_rows=9):
+        model = _RecordingModel(_LinearScoreModel(1.0))
+        sp.fd_statistic(model, np.random.default_rng(42).normal(size=(n_rows, d)), opts)
+        assert model.rows == [n_rows] * len(model.rows)
+        return len(model.rows)
+
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_call_per_round_of_distinct_probes(self, probe, d):
+        opts = sp.FdOptions(n_fd_iters=25, probe=probe, seed=5)
+        assert self._calls(d, opts) == 1 + _most_distinct_probes(9, d, opts)
+
+    def test_one_dimensional_rademacher_makes_three_calls(self):
+        assert self._calls(1, sp.FdOptions(n_fd_iters=100, seed=0)) == 3
+
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    def test_never_more_calls_than_one_per_probe(self, probe):
+        opts = sp.FdOptions(n_fd_iters=20, probe=probe, seed=6)
+        assert self._calls(13, opts) <= 1 + opts.n_fd_iters
+
+
 class _LinearScoreModel:
     """score_batch returns s(y) = -c y with f = 1; FD value is c^2 - 2c at
     the single test row (1, 1): trace -2c plus half squared norm c^2."""
@@ -310,6 +434,36 @@ class TestTune:
             sp.tune([3.0, 2.0, 1.0], lambda a: None, _FD_TEST_ROW)  # too few
         with pytest.raises(ValidationError):
             sp.tune([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], lambda a: None, _FD_TEST_ROW)
+
+
+class TestSelectionKind:
+    def _tune(self, targets):
+        cand = list(np.geomspace(100.0, 0.001, len(targets)))
+        table = {a: _c_for_target(v) for a, v in zip(cand, targets)}
+        a_star, profile = sp.tune(cand, lambda a: _LinearScoreModel(table[a]), _FD_TEST_ROW,
+                                  sp.FdOptions(n_fd_iters=4, h=1e-3, seed=0))
+        return cand, a_star, profile
+
+    def test_stable_minimum(self):
+        cand, a_star, profile = self._tune([7, 5, 4, 3, 4, 5, 6])
+        assert a_star == cand[3]
+        assert selection_kind(profile, a_star) == "stable"
+
+    def test_fallback_on_the_last_grid_value_is_edge(self):
+        cand, a_star, profile = self._tune([9, 8, 7, 6, 5, 4, 3])
+        assert a_star == cand[-1]
+        assert selection_kind(profile, a_star) == "edge"
+
+    def test_fallback_on_the_first_grid_value_is_edge(self):
+        cand, a_star, profile = self._tune([3, 4, 5, 6, 7, 8, 9])
+        assert a_star == cand[0]
+        assert selection_kind(profile, a_star) == "edge"
+
+    def test_interior_fallback(self):
+        # the global minimum at index 2 has only two neighbors on its left
+        cand, a_star, profile = self._tune([9, 8, 2, 7, 6, 5, 4])
+        assert a_star == cand[2]
+        assert selection_kind(profile, a_star) == "fallback"
 
 
 class TestProfileCsv:

@@ -1,9 +1,17 @@
 """Command-line interface.
 
-Subcommands: fit, score, tune, two-block, experiment.  Errors are reported as
-a single JSON object on stderr; exit code 2 flags usage/data/io problems and
-3 flags numeric failures.  All file outputs are written atomically (temp file
-plus rename) and refits with identical flags produce byte-identical output.
+Subcommands: fit, score, tune, two-block, experiment.  `tune` and the `ad`
+and `duplicates` protocols of `experiment` share the Fisher-divergence flags
+(--a-grid, --n-fd-iters, --h, --probe, --train-frac), build one AdConfig from
+them and select per seed through harness.select; --method and
+--exact-normalization act on `fit` alone.  The whole AdConfig is validated
+before any fit, and list flags (--seeds, --k-values, --sample-sizes) take
+distinct integers.
+
+Errors are reported as a single JSON object on stderr; exit code 2 flags
+usage/validation/data/io problems and 3 flags numeric failures.  All file
+outputs are written atomically (temp file plus rename) and refits with
+identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,16 +37,13 @@ from .harness import (
     negative_fraction_experiment,
     rank_aggregate,
     run_ad,
+    select,
     split,
-    _make_fit_fn,
 )
-from .score_fd import FdOptions, profile_to_csv, tune, write_atomic
+from .score_fd import profile_to_csv, write_atomic
 from .sdo_kernel import SdoParams
 from .solver import SolverOptions, evaluate_density, fit_model, model_from_json, model_to_json
 from .two_block import BlockSpec, verify_against_solver
-
-_DEFAULT_A_GRID_SPEC = "log:1e-6:1e2:25"
-
 
 class _UsageError(Exception):
     pass
@@ -67,14 +72,17 @@ def _n_threads() -> int:
     return v
 
 
-def _parse_seeds(text: str) -> tuple:
+def _parse_ints(text: str, what: str) -> tuple:
+    """A comma list of distinct integers; `what` names the list in errors."""
     try:
-        seeds = tuple(int(t) for t in text.split(",") if t.strip())
+        vals = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise _UsageError(f"could not parse seed list {text!r}")
-    if not seeds:
-        raise _UsageError("seed list is empty")
-    return seeds
+        raise _UsageError(f"could not parse {what} list {text!r}")
+    if not vals:
+        raise _UsageError(f"{what} list is empty")
+    if len(set(vals)) != len(vals):
+        raise _UsageError(f"{what} list {text!r} repeats a value")
+    return vals
 
 
 def _parse_a_grid(text: str) -> tuple:
@@ -118,8 +126,6 @@ def _load_dataset(path, label_column, require_labels=False):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", default="natural", choices=["natural", "standard"],
-                   help="gradient iteration (default natural)")
     p.add_argument("--lr", type=float, default=0.1, help="step size (default 0.1)")
     p.add_argument("--n-iters", type=int, default=1000,
                    help="maximum iterations (default 1000)")
@@ -133,13 +139,41 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-z", type=int, default=4096,
                    help="number of sampled frequencies T (default 4096)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--exact-normalization", action="store_true",
-                   help="scale the sampled kernel by 2W instead of targeting 1/2 "
-                        "on the diagonal")
 
 
-def _resolve_m(arg, d: int):
-    if arg is None or arg == "auto":
+def _add_fd_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the Fisher-divergence selection shared by tune and experiment."""
+    p.add_argument("--a-grid", default=None,
+                   help="'log:lo:hi:n' or comma list (default log:1e-6:1e2:25)")
+    p.add_argument("--n-fd-iters", type=int, default=100,
+                   help="probes per query row (default 100)")
+    p.add_argument("--h", type=float, default=1e-4,
+                   help="finite-difference step (default 1e-4)")
+    p.add_argument("--probe", default="rademacher",
+                   choices=["rademacher", "paper_three_point"])
+    p.add_argument("--train-frac", type=float, default=0.7,
+                   help="share of rows fitted, the rest scored (default 0.7)")
+
+
+def _config_from_args(args, sigma_grid=None, fd_max_rows=None) -> AdConfig:
+    """AdConfig from the kernel, solver and FD flags of tune or experiment.
+
+    Only experiment has --sigma-grid and --fd-max-rows; a grid spec left None
+    keeps the AdConfig default grid.
+    """
+    kwargs = dict(
+        T=args.n_z, m=_resolve_m(args.m), lr=args.lr, n_iters=args.n_iters,
+        grad_tol=args.grad_tol, n_fd_iters=args.n_fd_iters, h=args.h,
+        probe=args.probe, train_frac=args.train_frac, fd_max_rows=fd_max_rows,
+    )
+    for name, spec in (("a_grid", args.a_grid), ("sigma_grid", sigma_grid)):
+        if spec is not None:
+            kwargs[name] = _parse_a_grid(spec)
+    return AdConfig(**kwargs)
+
+
+def _resolve_m(arg):
+    if arg == "auto":
         return None
     try:
         return int(arg)
@@ -159,8 +193,7 @@ def cmd_fit(args) -> int:
     ds = _load_dataset(args.data, args.label_column)
     if ds.n == 0:
         raise DataError(f"{args.data}: cannot fit on an empty dataset")
-    m = _resolve_m(args.m, ds.d)
-    params = SdoParams(a=args.a, d=ds.d, m=m)
+    params = SdoParams(a=args.a, d=ds.d, m=_resolve_m(args.m))
     opts = SolverOptions(
         method=args.method, lr=args.lr, n_iters=args.n_iters,
         seed=args.seed, grad_tol=args.grad_tol,
@@ -208,31 +241,23 @@ def cmd_score(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    config = _config_from_args(args)
     ds = _load_dataset(args.data, args.label_column)
     if args.eval_data:
         eval_ds = _load_dataset(args.eval_data, args.label_column)
         train_X, eval_X = ds.X, eval_ds.X
     else:
-        train, test = split(ds, args.seed, args.train_frac)
+        train, test = split(ds, args.seed, config.train_frac)
         train_X, eval_X = train.X, test.X
     if train_X.shape[0] == 0 or eval_X.shape[0] == 0:
         raise DataError("both the fit part and the evaluation part must be nonempty")
-    m = _resolve_m(args.m, train_X.shape[1])
-    a_grid = _parse_a_grid(args.a_grid)
-    config = AdConfig(
-        T=args.n_z, m=m, lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol,
-        n_fd_iters=args.n_fd_iters, h=args.h, probe=args.probe, a_grid=a_grid,
-    )
-    candidates, fit_fn, _cache = _make_fit_fn("sosrep_sdo", train_X, args.seed, config)
-    fd_opts = FdOptions(n_fd_iters=args.n_fd_iters, h=args.h, probe=args.probe,
-                        seed=args.seed)
-    a_star, profile = tune(candidates, fit_fn, eval_X, fd_opts)
+    a_star, profile, _model = select("sosrep_sdo", train_X, eval_X, args.seed, config)
     selection = {
         "format_version": "1",
         "kind": "tune_selection",
         "a_star": a_star,
         "n_evaluated": len(profile),
-        "n_candidates": len(candidates),
+        "n_candidates": len(config.a_grid),
         "run_config": config.snapshot(),
         "seed": args.seed,
     }
@@ -261,23 +286,36 @@ def cmd_two_block(args) -> int:
     return 0
 
 
-def _experiment_ad(args, ds) -> dict:
+def _run_ad_cells(args, datasets) -> list:
+    """run_ad for each dataset x method, SOSREP_THREADS cells at a time.
+
+    Returns one list of reports per dataset, in --methods order.
+    """
     methods = AD_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     for m in methods:
         if m not in AD_METHODS:
             raise _UsageError(f"unknown method {m!r}; expected one of {AD_METHODS}")
-    seeds = _parse_seeds(args.seeds)
-    config = _config_from_args(args)
+    seeds = _parse_ints(args.seeds, "seed")
+    config = _config_from_args(args, sigma_grid=args.sigma_grid,
+                               fd_max_rows=args.fd_max_rows)
     threads = _n_threads()
+    cells = [(ds, m) for ds in datasets for m in methods]
 
-    def one(method):
-        return run_ad(ds, method, seeds=seeds, config=config)
+    def one(cell):
+        return run_ad(*cell, seeds=seeds, config=config)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(one, methods))
+            reports = list(ex.map(one, cells))
     else:
-        reports = [one(m) for m in methods]
+        reports = [one(c) for c in cells]
+    n = len(methods)
+    return [reports[i:i + n] for i in range(0, len(reports), n)]
+
+
+def _experiment_ad(args, ds) -> dict:
+    [reports] = _run_ad_cells(args, [ds])
+    rank_table, mean_ranks = rank_aggregate({r.method: {ds.name: r.mean_auc} for r in reports})
     out = {
         "kind": "experiment",
         "protocol": "ad",
@@ -286,55 +324,32 @@ def _experiment_ad(args, ds) -> dict:
         "mean_aucs": {r.method: r.mean_auc for r in reports},
     }
     if len(reports) > 1:
-        table = {r.method: {ds.name: r.mean_auc} for r in reports}
-        rank_table, mean_ranks = rank_aggregate(table)
         out["rank"] = {"per_dataset": rank_table, "mean": mean_ranks}
     if args.summary_csv:
         buf = io.StringIO()
         buf.write("dataset,method,mean_auc,rank\n")
         for r in reports:
-            rank = out.get("rank", {}).get("per_dataset", {}).get(r.method, {})
-            rank_val = rank.get(ds.name, 1.0) if isinstance(rank, dict) else 1.0
-            buf.write(f"{ds.name},{r.method},{_fmt(r.mean_auc)},{_fmt(rank_val)}\n")
+            rank = rank_table[r.method][ds.name]
+            buf.write(f"{ds.name},{r.method},{_fmt(r.mean_auc)},{_fmt(rank)}\n")
         write_atomic(args.summary_csv, buf.getvalue())
     return out
 
 
 def _experiment_duplicates(args, ds) -> dict:
-    ks = tuple(int(t) for t in args.k_values.split(",") if t.strip())
-    if not ks:
-        raise _UsageError("empty duplication list")
-    methods = AD_METHODS if args.methods == "all" else tuple(args.methods.split(","))
-    seeds = _parse_seeds(args.seeds)
-    config = _config_from_args(args)
-    threads = _n_threads()
-    jobs = [(k, m) for k in ks for m in methods]
-
-    def one(job):
-        k, method = job
-        dup = duplicate_anomalies(ds, k)
-        return k, method, run_ad(dup, method, seeds=seeds, config=config)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    nested: dict = {}
-    for k, method, report in results:
-        nested.setdefault(str(k), {})[method] = report.to_dict()
+    ks = _parse_ints(args.k_values, "duplication factor")
+    rows = _run_ad_cells(args, [duplicate_anomalies(ds, k) for k in ks])
     return {
         "kind": "experiment",
         "protocol": "duplicates",
         "dataset": ds.name,
         "k_values": list(ks),
-        "reports": nested,
+        "reports": {str(k): {r.method: r.to_dict() for r in row} for k, row in zip(ks, rows)},
     }
 
 
 def _experiment_negfrac(args, ds) -> dict:
     out = negative_fraction_experiment(
-        ds, a=args.a, T=args.n_z, m=_resolve_m(args.m, ds.d),
+        ds, a=args.a, T=args.n_z, m=_resolve_m(args.m),
         n_init=args.n_init, n_iters=args.n_iters, lr=args.lr,
         seed=args.seed, kernel=args.kernel, sigma=args.sigma,
     )
@@ -343,9 +358,7 @@ def _experiment_negfrac(args, ds) -> dict:
 
 
 def _experiment_consistency(args) -> dict:
-    Ns = tuple(int(t) for t in args.sample_sizes.split(",") if t.strip())
-    if not Ns:
-        raise _UsageError("empty sample-size list")
+    Ns = _parse_ints(args.sample_sizes, "sample size")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
     density = SmoothBumpDensity()
     results = consistency_experiment(
@@ -359,19 +372,6 @@ def _experiment_consistency(args) -> dict:
         "grid": {"lo": args.grid_lo, "hi": args.grid_hi, "n": args.grid_n},
         "results": results,
     }
-
-
-def _config_from_args(args) -> AdConfig:
-    kwargs = dict(
-        T=args.n_z, lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol,
-        n_fd_iters=args.n_fd_iters, h=args.h, probe=args.probe,
-        train_frac=args.train_frac, fd_max_rows=args.fd_max_rows,
-        m=_resolve_m(args.m, 0),
-        a_grid=_parse_a_grid(args.a_grid),
-    )
-    if args.sigma_grid:
-        kwargs["sigma_grid"] = _parse_a_grid(args.sigma_grid)
-    return AdConfig(**kwargs)
 
 
 def cmd_experiment(args) -> int:
@@ -408,6 +408,11 @@ def build_parser() -> _Parser:
                    help="label column to drop (default: auto-detect 'label')")
     p.add_argument("--a", type=float, required=True, help="smoothness parameter")
     _add_kernel_flags(p)
+    p.add_argument("--exact-normalization", action="store_true",
+                   help="scale the sampled kernel by 2W instead of targeting 1/2 "
+                        "on the diagonal")
+    p.add_argument("--method", default="natural", choices=["natural", "standard"],
+                   help="gradient iteration (default natural)")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--metrics", default=None, help="optional metrics JSON path")
@@ -427,17 +432,9 @@ def build_parser() -> _Parser:
     p.add_argument("--eval-data", default=None,
                    help="held-out CSV; defaults to an internal split of --data")
     p.add_argument("--label-column", default=None)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--a-grid", default=_DEFAULT_A_GRID_SPEC,
-                   help="'log:lo:hi:n' or comma list (default log:1e-6:1e2:25)")
+    _add_fd_flags(p)
     _add_kernel_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--n-fd-iters", type=int, default=100,
-                   help="probes per query row (default 100)")
-    p.add_argument("--h", type=float, default=1e-4,
-                   help="finite-difference step (default 1e-4)")
-    p.add_argument("--probe", default="rademacher",
-                   choices=["rademacher", "paper_three_point"])
     p.add_argument("--out", required=True, help="selection JSON path")
     p.add_argument("--profile-out", default=None, help="optional profile CSV path")
     p.set_defaults(func=cmd_tune)
@@ -466,17 +463,12 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="all",
                    help="comma list of methods or 'all'")
     p.add_argument("--seeds", default="0,1,2,3", help="comma list (default 0,1,2,3)")
-    p.add_argument("--a-grid", default=_DEFAULT_A_GRID_SPEC)
-    p.add_argument("--sigma-grid", default="",
+    _add_fd_flags(p)
+    p.add_argument("--sigma-grid", default=None,
                    help="bandwidth grid for the closed-form kernels "
-                        "(default log grid 10..0.05, 25 points)")
+                        "(default log:0.05:10:25)")
     _add_kernel_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--n-fd-iters", type=int, default=100)
-    p.add_argument("--h", type=float, default=1e-4)
-    p.add_argument("--probe", default="rademacher",
-                   choices=["rademacher", "paper_three_point"])
-    p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--fd-max-rows", type=int, default=None,
                    help="subsample held-out rows for the divergence statistic")
     p.add_argument("--k-values", default="1,2,3,4,5,6",

@@ -35,7 +35,7 @@ from .baseline_kernels import (
     kernel_matrix_closed_form,
 )
 from .errors import DataError, NumericsError, SosrepError, ValidationError
-from .score_fd import FdOptions, FdProfile, fd_statistic, selection_kind, tune
+from .score_fd import FdOptions, FdProfile, selection_kind, tune
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
@@ -315,6 +315,10 @@ class AdConfig:
             )
         if self.fd_max_rows is not None and self.fd_max_rows < 1:
             raise ValidationError(f"fd_max_rows must be at least 1, got {self.fd_max_rows}")
+        # The options that select() builds per seed; building them here runs
+        # their checks before any seed is fitted.
+        FdOptions(n_fd_iters=self.n_fd_iters, h=self.h, probe=self.probe)
+        SolverOptions(lr=self.lr, n_iters=self.n_iters, grad_tol=self.grad_tol)
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -373,12 +377,19 @@ class ExperimentReport:
         }
 
 
-def _make_fit_fn(method: str, train_X: np.ndarray, seed: int, config: AdConfig):
-    """Candidate-to-model factory for one (method, seed) tuple, with a cache."""
+def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
+           config: AdConfig):
+    """Tune one AD method for one seed: fit per grid value, select by FD.
+
+    `method` is one of AD_METHODS; the "sdo" backends walk `config.a_grid`,
+    the closed-form ones `config.sigma_grid`.  Each candidate is fitted on
+    `train_X` at most once and scored on `Y_fd` by `tune`.  Returns
+    (a_star, profile, model) with `model` the fit at a_star.
+    """
     d = train_X.shape[1]
     kind, backend = method.split("_")
     squared = kind == "sosrep"
-    candidates = tuple(config.a_grid if backend == "sdo" else config.sigma_grid)
+    candidates = config.a_grid if backend == "sdo" else config.sigma_grid
     opts = SolverOptions(
         method="natural", lr=config.lr, n_iters=config.n_iters,
         seed=seed, grad_tol=config.grad_tol,
@@ -403,7 +414,9 @@ def _make_fit_fn(method: str, train_X: np.ndarray, seed: int, config: AdConfig):
             cache[value] = build(value)
         return cache[value]
 
-    return candidates, fit_fn, cache
+    fd_opts = FdOptions(n_fd_iters=config.n_fd_iters, h=config.h, probe=config.probe, seed=seed)
+    a_star, profile = tune(candidates, fit_fn, Y_fd, fd_opts)
+    return a_star, profile, cache[a_star]
 
 
 def run_ad(
@@ -435,12 +448,7 @@ def run_ad(
             if config.fd_max_rows is not None and Y_fd.shape[0] > config.fd_max_rows:
                 sel = rng_from_seed(seed, 1).permutation(Y_fd.shape[0])[: config.fd_max_rows]
                 Y_fd = Y_fd[np.sort(sel)]
-            candidates, fit_fn, cache = _make_fit_fn(method, train2.X, seed, config)
-            fd_opts = FdOptions(
-                n_fd_iters=config.n_fd_iters, h=config.h, probe=config.probe, seed=seed
-            )
-            a_star, profile = tune(candidates, fit_fn, Y_fd, fd_opts)
-            model = cache[a_star]
+            a_star, profile, model = select(method, train2.X, Y_fd, seed, config)
             scores = -np.asarray(model.density(test2.X), dtype=float)
             aucs[seed] = auc_roc(scores, test.y)
             chosen[seed] = float(a_star)
@@ -583,17 +591,10 @@ class SmoothBumpDensity:
     def support(self):
         return self.center - self.width, self.center + self.width
 
-    def _raw(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out
-
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.width
-        return self._raw(u) / (_bump_norm() * self.width)
+        return _bump(u) / (_bump_norm() * self.width)
 
     def sqrt_pdf(self, x) -> np.ndarray:
         return np.sqrt(self.pdf(x))
@@ -605,13 +606,19 @@ class SmoothBumpDensity:
         return (self.center + self.width * u).reshape(-1, 1)
 
 
+def _bump(u: np.ndarray) -> np.ndarray:
+    """exp(-1/(1 - u^2)) on (-1, 1), zero elsewhere."""
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return out
+
+
 @lru_cache(maxsize=1)
 def _bump_norm() -> float:
     u = np.linspace(-1.0, 1.0, 20001)
-    raw = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    raw[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return float(np.trapezoid(raw, u))
+    return float(np.trapezoid(_bump(u), u))
 
 
 @lru_cache(maxsize=1)
@@ -619,10 +626,7 @@ def _bump_cdf():
     from scipy.integrate import cumulative_trapezoid
 
     u = np.linspace(-1.0, 1.0, 20001)
-    raw = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    raw[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    cdf = cumulative_trapezoid(raw, u, initial=0.0)
+    cdf = cumulative_trapezoid(_bump(u), u, initial=0.0)
     cdf /= cdf[-1]
     return u, cdf
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import sosrep as sp
-from sosrep.cli import main
+from sosrep.cli import _parse_ints, _UsageError, build_parser, main
 from sosrep.score_fd import profile_from_csv
 
 from conftest import make_mixture2d, make_two_clusters, philox
@@ -43,6 +44,13 @@ def mixture_csv(tmp_path):
 def _stderr_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])["error"]
+
+
+def _only_stderr_error(capsys):
+    """The error of a run whose stderr is exactly one JSON line."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])["error"]
 
 
 FIT_FLAGS = ["--a", "0.5", "--n-z", "256", "--n-iters", "400", "--seed", "3"]
@@ -98,6 +106,15 @@ class TestFit:
         rc = main(["fit", "--data", gaussian_csv, "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "usage"
+
+    def test_accepts_method_and_exact_normalization(self, tmp_path, gaussian_csv):
+        model_p = tmp_path / "model.json"
+        rc = main(["fit", "--data", gaussian_csv, *FIT_FLAGS, "--method", "standard",
+                   "--lr", "0.01", "--exact-normalization", "--out", str(model_p)])
+        assert rc == 0
+        run_config = json.loads(model_p.read_text())["run_config"]
+        assert run_config["method"] == "standard"
+        assert run_config["exact_normalization"] is True
 
     def test_divergence_is_numeric_exit_3(self, tmp_path, gaussian_csv, capsys):
         rc = main(["fit", "--data", gaussian_csv, "--a", "0.5", "--n-z", "128",
@@ -185,6 +202,12 @@ class TestTune:
                    *TUNE_FLAGS, "--out", str(sel_p)])
         assert rc == 0
         assert json.loads(sel_p.read_text())["a_star"] > 0
+
+    def test_train_frac_is_recorded(self, tmp_path, gaussian_csv):
+        sel_p = tmp_path / "sel.json"
+        assert main(["tune", "--data", gaussian_csv, *TUNE_FLAGS, "--train-frac", "0.5",
+                     "--out", str(sel_p)]) == 0
+        assert json.loads(sel_p.read_text())["run_config"]["train_frac"] == 0.5
 
     def test_bad_grid_spec_is_usage_error(self, tmp_path, gaussian_csv, capsys):
         rc = main(["tune", "--data", gaussian_csv, "--a-grid", "log:1:2",
@@ -299,6 +322,13 @@ class TestExperiment:
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "usage"
 
+    def test_unknown_method_in_duplicates_is_usage_error(self, tmp_path, mixture_csv,
+                                                         capsys):
+        rc = main(["experiment", "--protocol", "duplicates", "--data", mixture_csv,
+                   "--methods", "svm", *EXP_FLAGS, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert _stderr_error(capsys)["kind"] == "usage"
+
 
 class TestThreads:
     def test_parallel_run_matches_serial(self, tmp_path, mixture_csv, monkeypatch):
@@ -336,6 +366,11 @@ class TestAdConfigValidation:
         ["--train-frac", "1.5"],
         ["--fd-max-rows", "0"],
         ["--fd-max-rows", "-5"],
+        ["--n-fd-iters", "0"],
+        ["--h", "0"],
+        ["--lr", "-1"],
+        ["--n-iters", "0"],
+        ["--grad-tol", "-1"],
     ])
     def test_out_of_range_config_is_validation_error(self, tmp_path, mixture_csv,
                                                      capsys, flags):
@@ -345,3 +380,110 @@ class TestAdConfigValidation:
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "validation"
         assert not (tmp_path / "x.json").exists()
+
+
+class TestFitOnlyFlags:
+    @pytest.mark.parametrize("flag", [["--method", "standard"], ["--exact-normalization"]])
+    @pytest.mark.parametrize("command", ["tune", "experiment"])
+    def test_rejected_outside_fit(self, tmp_path, gaussian_csv, mixture_csv, capsys,
+                                  command, flag):
+        argv = {
+            "tune": ["tune", "--data", gaussian_csv, *TUNE_FLAGS],
+            "experiment": ["experiment", "--protocol", "ad", "--data", mixture_csv,
+                           "--methods", "kde_gaussian", *EXP_FLAGS],
+        }[command]
+        rc = main([*argv, *flag, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert _only_stderr_error(capsys)["kind"] == "usage"
+        assert not (tmp_path / "x.json").exists()
+
+
+class TestIntegerLists:
+    @pytest.mark.parametrize("text, expected", [
+        ("0,1,2", (0, 1, 2)),
+        (" 3, 1 ,", (3, 1)),
+        ("-1", (-1,)),
+    ])
+    def test_parses_distinct_integers(self, text, expected):
+        assert _parse_ints(text, "seed") == expected
+
+    @pytest.mark.parametrize("text", ["1,x", "1.5", "", " , ", "0,0", "2,1,2"])
+    def test_rejects_non_integer_empty_or_repeated(self, text):
+        with pytest.raises(_UsageError):
+            _parse_ints(text, "seed")
+
+    @pytest.mark.parametrize("flags", [
+        ["--protocol", "ad", "--seeds", "0,0"],
+        ["--protocol", "duplicates", "--k-values", "1,x"],
+        ["--protocol", "duplicates", "--k-values", "2,2"],
+        ["--protocol", "consistency", "--sample-sizes", "50,abc"],
+    ])
+    def test_bad_list_flag_is_usage_error(self, tmp_path, mixture_csv, capsys, flags):
+        rc = main(["experiment", "--data", mixture_csv, "--methods", "kde_gaussian",
+                   *EXP_FLAGS, *flags, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert _only_stderr_error(capsys)["kind"] == "usage"
+        assert not (tmp_path / "x.json").exists()
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records the name of every public attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _run_recording_reads(argv):
+    """Run one command; return (its flag dests, the dests the command read)."""
+    ns = _ReadRecorder(_reads=set())
+    build_parser().parse_args(argv, namespace=ns)
+    ns._reads.clear()  # argparse itself reads every dest while parsing
+    assert ns.func(ns) == 0
+    dests = {k for k in vars(ns) if not k.startswith("_")} - {"command", "func"}
+    return dests, set(ns._reads)
+
+
+class TestEveryFlagIsRead:
+    """A flag that a subcommand accepts but never reads is silently ignored."""
+
+    def test_each_subcommand_reads_all_its_flags(self, tmp_path, gaussian_csv, mixture_csv):
+        model = str(tmp_path / "model.json")
+        fd = ["--n-z", "64", "--n-iters", "50", "--n-fd-iters", "2",
+              "--a-grid", "log:1e-2:1e2:7"]
+        ad = ["--data", mixture_csv, "--methods", "kde_gaussian", "--seeds", "0",
+              "--sigma-grid", "log:0.05:5:7", "--fd-max-rows", "16", *fd]
+        runs = {
+            "fit": [["fit", "--data", gaussian_csv, "--a", "0.5", "--n-z", "64",
+                     "--n-iters", "50", "--out", model]],
+            "score": [["score", "--model", model, "--data", gaussian_csv,
+                       "--out", str(tmp_path / "scores.csv")]],
+            "tune": [["tune", "--data", gaussian_csv, *fd,
+                      "--out", str(tmp_path / "sel.json")]],
+            "two-block": [["two-block", "--n", "40", "--gamma", "0.8",
+                           "--gamma-prime", "0.2", "--out", str(tmp_path / "tb.json")]],
+            # experiment: each protocol reads its own flags; together they read all
+            "experiment": [
+                ["experiment", "--protocol", "ad", *ad, "--out", str(tmp_path / "ad.json"),
+                 "--summary-csv", str(tmp_path / "ad.csv")],
+                ["experiment", "--protocol", "duplicates", "--k-values", "2", *ad,
+                 "--out", str(tmp_path / "dup.json")],
+                ["experiment", "--protocol", "negfrac", "--data", mixture_csv,
+                 "--n-z", "64", "--n-init", "5", "--n-iters", "20",
+                 "--out", str(tmp_path / "nf.json")],
+                ["experiment", "--protocol", "consistency", "--sample-sizes", "20",
+                 "--n-reps", "1", "--n-z", "64", "--n-iters", "50", "--grid-n", "51",
+                 "--out", str(tmp_path / "cons.json")],
+            ],
+        }
+        unread = {}
+        for command, argvs in runs.items():
+            dests, reads = set(), set()
+            for argv in argvs:
+                d, r = _run_recording_reads(argv)
+                dests |= d
+                reads |= r
+            if dests - reads:
+                unread[command] = sorted(dests - reads)
+        assert unread == {}

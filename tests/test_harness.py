@@ -14,6 +14,7 @@ from sosrep.errors import DataError, ValidationError
 from sosrep.harness import (
     ClosedFormRepresenterModel,
     SdoKdeModel,
+    select,
 )
 
 from conftest import make_mixture2d, make_two_clusters, philox
@@ -348,6 +349,30 @@ class TestRunAd:
                                            "retained_rows": 0, "skipped_rows": 10}
         assert [e["fd"] for e in out["profiles"]["0"][1:]] == fds[1:]
         assert out["selection"] == {"0": "stable"}
+
+
+class TestAdConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_fd_iters": 0},
+        {"h": 0.0},
+        {"probe": "gaussian"},
+        {"lr": -1.0},
+        {"n_iters": 0},
+        {"grad_tol": -1.0},
+    ])
+    def test_invalid_value_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValidationError):
+            sp.AdConfig(**kwargs)
+
+
+class TestSelect:
+    @pytest.mark.parametrize("method", ["sosrep_sdo", "kde_gaussian"])
+    def test_returns_the_model_fitted_at_the_pick(self, mixture2d, method):
+        train, test = sp.split(mixture2d, 0)
+        a_star, profile, model = select(method, train.X, test.X[:32], 0, SMALL_AD_CONFIG)
+        assert a_star in profile.a_values()
+        fitted_at = model.fs.base_params.a if method.endswith("_sdo") else model.kernel.sigma
+        assert fitted_at == a_star
 
 
 class TestNegativeFraction:

@@ -6,7 +6,10 @@ and `duplicates` protocols of `experiment` share the Fisher-divergence flags
 them and select per seed through harness.select; --method and
 --exact-normalization act on `fit` alone.  The whole AdConfig is validated
 before any fit, and list flags (--seeds, --k-values, --sample-sizes) take
-distinct integers.
+distinct integers and --methods distinct names.  A flag given to an
+experiment protocol that does not read it is a usage error, and so is
+`tune --eval-data` with an explicit --train-frac (no split of --data takes
+place, and run_config records train_frac as null).
 
 Errors are reported as a single JSON object on stderr; exit code 2 flags
 usage/validation/data/io problems and 3 flags numeric failures.  All file
@@ -49,8 +52,29 @@ class _UsageError(Exception):
     pass
 
 
+class _Store(argparse.Action):
+    """argparse's store action that also adds its dest to the namespace's `_given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace._given = _given(namespace) | {self.dest}
+
+
+def _given(args) -> frozenset:
+    """Dests of the value flags given on the command line, defaults excluded."""
+    return getattr(args, "_given", frozenset())
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting so main() controls the exit code."""
+    """argparse that raises instead of exiting so main() controls the exit code.
+
+    Value flags use _Store, so a command can tell a flag given explicitly
+    from one left at its default.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Store)
 
     def error(self, message):
         raise _UsageError(message)
@@ -241,6 +265,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.eval_data and "train_frac" in _given(args):
+        raise _UsageError("--train-frac splits --data; it cannot be combined with "
+                          "--eval-data")
     config = _config_from_args(args)
     ds = _load_dataset(args.data, args.label_column)
     if args.eval_data:
@@ -252,13 +279,16 @@ def cmd_tune(args) -> int:
     if train_X.shape[0] == 0 or eval_X.shape[0] == 0:
         raise DataError("both the fit part and the evaluation part must be nonempty")
     a_star, profile, _model = select("sosrep_sdo", train_X, eval_X, args.seed, config)
+    run_config = config.snapshot()
+    if args.eval_data:
+        run_config["train_frac"] = None  # no split of --data took place
     selection = {
         "format_version": "1",
         "kind": "tune_selection",
         "a_star": a_star,
         "n_evaluated": len(profile),
         "n_candidates": len(config.a_grid),
-        "run_config": config.snapshot(),
+        "run_config": run_config,
         "seed": args.seed,
     }
     write_atomic(args.out, json.dumps(selection, sort_keys=True, indent=1) + "\n")
@@ -295,6 +325,8 @@ def _run_ad_cells(args, datasets) -> list:
     for m in methods:
         if m not in AD_METHODS:
             raise _UsageError(f"unknown method {m!r}; expected one of {AD_METHODS}")
+    if len(set(methods)) != len(methods):
+        raise _UsageError(f"method list {args.methods!r} repeats a method")
     seeds = _parse_ints(args.seeds, "seed")
     config = _config_from_args(args, sigma_grid=args.sigma_grid,
                                fd_max_rows=args.fd_max_rows)
@@ -374,7 +406,27 @@ def _experiment_consistency(args) -> dict:
     }
 
 
+# The experiment flags each protocol reads, besides --protocol and --out.
+_SELECTION_FLAGS = frozenset({
+    "data", "label_column", "methods", "seeds", "a_grid", "n_fd_iters", "h", "probe",
+    "train_frac", "sigma_grid", "fd_max_rows", "m", "n_z", "lr", "n_iters", "grad_tol",
+})
+_PROTOCOL_FLAGS = {
+    "ad": _SELECTION_FLAGS | {"summary_csv"},
+    "duplicates": _SELECTION_FLAGS | {"k_values"},
+    # fixed-length fits: negfrac runs every start with grad_tol = 0
+    "negfrac": frozenset({"data", "label_column", "a", "kernel", "sigma", "n_init",
+                          "m", "n_z", "seed", "lr", "n_iters"}),
+    "consistency": frozenset({"sample_sizes", "n_reps", "grid_lo", "grid_hi", "grid_n",
+                              "n_z", "seed", "lr", "n_iters", "grad_tol"}),
+}
+
+
 def cmd_experiment(args) -> int:
+    unread = _given(args) - {"protocol", "out"} - _PROTOCOL_FLAGS[args.protocol]
+    if unread:
+        flags = ", ".join("--" + d.replace("_", "-") for d in sorted(unread))
+        raise _UsageError(f"protocol {args.protocol!r} does not read {flags}")
     if args.protocol == "consistency":
         out = _experiment_consistency(args)
     else:

@@ -16,6 +16,9 @@ keeps f = K alpha nonnegative for entrywise-nonnegative kernels when
 lr < 0.5.  Any fixed point satisfies alpha_i (K alpha)_i = 1/N and therefore
 alpha^T K alpha = 1.
 
+`fit` enters one numpy errstate per call.  A natural iteration makes one
+K @ product (f = K alpha) and a standard iteration makes two (f and K f^(-1)).
+
 Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
 `squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
 (f and its gradient at query rows); `density` is f^2 when squared (the
@@ -135,24 +138,15 @@ def rkhs_norm_sq(alpha, K) -> float:
     return float(alpha @ (np.asarray(K, dtype=float) @ alpha))
 
 
-def _clamped_inverse(f: np.ndarray):
-    """Elementwise 1/f with |f| < 1e-12 clamped to sign(f) * 1e12."""
-    small = np.abs(f) < _CLAMP_THRESHOLD
-    n_clamped = int(small.sum())
-    if n_clamped == 0:
-        return 1.0 / f, 0
+def _clamped_inverse(f: np.ndarray, small: np.ndarray):
+    """Elementwise 1/f, with the entries marked small (|f| < 1e-12) set to sign(f) * 1e12."""
     inv = np.empty_like(f)
     safe = ~small
     inv[safe] = 1.0 / f[safe]
     signs = np.sign(f[small])
     signs[signs == 0.0] = 1.0
     inv[small] = signs * _CLAMP_VALUE
-    return inv, n_clamped
-
-
-def _objective_value(alpha: np.ndarray, f: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return float(-2.0 * np.mean(np.log(np.abs(f))) + alpha @ f)
+    return inv, int(small.sum())
 
 
 def _draw_init(n: int, seed: int, K: np.ndarray) -> np.ndarray:
@@ -189,33 +183,45 @@ def fit(K, opts: SolverOptions = SolverOptions()) -> FitResult:
     else:
         alpha = _draw_init(n, opts.seed, K)
 
-    f = K @ alpha
+    # One errstate for the whole fit: log(0), overflow and inf - inf become
+    # a non-finite objective, which is reported as SolverDivergence.  Each
+    # iteration computes |f| once; it feeds both the objective and the next
+    # clamp test, and sum()/n is bitwise np.mean.
+    natural = opts.method == "natural"
+    lr, grad_tol = opts.lr, opts.grad_tol
     history = np.empty(opts.n_iters + 1)
-    history[0] = _objective_value(alpha, f)
-    if not np.isfinite(history[0]):
-        raise SolverDivergence("objective non-finite at initialization", iteration=0)
-
     clamp_warnings = 0
     converged = False
     it = 0
     gnorm = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    f = K @ alpha
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        absf = np.abs(f)
+        obj = float(-2.0 * (np.log(absf).sum() / n) + alpha @ f)
+        if not math.isfinite(obj):
+            raise SolverDivergence("objective non-finite at initialization", iteration=0)
+        history[0] = obj
         for it in range(1, opts.n_iters + 1):
-            inv, n_clamped = _clamped_inverse(f)
-            clamp_warnings += n_clamped
-            if opts.method == "natural":
+            small = absf < _CLAMP_THRESHOLD
+            if small.any():
+                inv, n_clamped = _clamped_inverse(f, small)
+                clamp_warnings += n_clamped
+            else:
+                inv = 1.0 / f
+            if natural:
                 g = 2.0 * (alpha - inv / n)
             else:
                 g = 2.0 * (f - (K @ inv) / n)
-            gnorm = float(np.max(np.abs(g)))
-            if gnorm < opts.grad_tol:
+            gnorm = float(np.abs(g).max())
+            if gnorm < grad_tol:
                 converged = True
                 it -= 1
                 break
-            alpha = alpha - opts.lr * g
+            alpha = alpha - lr * g
             f = K @ alpha
-            obj = _objective_value(alpha, f)
-            if not np.isfinite(obj):
+            absf = np.abs(f)
+            obj = float(-2.0 * (np.log(absf).sum() / n) + alpha @ f)
+            if not math.isfinite(obj):
                 raise SolverDivergence(
                     f"objective became non-finite at iteration {it}", iteration=it
                 )

@@ -209,6 +209,26 @@ class TestTune:
                      "--out", str(sel_p)]) == 0
         assert json.loads(sel_p.read_text())["run_config"]["train_frac"] == 0.5
 
+    def test_eval_data_records_no_split(self, tmp_path, gaussian_csv):
+        eval_csv = _write_csv(tmp_path / "eval.csv",
+                              philox(1, 11).standard_normal((60, 1)))
+        sel_p = tmp_path / "sel.json"
+        assert main(["tune", "--data", gaussian_csv, "--eval-data", eval_csv,
+                     *TUNE_FLAGS, "--out", str(sel_p)]) == 0
+        run_config = json.loads(sel_p.read_text())["run_config"]
+        assert "train_frac" in run_config and run_config["train_frac"] is None
+
+    @pytest.mark.parametrize("frac", ["0.3", "0.7"])
+    def test_train_frac_with_eval_data_is_usage_error(self, tmp_path, gaussian_csv,
+                                                      capsys, frac):
+        eval_csv = _write_csv(tmp_path / "eval.csv",
+                              philox(1, 11).standard_normal((60, 1)))
+        rc = main(["tune", "--data", gaussian_csv, "--eval-data", eval_csv, *TUNE_FLAGS,
+                   "--train-frac", frac, "--out", str(tmp_path / "sel.json")])
+        assert rc == 2
+        assert _only_stderr_error(capsys)["kind"] == "usage"
+        assert not (tmp_path / "sel.json").exists()
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, gaussian_csv, capsys):
         rc = main(["tune", "--data", gaussian_csv, "--a-grid", "log:1:2",
                    "--out", str(tmp_path / "s.json")])
@@ -321,6 +341,17 @@ class TestExperiment:
                    "--methods", "svm", *EXP_FLAGS, "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "usage"
+
+    @pytest.mark.parametrize("protocol", ["ad", "duplicates"])
+    @pytest.mark.parametrize("methods", ["kde_gaussian,kde_gaussian",
+                                         "sosrep_sdo,kde_gaussian,sosrep_sdo"])
+    def test_repeated_method_is_usage_error(self, tmp_path, mixture_csv, capsys,
+                                            protocol, methods):
+        rc = main(["experiment", "--protocol", protocol, "--data", mixture_csv,
+                   "--methods", methods, *EXP_FLAGS, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert _only_stderr_error(capsys)["kind"] == "usage"
+        assert not (tmp_path / "x.json").exists()
 
     def test_unknown_method_in_duplicates_is_usage_error(self, tmp_path, mixture_csv,
                                                          capsys):
@@ -487,3 +518,57 @@ class TestEveryFlagIsRead:
             if dests - reads:
                 unread[command] = sorted(dests - reads)
         assert unread == {}
+
+
+def _protocol_argv(protocol, tmp_path, mixture_csv):
+    """A tiny run of one experiment protocol that passes only flags it reads."""
+    fd = ["--n-z", "64", "--n-iters", "50", "--n-fd-iters", "2",
+          "--a-grid", "log:1e-2:1e2:7"]
+    ad = ["--data", mixture_csv, "--methods", "kde_gaussian", "--seeds", "0",
+          "--sigma-grid", "log:0.05:5:7", "--fd-max-rows", "16", *fd]
+    return ["experiment", "--protocol", protocol, *{
+        "ad": [*ad, "--summary-csv", str(tmp_path / "ad.csv")],
+        "duplicates": ["--k-values", "2", *ad],
+        "negfrac": ["--data", mixture_csv, "--n-z", "64", "--n-init", "5",
+                    "--n-iters", "20"],
+        "consistency": ["--sample-sizes", "20", "--n-reps", "1", "--n-z", "64",
+                        "--n-iters", "50", "--grid-n", "51"],
+    }[protocol], "--out", str(tmp_path / "report.json")]
+
+
+class TestProtocolFlags:
+    """Each experiment protocol accepts exactly the flags it reads."""
+
+    @pytest.mark.parametrize("protocol", ["ad", "duplicates", "negfrac", "consistency"])
+    def test_unread_flags_are_usage_errors(self, tmp_path, mixture_csv, capsys, protocol):
+        argv = _protocol_argv(protocol, tmp_path, mixture_csv)
+        dests, reads = _run_recording_reads(argv)
+        defaults = vars(build_parser().parse_args(
+            ["experiment", "--protocol", protocol, "--out", "x"]))
+        out_p = tmp_path / "unread.json"
+        for dest in sorted(dests - reads):
+            value = defaults[dest]
+            flag = ["--" + dest.replace("_", "-"), "1" if value is None else str(value)]
+            rc = main([*argv[:-2], *flag, "--out", str(out_p)])
+            assert rc == 2, flag
+            error = _only_stderr_error(capsys)
+            assert error["kind"] == "usage" and flag[0] in error["message"]
+            assert not out_p.exists()
+        if protocol == "negfrac":
+            assert {"a_grid", "n_fd_iters", "seeds", "methods", "grad_tol"} <= dests - reads
+        if protocol == "consistency":
+            assert {"a_grid", "n_fd_iters", "seeds", "methods", "data"} <= dests - reads
+
+    @pytest.mark.parametrize("protocol", ["ad", "duplicates", "negfrac", "consistency"])
+    def test_every_read_flag_is_accepted(self, tmp_path, mixture_csv, protocol):
+        argv = _protocol_argv(protocol, tmp_path, mixture_csv)
+        dests, reads = _run_recording_reads(argv)
+        defaults = vars(build_parser().parse_args(
+            ["experiment", "--protocol", protocol, "--out", "x"]))
+        given = set(build_parser().parse_args(argv)._given)
+        extra = []
+        for dest in sorted((reads & dests) - given - {"label_column"}):
+            extra += ["--" + dest.replace("_", "-"), str(defaults[dest])]
+        if "label_column" in reads:
+            extra += ["--label-column", "label"]
+        assert main([*argv[:-2], *extra, *argv[-2:]]) == 0

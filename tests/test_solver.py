@@ -1,5 +1,6 @@
 """Tests for the objective, its two gradients, the fit loop, and the model."""
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import sosrep as sp
 from sosrep.errors import NumericsError, SolverDivergence, ValidationError
-from sosrep.solver import data_hash
+from sosrep.solver import _draw_init, data_hash
 
 
 def _psd_gram(n, seed, sigma=1.0, d=2):
@@ -181,6 +182,159 @@ class TestFit:
             sp.SolverOptions(init="user")  # missing alpha0
         with pytest.raises(ValidationError):
             sp.fit(np.eye(3), sp.SolverOptions(init="user", alpha0=np.ones(2)))
+
+
+def _fit_reference(K, opts):
+    """The fit loop as it stood before the lean rewrite, kept verbatim as an oracle."""
+
+    def _clamped_inverse(f):
+        small = np.abs(f) < 1e-12
+        n_clamped = int(small.sum())
+        if n_clamped == 0:
+            return 1.0 / f, 0
+        inv = np.empty_like(f)
+        safe = ~small
+        inv[safe] = 1.0 / f[safe]
+        signs = np.sign(f[small])
+        signs[signs == 0.0] = 1.0
+        inv[small] = signs * 1e12
+        return inv, n_clamped
+
+    def _objective_value(alpha, f):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(-2.0 * np.mean(np.log(np.abs(f))) + alpha @ f)
+
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    if opts.init == "user":
+        alpha = np.asarray(opts.alpha0, dtype=float).copy()
+    else:
+        alpha = _draw_init(n, opts.seed, K)
+
+    f = K @ alpha
+    history = np.empty(opts.n_iters + 1)
+    history[0] = _objective_value(alpha, f)
+    if not np.isfinite(history[0]):
+        raise SolverDivergence("objective non-finite at initialization", iteration=0)
+
+    clamp_warnings = 0
+    converged = False
+    it = 0
+    gnorm = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, opts.n_iters + 1):
+            inv, n_clamped = _clamped_inverse(f)
+            clamp_warnings += n_clamped
+            if opts.method == "natural":
+                g = 2.0 * (alpha - inv / n)
+            else:
+                g = 2.0 * (f - (K @ inv) / n)
+            gnorm = float(np.max(np.abs(g)))
+            if gnorm < opts.grad_tol:
+                converged = True
+                it -= 1
+                break
+            alpha = alpha - opts.lr * g
+            f = K @ alpha
+            obj = _objective_value(alpha, f)
+            if not np.isfinite(obj):
+                raise SolverDivergence(
+                    f"objective became non-finite at iteration {it}", iteration=it
+                )
+            history[it] = obj
+    history = history[: it + 1]
+    return sp.FitResult(
+        alpha=alpha,
+        objective=float(history[-1]),
+        grad_sup_norm=gnorm,
+        n_iters_run=it,
+        converged=converged,
+        clamp_warnings=clamp_warnings,
+        objective_history=history,
+    )
+
+
+def _mixed_sign_init(n, seed):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+# (name, K, options, what the run must exercise)
+_IDENTITY_CASES = [
+    ("natural-abs_gaussian-fixed", _psd_gram(20, seed=30),
+     dict(method="natural", lr=0.1, n_iters=300, seed=3, grad_tol=0.0), "fixed"),
+    ("standard-abs_gaussian-fixed", _psd_gram(20, seed=31),
+     dict(method="standard", lr=0.02, n_iters=300, seed=4, grad_tol=0.0), "fixed"),
+    ("natural-user-mixed-sign", _psd_gram(16, seed=32),
+     dict(method="natural", lr=0.05, n_iters=200, init="user",
+          alpha0=_mixed_sign_init(16, 33), grad_tol=0.0), "fixed"),
+    ("standard-user-mixed-sign", _psd_gram(16, seed=34),
+     dict(method="standard", lr=0.02, n_iters=200, init="user",
+          alpha0=_mixed_sign_init(16, 35), grad_tol=0.0), "fixed"),
+    ("natural-converges-early", _psd_gram(8, seed=36),
+     dict(method="natural", lr=0.1, n_iters=5000, seed=5, grad_tol=1e-8), "converged"),
+    ("standard-converges-early", np.array([[1.0, 0.5], [0.5, 1.0]]),
+     dict(method="standard", lr=0.05, n_iters=20000, seed=6, grad_tol=1e-8), "converged"),
+    ("natural-clamp", np.eye(4),
+     dict(method="natural", lr=0.1, n_iters=50, init="user",
+          alpha0=np.array([1.0, -2e-13, 5e-13, -0.5]), grad_tol=0.0), "clamped"),
+    ("standard-clamp", np.eye(4),
+     dict(method="standard", lr=0.1, n_iters=50, init="user",
+          alpha0=np.array([1.0, -2e-13, 5e-13, -0.5]), grad_tol=0.0), "clamped"),
+]
+
+
+class TestFitMatchesReference:
+    """fit is bit for bit the reference loop: every FitResult field, every error."""
+
+    @staticmethod
+    def _assert_identical(res, ref):
+        for fld in dataclasses.fields(sp.FitResult):
+            got, want = getattr(res, fld.name), getattr(ref, fld.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), fld.name
+            else:
+                assert got == want, fld.name
+
+    @pytest.mark.parametrize("name,K,kwargs,kind", _IDENTITY_CASES,
+                             ids=[c[0] for c in _IDENTITY_CASES])
+    def test_fit_result_identical(self, name, K, kwargs, kind):
+        opts = sp.SolverOptions(**kwargs)
+        res, ref = sp.fit(K, opts), _fit_reference(K, opts)
+        self._assert_identical(res, ref)
+        if kind == "fixed":
+            assert res.n_iters_run == opts.n_iters and not res.converged
+        elif kind == "converged":
+            assert res.converged and res.n_iters_run < opts.n_iters
+        else:
+            assert res.clamp_warnings > 0
+
+    def test_mixed_sign_runs_keep_negative_f(self):
+        # the clamp test must read |f|: these runs pass through negative f
+        # of ordinary size that must not be clamped
+        for name, K, kwargs, _ in _IDENTITY_CASES:
+            if "mixed-sign" in name:
+                res = sp.fit(K, sp.SolverOptions(**kwargs))
+                assert np.any(K @ res.alpha < -1e-3) and res.clamp_warnings == 0
+
+    @pytest.mark.parametrize("K,kwargs", [
+        (_psd_gram(10, seed=14),
+         dict(method="standard", lr=1e9, n_iters=200, grad_tol=0.0)),
+        (np.eye(3), dict(init="user", alpha0=np.array([1.0, 0.0, 2.0]))),
+        (np.eye(2), dict(init="user", alpha0=np.array([1.0, np.inf]))),
+    ], ids=["standard-diverges", "zero-f-at-init", "inf-at-init"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_divergence_identical(self, K, kwargs):
+        opts = sp.SolverOptions(**kwargs)
+        with pytest.raises(SolverDivergence) as got:
+            sp.fit(K, opts)
+        with pytest.raises(SolverDivergence) as want:
+            _fit_reference(K, opts)
+        assert str(got.value) == str(want.value)
+        assert got.value.iteration == want.value.iteration
+        if opts.lr == 1e9:
+            assert got.value.iteration >= 1
+        else:
+            assert got.value.iteration == 0
 
 
 class TestRkhsNorm:

@@ -97,7 +97,7 @@ def _n_threads() -> int:
 
 
 def _parse_ints(text: str, what: str) -> tuple:
-    """A comma list of distinct integers; `what` names the list in errors."""
+    """A comma list of distinct integers; `what`, the list's flag, names it in errors."""
     try:
         vals = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
@@ -327,7 +327,7 @@ def _run_ad_cells(args, datasets) -> list:
             raise _UsageError(f"unknown method {m!r}; expected one of {AD_METHODS}")
     if len(set(methods)) != len(methods):
         raise _UsageError(f"method list {args.methods!r} repeats a method")
-    seeds = _parse_ints(args.seeds, "seed")
+    seeds = _parse_ints(args.seeds, "--seeds")
     config = _config_from_args(args, sigma_grid=args.sigma_grid,
                                fd_max_rows=args.fd_max_rows)
     threads = _n_threads()
@@ -368,7 +368,7 @@ def _experiment_ad(args, ds) -> dict:
 
 
 def _experiment_duplicates(args, ds) -> dict:
-    ks = _parse_ints(args.k_values, "duplication factor")
+    ks = _parse_ints(args.k_values, "--k-values")
     rows = _run_ad_cells(args, [duplicate_anomalies(ds, k) for k in ks])
     return {
         "kind": "experiment",
@@ -390,7 +390,7 @@ def _experiment_negfrac(args, ds) -> dict:
 
 
 def _experiment_consistency(args) -> dict:
-    Ns = _parse_ints(args.sample_sizes, "sample size")
+    Ns = _parse_ints(args.sample_sizes, "--sample-sizes")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
     density = SmoothBumpDensity()
     results = consistency_experiment(

@@ -15,6 +15,11 @@ sampled-feature solver.FittedModel, "gaussian"/"laplacian" the closed-form
 ClosedFormRepresenterModel.  Both backends follow the solver module's model
 protocol: f_values and f_and_grad, with density and score_batch derived
 from them by the squared flag.
+
+The module needs numpy alone.  AUCs and rank tables use average ranks
+computed here (scipy.stats.rankdata's convention, bit for bit), and the bump
+CDF uses sdo_kernel's numpy trapezoid rule.  A NaN score or AUC is an error,
+never a NaN in a report.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .baseline_kernels import (
     ClosedFormKernel,
@@ -39,6 +43,7 @@ from .score_fd import FdOptions, FdProfile, selection_kind, tune
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
+    _cumulative_trapezoid,
     feature_map,
     kernel_matrix,
     rng_from_seed,
@@ -213,10 +218,27 @@ def standardize(train: Dataset, test: Dataset):
     return train2, test2, stats
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a NaN-free vector; each run of ties gets its mean position.
+
+    A stable sort, then one rank per run of equal values; these are the
+    ranks of scipy.stats.rankdata(values), bit for bit.  Every rank is a
+    half-integer, so any sum of them is exact.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_roc(scores, labels) -> float:
     """AUC-ROC by the Mann-Whitney rank formula with average ranks on ties.
 
-    Higher score means more anomalous (label 1).
+    Higher score means more anomalous (label 1).  A NaN score raises
+    NumericsError.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
@@ -228,7 +250,10 @@ def auc_roc(scores, labels) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise DataError("both classes must be present to compute AUC")
-    ranks = rankdata(scores)
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise NumericsError(f"{n_nan} of {scores.size} anomaly scores are NaN")
+    ranks = _average_ranks(scores)
     u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -623,10 +648,8 @@ def _bump_norm() -> float:
 
 @lru_cache(maxsize=1)
 def _bump_cdf():
-    from scipy.integrate import cumulative_trapezoid
-
     u = np.linspace(-1.0, 1.0, 20001)
-    cdf = cumulative_trapezoid(_bump(u), u, initial=0.0)
+    cdf = _cumulative_trapezoid(_bump(u), u)
     cdf /= cdf[-1]
     return u, cdf
 
@@ -691,7 +714,8 @@ def consistency_experiment(
 def rank_aggregate(results: dict):
     """Per-dataset ranks (1..M, M best, average on ties) and mean rank per method.
 
-    `results` maps method -> dataset -> AUC; the table must be complete.
+    `results` maps method -> dataset -> AUC; the table must be complete and
+    free of NaN.
     """
     methods = sorted(results)
     if not methods:
@@ -703,7 +727,9 @@ def rank_aggregate(results: dict):
     rank_table: dict = {m: {} for m in methods}
     for d in datasets:
         vals = np.array([results[m][d] for m in methods], dtype=float)
-        ranks = rankdata(vals)  # higher AUC -> higher rank
+        if np.isnan(vals).any():
+            raise DataError(f"dataset {d!r} has a NaN AUC; it cannot be ranked")
+        ranks = _average_ranks(vals)  # higher AUC -> higher rank
         for m, r in zip(methods, ranks):
             rank_table[m][d] = float(r)
     mean_ranks = {m: float(np.mean(list(rank_table[m].values()))) for m in methods}

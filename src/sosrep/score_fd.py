@@ -111,7 +111,7 @@ def _draw_probes(rng: np.random.Generator, n: int, d: int, probe: str) -> np.nda
 
 
 def score(model, x) -> np.ndarray:
-    """Score 2 * grad f / f of the pre-density f^2 at a single point."""
+    """Score grad log density at one point: 2 grad f / f if squared, else grad f / f."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     S, f = model.score_batch(x)
     if abs(f[0]) < _DENSITY_FLOOR:
@@ -120,10 +120,12 @@ def score(model, x) -> np.ndarray:
 
 
 def score_jacobian_trace(model, x) -> float:
-    """Analytic trace of the score Jacobian: 2 * [Lap f / f - ||grad f||^2 / f^2].
+    """Analytic trace of the score Jacobian: c * [Lap f / f - ||grad f||^2 / f^2].
 
-    Available for feature-space models exposing f_and_grad and laplacian_f;
-    used as a cross-check oracle for the Hutchinson estimator.
+    c is 2 for a squared model (density f^2) and 1 for an unsquared one
+    (density f), the factor of score_batch.  Available for feature-space
+    models exposing f_and_grad and laplacian_f; used as a cross-check oracle
+    for the Hutchinson estimator.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     f, G = model.f_and_grad(x)
@@ -131,7 +133,8 @@ def score_jacobian_trace(model, x) -> float:
         raise VanishingDensity("vanishing density at query")
     lap = model.laplacian_f(x)[0]
     g2 = float(G[0] @ G[0])
-    return 2.0 * (lap / f[0] - g2 / f[0] ** 2)
+    factor = 2.0 if model.squared else 1.0
+    return factor * (lap / f[0] - g2 / f[0] ** 2)
 
 
 def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:

@@ -21,6 +21,10 @@ only rescales the fitted pre-density, so the default leaves it off.
 Radii are always drawn from the a=1 law and rescaled by a^(-1/(2m)); with a
 shared seed this makes kernels at different smoothness values exact
 reparametrizations of one another.
+
+The module needs numpy alone: the radial CDF comes from a numpy copy of
+scipy's cumulative trapezoid rule, and scipy is imported only inside
+numeric_kernel_1d, the quadrature oracle that the tests compare against.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericsError, ValidationError
 
@@ -141,6 +144,15 @@ def radial_density(r, params: SdoParams):
     return out
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0.
+
+    The formula and operation order of scipy.integrate.cumulative_trapezoid
+    with initial=0.0, so the two agree bit for bit.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def build_radial_grid(params: SdoParams, n_grid: int = DEFAULT_N_GRID) -> RadialGrid:
     """Uniform grid on [0, r_max] with trapezoid CDF of the radial density.
 
@@ -166,7 +178,7 @@ def build_radial_grid(params: SdoParams, n_grid: int = DEFAULT_N_GRID) -> Radial
             "radial grid tail mass did not drop below 1e-4 of the total "
             f"within {_MAX_DOUBLINGS} doublings (a={params.a}, m={params.m}, d={params.d})"
         )
-    cdf = integrate.cumulative_trapezoid(dens, r, initial=0.0)
+    cdf = _cumulative_trapezoid(dens, r)
     total = float(cdf[-1])
     cdf = cdf / total
     cdf[-1] = 1.0
@@ -306,8 +318,11 @@ def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:
     """Adaptive quadrature of the 1-D kernel integral; the exact test oracle.
 
     Uses a semi-infinite Fourier (cosine-weight) rule for x != y and a plain
-    adaptive rule at x == y.
+    adaptive rule at x == y.  The package's one use of scipy, imported here
+    so that no other path loads it.
     """
+    from scipy import integrate
+
     if params.d != 1:
         raise ValidationError("the quadrature oracle is defined for d=1 only")
     delta = abs(float(x) - float(y))

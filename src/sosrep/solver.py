@@ -361,12 +361,17 @@ def model_to_json(model: FittedModel, run_config: dict | None = None) -> str:
         "train_data_hash": model.train_data_hash,
         "fit_info": model.fit_info,
         "run_config": run_config or {},
+        "squared": bool(model.squared),
     }
     return json.dumps(record, sort_keys=True, indent=1)
 
 
 def model_from_json(text: str) -> FittedModel:
-    """Rebuild a model from its JSON record, regenerating the frequency sample."""
+    """Rebuild a model from its JSON record, regenerating the frequency sample.
+
+    A record without "squared" (written before the flag was stored) loads as
+    a squared model.
+    """
     try:
         record = json.loads(text)
         if record.get("kind") != "sosrep_model":
@@ -381,6 +386,7 @@ def model_from_json(text: str) -> FittedModel:
             kernel_scale_flag=bool(record["kernel_scale_flag"]),
             train_data_hash=record.get("train_data_hash", ""),
             fit_info=record.get("fit_info", {}),
+            squared=bool(record.get("squared", True)),
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed model record: {exc}") from exc

@@ -450,10 +450,15 @@ class TestIntegerLists:
         ["--protocol", "consistency", "--sample-sizes", "50,abc"],
     ])
     def test_bad_list_flag_is_usage_error(self, tmp_path, mixture_csv, capsys, flags):
-        rc = main(["experiment", "--data", mixture_csv, "--methods", "kde_gaussian",
-                   *EXP_FLAGS, *flags, "--out", str(tmp_path / "x.json")])
+        # Only flags the protocol reads, so that the list parse is what fails.
+        protocol, list_flag = flags[1], flags[2]
+        read = [] if protocol == "consistency" else [
+            "--data", mixture_csv, "--methods", "kde_gaussian", *EXP_FLAGS]
+        rc = main(["experiment", *read, *flags, "--out", str(tmp_path / "x.json")])
         assert rc == 2
-        assert _only_stderr_error(capsys)["kind"] == "usage"
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "usage"
+        assert list_flag in error["message"]
         assert not (tmp_path / "x.json").exists()
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosrep as sp
-from sosrep.errors import DataError, ValidationError
+from sosrep.errors import DataError, NumericsError, ValidationError
 from sosrep.harness import (
     ClosedFormRepresenterModel,
     SdoKdeModel,
@@ -205,6 +205,10 @@ class TestAucRoc:
         with pytest.raises(DataError):
             sp.auc_roc([0.1, 0.2], [1, 1])
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(NumericsError, match="NaN"):
+            sp.auc_roc([math.nan, 1.0, 2.0, 0.5], [0, 1, 0, 1])
+
     @given(seed=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_matches_pair_counting_oracle(self, seed):
@@ -332,6 +336,24 @@ class TestRunAd:
                 for e in entries
             ]
             assert out["selection"][str(seed)] in ("stable", "fallback", "edge")
+
+    def test_nan_scores_become_a_seed_warning(self, mixture2d, monkeypatch):
+        real_select = sp.harness.select
+
+        class NanDensity:
+            def density(self, Y):
+                return np.full(len(Y), math.nan)
+
+        def select_nan_at_seed_0(method, train_X, Y_fd, seed, config):
+            a_star, profile, model = real_select(method, train_X, Y_fd, seed, config)
+            return a_star, profile, NanDensity() if seed == 0 else model
+
+        monkeypatch.setattr(sp.harness, "select", select_nan_at_seed_0)
+        report = sp.run_ad(mixture2d, "kde_gaussian", seeds=(0, 1), config=SMALL_AD_CONFIG)
+        assert set(report.aucs) == {1}
+        [warning] = report.warnings
+        assert warning.startswith("seed 0: NumericsError:") and "NaN" in warning
+        json.dumps(report.to_dict(), allow_nan=False)
 
     def test_failed_candidate_serializes_as_null(self):
         cand = np.geomspace(5.0, 0.05, 7)
@@ -477,6 +499,11 @@ class TestRankAggregate:
     def test_incomplete_table_rejected(self):
         with pytest.raises(DataError):
             sp.rank_aggregate({"m1": {"ds1": 0.9, "ds2": 0.6}, "m2": {"ds1": 0.8}})
+
+    def test_nan_cell_rejected(self):
+        with pytest.raises(DataError, match="ds2"):
+            sp.rank_aggregate({"m1": {"ds1": 0.9, "ds2": math.nan},
+                               "m2": {"ds1": 0.8, "ds2": 0.7}})
 
 
 class TestInternalModels:

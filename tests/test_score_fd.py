@@ -118,6 +118,16 @@ class TestHutchinsonTrace:
         est = sp.hutchinson_trace(lambda y: sp.score(model, y), x, opts)
         np.testing.assert_allclose(est, analytic, rtol=0.05)
 
+    def test_matches_analytic_jacobian_trace_unsquared(self):
+        # an unsquared model's score is grad f / f, half the squared factor
+        X = np.random.default_rng(6).normal(size=(200, 2))
+        model = SdoKdeModel(X, sp.sample_frequencies(sp.SdoParams(a=0.5, d=2), 512, 7))
+        x = np.array([0.3, -0.2])
+        analytic = sp.score_jacobian_trace(model, x)
+        opts = sp.FdOptions(n_fd_iters=2000, h=1e-5, seed=0)
+        est = sp.hutchinson_trace(lambda y: sp.score(model, y), x, opts)
+        np.testing.assert_allclose(est, analytic, rtol=0.05)
+
     def test_options_validation(self):
         with pytest.raises(ValidationError):
             sp.FdOptions(n_fd_iters=0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sosrep as sp
 from sosrep.errors import NumericsError, SolverDivergence, ValidationError
+from sosrep.harness import SdoKdeModel
 from sosrep.solver import _draw_init, data_hash
 
 
@@ -418,6 +419,22 @@ class TestSerialization:
         for key in ("format_version", "seed", "T", "params", "alpha",
                     "feature_weights", "train_data_hash"):
             assert key in rec
+
+    def test_roundtrip_keeps_unsquared_flag(self):
+        rng = np.random.default_rng(24)
+        fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2), 64, 25)
+        m = SdoKdeModel(rng.normal(size=(15, 2)), fs)
+        back = sp.model_from_json(sp.model_to_json(m))
+        assert back.squared is False
+        Y = rng.normal(size=(6, 2))
+        np.testing.assert_array_equal(back.density(Y), m.density(Y))
+
+    def test_record_without_squared_loads_squared(self):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        assert rec["squared"] is True
+        del rec["squared"]
+        assert sp.model_from_json(json.dumps(rec)).squared is True
 
     def test_rejects_wrong_kind_and_malformed(self):
         with pytest.raises(ValidationError):

@@ -9,7 +9,9 @@ before any fit, and list flags (--seeds, --k-values, --sample-sizes) take
 distinct integers and --methods distinct names.  A flag given to an
 experiment protocol that does not read it is a usage error, and so is
 `tune --eval-data` with an explicit --train-frac (no split of --data takes
-place, and run_config records train_frac as null).
+place, and run_config records train_frac as null).  The solver, kernel and
+FD flags take their defaults from SolverOptions and AdConfig, so each
+default is declared once.
 
 Errors are reported as a single JSON object on stderr; exit code 2 flags
 usage/validation/data/io problems and 3 flags numeric failures.  All file
@@ -43,7 +45,7 @@ from .harness import (
     select,
     split,
 )
-from .score_fd import profile_to_csv, write_atomic
+from .score_fd import _PROBES, profile_to_csv, write_atomic
 from .sdo_kernel import SdoParams
 from .solver import SolverOptions, evaluate_density, fit_model, model_from_json, model_to_json
 from .two_block import BlockSpec, verify_against_solver
@@ -150,18 +152,19 @@ def _load_dataset(path, label_column, require_labels=False):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=0.1, help="step size (default 0.1)")
-    p.add_argument("--n-iters", type=int, default=1000,
-                   help="maximum iterations (default 1000)")
-    p.add_argument("--grad-tol", type=float, default=1e-8,
-                   help="sup-norm stopping tolerance (default 1e-8)")
+    p.add_argument("--lr", type=float, default=SolverOptions.lr,
+                   help="step size (default %(default)s)")
+    p.add_argument("--n-iters", type=int, default=SolverOptions.n_iters,
+                   help="maximum iterations (default %(default)s)")
+    p.add_argument("--grad-tol", type=float, default=SolverOptions.grad_tol,
+                   help="sup-norm stopping tolerance (default %(default)s)")
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", default="auto",
                    help="Sobolev order; 'auto' means floor(d/2)+1 (default auto)")
-    p.add_argument("--n-z", type=int, default=4096,
-                   help="number of sampled frequencies T (default 4096)")
+    p.add_argument("--n-z", type=int, default=AdConfig.T,
+                   help="number of sampled frequencies T (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
@@ -169,14 +172,14 @@ def _add_fd_flags(p: argparse.ArgumentParser) -> None:
     """Flags of the Fisher-divergence selection shared by tune and experiment."""
     p.add_argument("--a-grid", default=None,
                    help="'log:lo:hi:n' or comma list (default log:1e-6:1e2:25)")
-    p.add_argument("--n-fd-iters", type=int, default=100,
-                   help="probes per query row (default 100)")
-    p.add_argument("--h", type=float, default=1e-4,
-                   help="finite-difference step (default 1e-4)")
-    p.add_argument("--probe", default="rademacher",
-                   choices=["rademacher", "paper_three_point"])
-    p.add_argument("--train-frac", type=float, default=0.7,
-                   help="share of rows fitted, the rest scored (default 0.7)")
+    p.add_argument("--n-fd-iters", type=int, default=AdConfig.n_fd_iters,
+                   help="probes per query row (default %(default)s)")
+    p.add_argument("--h", type=float, default=AdConfig.h,
+                   help="finite-difference step (default %(default)s)")
+    p.add_argument("--probe", default=AdConfig.probe, choices=_PROBES,
+                   help="Hutchinson probe law (default %(default)s)")
+    p.add_argument("--train-frac", type=float, default=AdConfig.train_frac,
+                   help="share of rows fitted, the rest scored (default %(default)s)")
 
 
 def _config_from_args(args, sigma_grid=None, fd_max_rows=None) -> AdConfig:
@@ -257,7 +260,7 @@ def cmd_score(args) -> int:
         )
     dens = evaluate_density(model, ds.X) if ds.n else np.empty(0)
     buf = io.StringIO()
-    buf.write("pre_density,anomaly_score\n")
+    buf.write("pre_density,anomaly_score\n" if model.squared else "density,anomaly_score\n")
     for v in dens:
         buf.write(f"{_fmt(v)},{_fmt(-v)}\n")
     write_atomic(args.out, buf.getvalue())
@@ -391,6 +394,8 @@ def _experiment_negfrac(args, ds) -> dict:
 
 def _experiment_consistency(args) -> dict:
     Ns = _parse_ints(args.sample_sizes, "--sample-sizes")
+    if args.grid_n < 0:  # np.linspace's own error would be a bare ValueError
+        raise ValidationError(f"--grid-n must be nonnegative, got {args.grid_n}")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
     density = SmoothBumpDensity()
     results = consistency_experiment(

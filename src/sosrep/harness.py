@@ -322,12 +322,12 @@ class AdConfig:
 
     T: int = 4096
     m: int | None = None
-    lr: float = 0.1
-    n_iters: int = 1000
-    grad_tol: float = 1e-8
-    n_fd_iters: int = 100
-    h: float = 1e-4
-    probe: str = "rademacher"
+    lr: float = SolverOptions.lr
+    n_iters: int = SolverOptions.n_iters
+    grad_tol: float = SolverOptions.grad_tol
+    n_fd_iters: int = FdOptions.n_fd_iters
+    h: float = FdOptions.h
+    probe: str = FdOptions.probe
     a_grid: tuple = field(default_factory=_default_a_grid)
     sigma_grid: tuple = field(default_factory=_default_sigma_grid)
     train_frac: float = 0.7
@@ -340,10 +340,15 @@ class AdConfig:
             )
         if self.fd_max_rows is not None and self.fd_max_rows < 1:
             raise ValidationError(f"fd_max_rows must be at least 1, got {self.fd_max_rows}")
-        # The options that select() builds per seed; building them here runs
-        # their checks before any seed is fitted.
-        FdOptions(n_fd_iters=self.n_fd_iters, h=self.h, probe=self.probe)
-        SolverOptions(lr=self.lr, n_iters=self.n_iters, grad_tol=self.grad_tol)
+        self.options(0)  # runs the options' checks before any seed is fitted
+
+    def options(self, seed: int) -> tuple[SolverOptions, FdOptions]:
+        """(SolverOptions, FdOptions) of one seed's selection: natural-gradient fits."""
+        return (
+            SolverOptions(method="natural", lr=self.lr, n_iters=self.n_iters,
+                          seed=seed, grad_tol=self.grad_tol),
+            FdOptions(n_fd_iters=self.n_fd_iters, h=self.h, probe=self.probe, seed=seed),
+        )
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -415,10 +420,7 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
     kind, backend = method.split("_")
     squared = kind == "sosrep"
     candidates = config.a_grid if backend == "sdo" else config.sigma_grid
-    opts = SolverOptions(
-        method="natural", lr=config.lr, n_iters=config.n_iters,
-        seed=seed, grad_tol=config.grad_tol,
-    ) if squared else None
+    opts, fd_opts = config.options(seed)
     cache: dict[float, object] = {}
 
     def build(value: float):
@@ -439,7 +441,6 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
             cache[value] = build(value)
         return cache[value]
 
-    fd_opts = FdOptions(n_fd_iters=config.n_fd_iters, h=config.h, probe=config.probe, seed=seed)
     a_star, profile = tune(candidates, fit_fn, Y_fd, fd_opts)
     return a_star, profile, cache[a_star]
 
@@ -460,6 +461,8 @@ def run_ad(
     if ds.y is None:
         raise DataError("the AD protocol requires labels")
     seeds = tuple(int(s) for s in seeds)
+    for seed in seeds:
+        rng_from_seed(seed)  # an out-of-range seed fails the run here, before any split
     aucs: dict[int, float] = {}
     chosen: dict[int, float] = {}
     profiles: dict[int, FdProfile] = {}
@@ -670,14 +673,24 @@ def consistency_experiment(
     For each sample size N and repetition: draw N points, fit with a = 1/N
     and m = 1, rescale |f| to unit L2 mass on the grid, and record the
     trapezoid L2 distance to the true root density.  Reports the median over
-    repetitions.
+    repetitions.  A sample size or n_reps below 1, or a grid that is not
+    finite and strictly increasing with at least 2 points, raises
+    ValidationError before any fit.
     """
+    Ns = [int(N) for N in Ns]
+    if any(N < 1 for N in Ns):
+        raise ValidationError(f"sample sizes must be at least 1, got {Ns}")
+    if n_reps < 1:
+        raise ValidationError(f"n_reps must be at least 1, got {n_reps}")
     grid = np.asarray(grid, dtype=float).reshape(-1)
+    if grid.size < 2:
+        raise ValidationError(f"the grid needs at least 2 points, got {grid.size}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValidationError("the grid must be finite and strictly increasing")
     v = density.sqrt_pdf(grid)
     v = v / math.sqrt(float(np.trapezoid(v * v, grid)))
     results = []
     for i_n, N in enumerate(Ns):
-        N = int(N)
         a = 1.0 / N
         errors = []
         for rep in range(n_reps):

@@ -41,6 +41,7 @@ from .sdo_kernel import rng_from_seed
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
 _THREE_POINT_CORRECTION = 1.5  # probe covariance is (2/3) I
+_WINDOW = 3  # a stable minimum lies strictly below this many neighbors on each side
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,14 @@ class FdOptions:
             raise ValidationError("h must be positive")
         if self.probe not in _PROBES:
             raise ValidationError(f"probe must be one of {_PROBES}, got {self.probe!r}")
+
+
+def _check_grid(a_vals) -> None:
+    """Candidate values must be positive, finite and strictly decreasing."""
+    if any(not np.isfinite(a) or a <= 0 for a in a_vals):
+        raise ValidationError("candidate values must be positive and finite")
+    if any(a_vals[i] <= a_vals[i + 1] for i in range(len(a_vals) - 1)):
+        raise ValidationError("candidate values must be strictly decreasing")
 
 
 @dataclass(frozen=True)
@@ -78,11 +87,7 @@ class FdProfile:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        a_vals = [e.a for e in entries]
-        if any(a <= 0 or not np.isfinite(a) for a in a_vals):
-            raise ValidationError("candidate values must be positive and finite")
-        if any(a_vals[i] <= a_vals[i + 1] for i in range(len(a_vals) - 1)):
-            raise ValidationError("candidate values must be strictly decreasing")
+        _check_grid([e.a for e in entries])
         if any(math.isnan(e.fd) for e in entries):
             raise ValidationError("fd values must not be NaN (use +inf for failures)")
         object.__setattr__(self, "entries", entries)
@@ -105,9 +110,9 @@ class FdStat:
 
 
 def _draw_probes(rng: np.random.Generator, n: int, d: int, probe: str) -> np.ndarray:
-    if probe == "rademacher":
-        return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-    return rng.integers(-1, 2, size=(n, d)).astype(float)
+    if probe == "paper_three_point":
+        return rng.integers(-1, 2, size=(n, d)).astype(float)
+    return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
 
 
 def score(model, x) -> np.ndarray:
@@ -240,30 +245,25 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     )
 
 
-def _is_stable_center(fd: np.ndarray, center: int, window: int) -> bool:
-    if not np.isfinite(fd[center]):
-        return False
-    lo, hi = center - window, center + window
-    if lo < 0 or hi >= len(fd):
-        return False
-    neighbors = np.concatenate([fd[lo:center], fd[center + 1 : hi + 1]])
+def _is_stable_center(fd: np.ndarray, center: int) -> bool:
+    """Whether fd[center] lies strictly below its window of neighbors (+inf never does)."""
+    neighbors = np.concatenate([fd[center - _WINDOW : center],
+                                fd[center + 1 : center + _WINDOW + 1]])
     return bool(np.all(fd[center] < neighbors))
 
 
-def stable_minimum(profile: FdProfile, window: int = 3):
-    """Largest candidate strictly below its `window` neighbors on each side.
+def stable_minimum(profile: FdProfile):
+    """Largest candidate strictly below its _WINDOW neighbors on each side.
 
     Entries are in descending candidate order, so the first qualifying index
     is the tie-break winner.  Returns None when no interior entry qualifies.
     """
     n = len(profile)
-    if n < 2 * window + 1:
-        raise ValidationError(
-            f"profile needs at least {2 * window + 1} entries for window={window}, got {n}"
-        )
+    if n < 2 * _WINDOW + 1:
+        raise ValidationError(f"profile needs at least {2 * _WINDOW + 1} entries, got {n}")
     fd = profile.fd_values()
-    for i in range(window, n - window):
-        if _is_stable_center(fd, i, window):
+    for i in range(_WINDOW, n - _WINDOW):
+        if _is_stable_center(fd, i):
             return profile.entries[i].a
     return None
 
@@ -282,12 +282,12 @@ def selection_kind(profile: FdProfile, a_star: float) -> str:
     return "fallback"
 
 
-def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions(), window: int = 3):
+def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
     """Select a smoothness value by the stable-minimum rule, lazily.
 
     Candidates (strictly descending) are evaluated from the largest down;
-    each fit runs at most once.  After index j >= 2*window is evaluated, the
-    window around index j - window is complete, so that center is certified
+    each fit runs at most once.  After index j >= 2*_WINDOW is evaluated, the
+    window around index j - _WINDOW is complete, so that center is certified
     on the spot and the sweep stops at the first stable minimum — by
     construction the one with the largest candidate value.  A candidate whose
     fit or statistic fails records fd = +inf.  If no stable minimum exists
@@ -297,15 +297,9 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions(), window: in
     Returns (a_star, profile of all evaluated candidates).
     """
     cand = [float(a) for a in candidate_as]
-    if len(cand) < 2 * window + 1:
-        raise ValidationError(f"need at least {2 * window + 1} candidates, got {len(cand)}")
-    if any(not np.isfinite(a) or a <= 0 for a in cand):
-        raise ValidationError("candidates must be positive and finite")
-    if any(cand[i] <= cand[i + 1] for i in range(len(cand) - 1)):
-        raise ValidationError("candidates must be strictly decreasing")
-
-    entries: list[FdEntry] = []
-    fd_so_far: list[float] = []
+    if len(cand) < 2 * _WINDOW + 1:
+        raise ValidationError(f"need at least {2 * _WINDOW + 1} candidates, got {len(cand)}")
+    _check_grid(cand)
 
     def evaluate(a: float) -> FdEntry:
         try:
@@ -320,14 +314,12 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions(), window: in
             return FdEntry(a=a, fd=math.inf, retained_rows=0,
                            skipped_rows=int(np.atleast_2d(Y_test).shape[0]))
 
+    entries: list[FdEntry] = []
     for j, a in enumerate(cand):
-        entry = evaluate(a)
-        entries.append(entry)
-        fd_so_far.append(entry.fd)
-        if j >= 2 * window:
-            center = j - window
-            if _is_stable_center(np.array(fd_so_far), center, window):
-                return cand[center], FdProfile(entries=tuple(entries))
+        entries.append(evaluate(a))
+        center = j - _WINDOW
+        if center >= _WINDOW and _is_stable_center(np.array([e.fd for e in entries]), center):
+            return cand[center], FdProfile(entries=tuple(entries))
 
     profile = FdProfile(entries=tuple(entries))
     fd = profile.fd_values()

@@ -199,8 +199,11 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """The package's one seeded generator: Philox keyed by (seed, stream).
 
     Counter-based, so each stream is deterministic and independent of the
-    order in which streams are drawn.
+    order in which streams are drawn.  Seed and stream are the two 64-bit
+    words of the key: an integer outside 0..2**64-1 raises ValidationError.
     """
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValidationError(f"seed and stream must lie in 0..2**64-1, got {seed}, {stream}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -288,13 +291,12 @@ def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np
 def kernel_matrix(X, Y, fs: FrequencySample, exact_normalization: bool = False) -> np.ndarray:
     """Sampled kernel Gram matrix feature_map(X) @ feature_map(Y).T.
 
-    Pass Y=None (or Y is X) for the symmetric self-kernel; the result is then
-    explicitly symmetrized, removing last-ulp asymmetry from the BLAS product.
+    Pass Y=None (or Y is X) for the self-kernel; numpy forms Phi @ Phi.T by a
+    symmetric rank-k update, so that Gram matrix is exactly symmetric.
     """
     Phi_x = feature_map(X, fs, exact_normalization)
     if Y is None or Y is X:
-        K = Phi_x @ Phi_x.T
-        return 0.5 * (K + K.T)
+        return Phi_x @ Phi_x.T
     Phi_y = feature_map(Y, fs, exact_normalization)
     return Phi_x @ Phi_y.T
 

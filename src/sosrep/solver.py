@@ -321,9 +321,7 @@ def fit_model(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     fs = sample_frequencies(params, T, seed)
     Phi = feature_map(X, fs, exact_normalization)
-    K = Phi @ Phi.T
-    K = 0.5 * (K + K.T)
-    K = add_jitter(K)
+    K = add_jitter(Phi @ Phi.T)
     res = fit(K, opts)
     w = Phi.T @ res.alpha
     return FittedModel(
@@ -366,11 +364,27 @@ def model_to_json(model: FittedModel, run_config: dict | None = None) -> str:
     return json.dumps(record, sort_keys=True, indent=1)
 
 
+def _finite_vector(values, name: str, length: int | None = None) -> np.ndarray:
+    """A record's list of numbers as a 1-D finite float array, else ValidationError."""
+    try:
+        v = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ValidationError(f"malformed model record: {name} must be a list of finite numbers")
+    if length is not None and v.shape[0] != length:
+        raise ValidationError(
+            f"malformed model record: {name} has {v.shape[0]} entries, expected T = {length}"
+        )
+    return v
+
+
 def model_from_json(text: str) -> FittedModel:
     """Rebuild a model from its JSON record, regenerating the frequency sample.
 
     A record without "squared" (written before the flag was stored) loads as
-    a squared model.
+    a squared model.  alpha and feature_weights must be lists of finite
+    numbers, feature_weights of length T.
     """
     try:
         record = json.loads(text)
@@ -380,9 +394,9 @@ def model_from_json(text: str) -> FittedModel:
         params = SdoParams(a=p["a"], d=p["d"], m=p["m"])
         fs = sample_frequencies(params, int(record["T"]), int(record["seed"]))
         return FittedModel(
-            alpha=np.array(record["alpha"], dtype=float),
+            alpha=_finite_vector(record["alpha"], "alpha"),
             fs=fs,
-            feature_weights=np.array(record["feature_weights"], dtype=float),
+            feature_weights=_finite_vector(record["feature_weights"], "feature_weights", fs.T),
             kernel_scale_flag=bool(record["kernel_scale_flag"]),
             train_data_hash=record.get("train_data_hash", ""),
             fit_info=record.get("fit_info", {}),

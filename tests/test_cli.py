@@ -9,6 +9,7 @@ import pytest
 
 import sosrep as sp
 from sosrep.cli import _parse_ints, _UsageError, build_parser, main
+from sosrep.harness import SdoKdeModel
 from sosrep.score_fd import profile_from_csv
 
 from conftest import make_mixture2d, make_two_clusters, philox
@@ -156,6 +157,33 @@ class TestScore:
                      "--out", str(out_p)]) == 0
         assert out_p.read_text() == "pre_density,anomaly_score\n"
 
+    def test_unsquared_model_writes_density_header(self, tmp_path, gaussian_csv):
+        X = philox(0, 11).standard_normal((120, 1))
+        kde = SdoKdeModel(X, sp.sample_frequencies(sp.SdoParams(a=0.5, d=1), 128, 3))
+        model_p, out_p = tmp_path / "kde.json", tmp_path / "scores.csv"
+        model_p.write_text(sp.model_to_json(kde))
+        assert main(["score", "--model", str(model_p), "--data", gaussian_csv,
+                     "--out", str(out_p)]) == 0
+        lines = out_p.read_text().strip().splitlines()
+        assert lines[0] == "density,anomaly_score"
+        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        np.testing.assert_array_equal(rows[:, 0], kde.f_values(X))
+
+    @pytest.mark.parametrize("field, value", [("feature_weights", [0.5] * 3),
+                                              ("alpha", ["x"])])
+    def test_malformed_model_vector_is_validation_error(self, tmp_path, gaussian_csv,
+                                                        fitted, capsys, field, value):
+        rec = json.loads((tmp_path / "model.json").read_text())
+        rec[field] = value
+        bad_p, out_p = tmp_path / "bad.json", tmp_path / "scores.csv"
+        bad_p.write_text(json.dumps(rec))
+        rc = main(["score", "--model", str(bad_p), "--data", gaussian_csv,
+                   "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and field in error["message"]
+        assert not out_p.exists()
+
     def test_dimension_mismatch_rejected(self, tmp_path, fitted, capsys):
         q = tmp_path / "wide.csv"
         q.write_text("f0,f1\n0.0,0.0\n")
@@ -228,6 +256,22 @@ class TestTune:
         assert rc == 2
         assert _only_stderr_error(capsys)["kind"] == "usage"
         assert not (tmp_path / "sel.json").exists()
+
+    def test_comma_list_grid_matches_log_spec(self, tmp_path, gaussian_csv):
+        log_p, list_p = tmp_path / "log.json", tmp_path / "list.json"
+        flags = TUNE_FLAGS[2:]  # all but --a-grid
+        assert main(["tune", "--data", gaussian_csv, *TUNE_FLAGS, "--out", str(log_p)]) == 0
+        grid = json.loads(log_p.read_text())["run_config"]["a_grid"]
+        comma = ",".join(repr(v) for v in reversed(grid))  # order does not matter
+        assert main(["tune", "--data", gaussian_csv, "--a-grid", comma, *flags,
+                     "--out", str(list_p)]) == 0
+        assert list_p.read_bytes() == log_p.read_bytes()
+
+    def test_integer_m_is_recorded(self, tmp_path, gaussian_csv):
+        sel_p = tmp_path / "sel.json"
+        assert main(["tune", "--data", gaussian_csv, *TUNE_FLAGS, "--m", "2",
+                     "--out", str(sel_p)]) == 0
+        assert json.loads(sel_p.read_text())["run_config"]["m"] == 2
 
     def test_bad_grid_spec_is_usage_error(self, tmp_path, gaussian_csv, capsys):
         rc = main(["tune", "--data", gaussian_csv, "--a-grid", "log:1:2",
@@ -380,6 +424,44 @@ class TestThreads:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "validation"
+
+
+class TestOutOfRangeSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--a", "0.5", "--n-z", "64", "--seed", "-1"],
+        ["tune", *TUNE_FLAGS, "--seed", "-1"],
+        ["experiment", "--protocol", "negfrac", "--n-z", "64", "--n-init", "5",
+         "--n-iters", "20", "--seed", "-2"],
+        ["experiment", "--protocol", "ad", "--methods", "kde_gaussian", *EXP_FLAGS,
+         "--seeds", "-1"],
+        ["experiment", "--protocol", "ad", "--methods", "kde_gaussian", *EXP_FLAGS,
+         "--seeds", "0,-1"],
+    ], ids=["fit", "tune", "negfrac", "ad", "ad-list"])
+    def test_negative_seed_is_validation_error(self, tmp_path, mixture_csv, capsys, argv):
+        out_p = tmp_path / "x.json"
+        rc = main([*argv, "--data", mixture_csv, "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and "0..2**64-1" in error["message"]
+        assert not out_p.exists()
+
+
+class TestConsistencyInputs:
+    @pytest.mark.parametrize("flags", [
+        ["--sample-sizes", "0"],
+        ["--sample-sizes", "20,0"],
+        ["--n-reps", "0"],
+        ["--grid-lo", "1", "--grid-hi", "-1"],
+        ["--grid-n", "1"],
+        ["--grid-n", "-1"],
+    ])
+    def test_unusable_input_is_validation_error(self, tmp_path, capsys, flags):
+        out_p = tmp_path / "cons.json"
+        rc = main(["experiment", "--protocol", "consistency", "--n-z", "64",
+                   "--n-iters", "20", *flags, "--out", str(out_p)])
+        assert rc == 2
+        assert _only_stderr_error(capsys)["kind"] == "validation"
+        assert not out_p.exists()
 
 
 class TestTopLevel:

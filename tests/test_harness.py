@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosrep as sp
+from sosrep import harness
 from sosrep.errors import DataError, NumericsError, ValidationError
 from sosrep.harness import (
     ClosedFormRepresenterModel,
@@ -372,6 +373,15 @@ class TestRunAd:
         assert [e["fd"] for e in out["profiles"]["0"][1:]] == fds[1:]
         assert out["selection"] == {"0": "stable"}
 
+    @pytest.mark.parametrize("seeds", [(-1,), (0, -1), (2**64,)])
+    def test_out_of_range_seed_fails_before_any_split(self, mixture2d, monkeypatch, seeds):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split reached")
+
+        monkeypatch.setattr(harness, "split", no_split)
+        with pytest.raises(ValidationError, match="0..2"):
+            sp.run_ad(mixture2d, "kde_gaussian", seeds=seeds, config=SMALL_AD_CONFIG)
+
 
 class TestAdConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -388,13 +398,14 @@ class TestAdConfig:
 
 
 class TestSelect:
-    @pytest.mark.parametrize("method", ["sosrep_sdo", "kde_gaussian"])
+    @pytest.mark.parametrize("method", sp.AD_METHODS)
     def test_returns_the_model_fitted_at_the_pick(self, mixture2d, method):
         train, test = sp.split(mixture2d, 0)
         a_star, profile, model = select(method, train.X, test.X[:32], 0, SMALL_AD_CONFIG)
         assert a_star in profile.a_values()
         fitted_at = model.fs.base_params.a if method.endswith("_sdo") else model.kernel.sigma
         assert fitted_at == a_star
+        assert model.squared == method.startswith("sosrep_")
 
 
 class TestNegativeFraction:
@@ -468,6 +479,26 @@ class TestConsistencyExperiment:
             assert r["a"] == 1.0 / r["N"]
             assert len(r["errors"]) == 2
             assert np.isfinite(r["median_l2_error"]) and r["median_l2_error"] > 0.0
+
+
+    @pytest.mark.parametrize("kwargs", [
+        {"Ns": (50, 0)},
+        {"Ns": (-3,)},
+        {"n_reps": 0},
+        {"grid": np.linspace(1.2, -1.2, 11)},
+        {"grid": np.array([0.0, 0.5, 0.5, 1.0])},
+        {"grid": np.array([0.0])},
+        {"grid": np.array([0.0, np.nan, 1.0])},
+    ])
+    def test_unusable_input_rejected_before_any_fit(self, monkeypatch, kwargs):
+        def no_fit(*args, **kw):
+            raise AssertionError("fit reached")
+
+        monkeypatch.setattr(harness, "fit_model", no_fit)
+        args = {"Ns": (50,), "grid": np.linspace(-1.2, 1.2, 11), "n_reps": 2, **kwargs}
+        with pytest.raises(ValidationError):
+            sp.consistency_experiment(sp.SmoothBumpDensity(), args.pop("Ns"),
+                                      args.pop("grid"), **args)
 
 
 class TestRankAggregate:

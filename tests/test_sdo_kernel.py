@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import sosrep as sp
 from sosrep.errors import ValidationError
+from sosrep.sdo_kernel import rng_from_seed
 
 
 class TestSdoParams:
@@ -94,6 +95,16 @@ class TestRadialGrid:
         c = params.a * (2 * np.pi) ** 2
         total, _ = quad(lambda r: 1.0 / (1.0 + c * r * r), 0.0, np.inf)
         np.testing.assert_allclose(grid.total_mass, total, rtol=2e-4)
+
+
+class TestRngFromSeed:
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    def test_key_outside_64_bits_is_validation_error(self, seed, stream):
+        with pytest.raises(ValidationError, match="0..2"):
+            rng_from_seed(seed, stream)
+
+    def test_largest_key_accepted(self):
+        assert 0.0 <= rng_from_seed(2**64 - 1, 2**64 - 1).random() < 1.0
 
 
 class TestSampleFrequencies:
@@ -192,6 +203,18 @@ class TestKernelMatrix:
         np.testing.assert_array_equal(K, K.T)
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-9 * (np.trace(K) / K.shape[0])
+
+    @pytest.mark.parametrize("n, T", [(1400, 2048), (200, 2048), (37, 64), (501, 333),
+                                      (1, 5)])
+    def test_feature_gram_is_exactly_symmetric(self, n, T):
+        # numpy forms Phi @ Phi.T by a symmetric rank-k update; kernel_matrix
+        # and fit_model rely on that and do not symmetrize the product.
+        X = np.random.default_rng(n).normal(size=(n, 2))
+        fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2), T, seed=3)
+        Phi = sp.feature_map(X, fs)
+        K = Phi @ Phi.T
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(sp.kernel_matrix(X, None, fs), K)
 
     def test_exact_normalization_scales_by_2w(self):
         params = sp.SdoParams(a=0.04, d=1, m=1)

@@ -390,6 +390,18 @@ class TestFittedModel:
         ratio = d1 / d0
         assert np.ptp(ratio) / ratio.mean() < 1e-9
 
+    @pytest.mark.parametrize("exact_normalization", [False, True])
+    def test_alpha_equals_fit_on_symmetrized_gram(self, exact_normalization):
+        X = np.random.default_rng(41).normal(size=(60, 2))
+        params = sp.SdoParams(a=0.5, d=2)
+        opts = sp.SolverOptions(n_iters=300, seed=2)
+        m = sp.fit_model(X, params, T=256, seed=4, opts=opts,
+                         exact_normalization=exact_normalization)
+        Phi = sp.feature_map(X, m.fs, exact_normalization)
+        K = Phi @ Phi.T
+        ref = sp.fit(sp.add_jitter(0.5 * (K + K.T)), opts)
+        assert np.array_equal(m.alpha, ref.alpha)
+
     def test_f_and_grad_consistent_with_density(self, model):
         m, _ = model
         rng = np.random.default_rng(21)
@@ -443,6 +455,23 @@ class TestSerialization:
             sp.model_from_json("{not json")
         with pytest.raises(ValidationError):
             sp.model_from_json(json.dumps({"kind": "sosrep_model"}))  # missing fields
+
+
+    def test_feature_weights_of_wrong_length_rejected(self):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        rec["feature_weights"] = rec["feature_weights"][:-1]
+        with pytest.raises(ValidationError, match="feature_weights has 7 entries"):
+            sp.model_from_json(json.dumps(rec))
+
+    @pytest.mark.parametrize("field", ["alpha", "feature_weights"])
+    @pytest.mark.parametrize("value", ["abc", ["x"] * 8, [[1.0]] * 8, [None] * 8, 1.0])
+    def test_non_numeric_vector_rejected(self, field, value):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        rec[field] = value
+        with pytest.raises(ValidationError, match=field):
+            sp.model_from_json(json.dumps(rec))
 
 
 class TestHelpers:

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .harness import (
 from .score_fd import _PROBES, profile_to_csv, write_atomic
 from .sdo_kernel import SdoParams
 from .solver import SolverOptions, evaluate_density, fit_model, model_from_json, model_to_json
-from .two_block import BlockSpec, verify_against_solver
+from .two_block import VERIFY_OPTIONS, BlockSpec, verify_against_solver
 
 class _UsageError(Exception):
     pass
@@ -151,12 +152,14 @@ def _load_dataset(path, label_column, require_labels=False):
     return ds
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=SolverOptions.lr,
+def _add_solver_flags(p: argparse.ArgumentParser,
+                      defaults: SolverOptions = SolverOptions()) -> None:
+    """--lr, --n-iters and --grad-tol with the defaults of `defaults`."""
+    p.add_argument("--lr", type=float, default=defaults.lr,
                    help="step size (default %(default)s)")
-    p.add_argument("--n-iters", type=int, default=SolverOptions.n_iters,
+    p.add_argument("--n-iters", type=int, default=defaults.n_iters,
                    help="maximum iterations (default %(default)s)")
-    p.add_argument("--grad-tol", type=float, default=SolverOptions.grad_tol,
+    p.add_argument("--grad-tol", type=float, default=defaults.grad_tol,
                    help="sup-norm stopping tolerance (default %(default)s)")
 
 
@@ -305,8 +308,7 @@ def cmd_two_block(args) -> int:
     M = args.M if args.M is not None else args.n
     spec = BlockSpec(N=N, M=M, gamma=args.gamma,
                      gamma_prime=args.gamma_prime, beta=args.beta)
-    opts = SolverOptions(method="natural", lr=args.lr, n_iters=args.n_iters,
-                         seed=0, grad_tol=args.grad_tol)
+    opts = replace(VERIFY_OPTIONS, lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol)
     report = verify_against_solver(spec, opts=opts)
     report["format_version"] = "1"
     report["kind"] = "two_block_report"
@@ -505,9 +507,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--gamma-prime", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--n-iters", type=int, default=20000)
-    p.add_argument("--grad-tol", type=float, default=1e-12)
+    _add_solver_flags(p, defaults=VERIFY_OPTIONS)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_two_block)
 

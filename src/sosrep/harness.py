@@ -39,7 +39,7 @@ from .baseline_kernels import (
     kernel_matrix_closed_form,
 )
 from .errors import DataError, NumericsError, SosrepError, ValidationError
-from .score_fd import FdOptions, FdProfile, selection_kind, tune
+from .score_fd import FdOptions, FdProfile, _check_candidates, selection_kind, tune
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
@@ -49,7 +49,7 @@ from .sdo_kernel import (
     rng_from_seed,
     sample_frequencies,
 )
-from .solver import FittedModel, SolverOptions, add_jitter, fit, fit_model
+from .solver import FittedModel, SolverOptions, _add_jitter_in_place, fit, fit_model
 
 AD_METHODS = (
     "sosrep_sdo",
@@ -151,7 +151,58 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
     return Dataset(X=X, y=y, name=name)
 
 
-def split(ds: Dataset, seed: int, train_frac: float = 0.7):
+def _default_a_grid() -> tuple:
+    return tuple(np.geomspace(1e2, 1e-6, 25))
+
+
+def _default_sigma_grid() -> tuple:
+    return tuple(np.geomspace(10.0, 0.05, 25))
+
+
+@dataclass(frozen=True)
+class AdConfig:
+    """Hyperparameters of the AD pipeline; all serialized into reports."""
+
+    T: int = 4096
+    m: int | None = None
+    lr: float = SolverOptions.lr
+    n_iters: int = SolverOptions.n_iters
+    grad_tol: float = SolverOptions.grad_tol
+    n_fd_iters: int = FdOptions.n_fd_iters
+    h: float = FdOptions.h
+    probe: str = FdOptions.probe
+    a_grid: tuple = field(default_factory=_default_a_grid)
+    sigma_grid: tuple = field(default_factory=_default_sigma_grid)
+    train_frac: float = 0.7
+    fd_max_rows: int | None = None
+
+    def __post_init__(self):
+        if not (0.0 < self.train_frac < 1.0):
+            raise ValidationError(
+                f"train_frac must lie strictly between 0 and 1, got {self.train_frac}"
+            )
+        if self.fd_max_rows is not None and self.fd_max_rows < 1:
+            raise ValidationError(f"fd_max_rows must be at least 1, got {self.fd_max_rows}")
+        _check_candidates(self.a_grid, "a_grid")
+        _check_candidates(self.sigma_grid, "sigma_grid")
+        self.options(0)  # runs the options' checks before any seed is fitted
+
+    def options(self, seed: int) -> tuple[SolverOptions, FdOptions]:
+        """(SolverOptions, FdOptions) of one seed's selection: natural-gradient fits."""
+        return (
+            SolverOptions(method="natural", lr=self.lr, n_iters=self.n_iters,
+                          seed=seed, grad_tol=self.grad_tol),
+            FdOptions(n_fd_iters=self.n_fd_iters, h=self.h, probe=self.probe, seed=seed),
+        )
+
+    def snapshot(self) -> dict:
+        d = asdict(self)
+        d["a_grid"] = [float(v) for v in d["a_grid"]]
+        d["sigma_grid"] = [float(v) for v in d["sigma_grid"]]
+        return d
+
+
+def split(ds: Dataset, seed: int, train_frac: float = AdConfig.train_frac):
     """Deterministic shuffle split; stratified by label when labels exist.
 
     Train receives round(train_frac * N) rows and the anomaly proportion is
@@ -306,55 +357,6 @@ class SdoKdeModel(FittedModel):
 
 # ---------------------------------------------------------------------------
 # standard AD protocol
-
-
-def _default_a_grid() -> tuple:
-    return tuple(np.geomspace(1e2, 1e-6, 25))
-
-
-def _default_sigma_grid() -> tuple:
-    return tuple(np.geomspace(10.0, 0.05, 25))
-
-
-@dataclass(frozen=True)
-class AdConfig:
-    """Hyperparameters of the AD pipeline; all serialized into reports."""
-
-    T: int = 4096
-    m: int | None = None
-    lr: float = SolverOptions.lr
-    n_iters: int = SolverOptions.n_iters
-    grad_tol: float = SolverOptions.grad_tol
-    n_fd_iters: int = FdOptions.n_fd_iters
-    h: float = FdOptions.h
-    probe: str = FdOptions.probe
-    a_grid: tuple = field(default_factory=_default_a_grid)
-    sigma_grid: tuple = field(default_factory=_default_sigma_grid)
-    train_frac: float = 0.7
-    fd_max_rows: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.train_frac < 1.0):
-            raise ValidationError(
-                f"train_frac must lie strictly between 0 and 1, got {self.train_frac}"
-            )
-        if self.fd_max_rows is not None and self.fd_max_rows < 1:
-            raise ValidationError(f"fd_max_rows must be at least 1, got {self.fd_max_rows}")
-        self.options(0)  # runs the options' checks before any seed is fitted
-
-    def options(self, seed: int) -> tuple[SolverOptions, FdOptions]:
-        """(SolverOptions, FdOptions) of one seed's selection: natural-gradient fits."""
-        return (
-            SolverOptions(method="natural", lr=self.lr, n_iters=self.n_iters,
-                          seed=seed, grad_tol=self.grad_tol),
-            FdOptions(n_fd_iters=self.n_fd_iters, h=self.h, probe=self.probe, seed=seed),
-        )
-
-    def snapshot(self) -> dict:
-        d = asdict(self)
-        d["a_grid"] = [float(v) for v in d["a_grid"]]
-        d["sigma_grid"] = [float(v) for v in d["sigma_grid"]]
-        return d
 
 
 @dataclass
@@ -529,8 +531,8 @@ def negative_fraction_experiment(
     T: int = 2048,
     m: int | None = None,
     n_init: int = 50,
-    n_iters: int = 1000,
-    lr: float = 0.1,
+    n_iters: int = SolverOptions.n_iters,
+    lr: float = SolverOptions.lr,
     seed: int = 0,
     kernel: str = "sdo",
     sigma: float = 1.0,
@@ -547,7 +549,7 @@ def negative_fraction_experiment(
     if kernel == "sdo":
         params = SdoParams(a=a, d=ds.d, m=m)
         fs = sample_frequencies(params, T, seed)
-        K = add_jitter(kernel_matrix(X, None, fs))
+        K = _add_jitter_in_place(kernel_matrix(X, None, fs))
     elif kernel in ("gaussian", "laplacian"):
         K = kernel_matrix_closed_form(ClosedFormKernel(kernel, sigma, ds.d), X, X)
     else:
@@ -662,11 +664,11 @@ def consistency_experiment(
     Ns,
     grid,
     n_reps: int = 5,
-    T: int = 4096,
+    T: int = AdConfig.T,
     seed: int = 0,
-    lr: float = 0.1,
-    n_iters: int = 1000,
-    grad_tol: float = 1e-8,
+    lr: float = SolverOptions.lr,
+    n_iters: int = SolverOptions.n_iters,
+    grad_tol: float = SolverOptions.grad_tol,
 ) -> list:
     """L2 error of the normalized fitted root-density at a = 1/N, per N.
 

@@ -60,12 +60,21 @@ class FdOptions:
             raise ValidationError(f"probe must be one of {_PROBES}, got {self.probe!r}")
 
 
-def _check_grid(a_vals) -> None:
+def _check_grid(a_vals, name: str = "candidate values") -> None:
     """Candidate values must be positive, finite and strictly decreasing."""
     if any(not np.isfinite(a) or a <= 0 for a in a_vals):
-        raise ValidationError("candidate values must be positive and finite")
+        raise ValidationError(f"{name} must be positive and finite")
     if any(a_vals[i] <= a_vals[i + 1] for i in range(len(a_vals) - 1)):
-        raise ValidationError("candidate values must be strictly decreasing")
+        raise ValidationError(f"{name} must be strictly decreasing")
+
+
+def _check_candidates(a_vals, name: str = "candidate values") -> None:
+    """A grid that tune can sweep: _check_grid and at least 2*_WINDOW+1 values."""
+    if len(a_vals) < 2 * _WINDOW + 1:
+        raise ValidationError(
+            f"{name} must have at least {2 * _WINDOW + 1} entries, got {len(a_vals)}"
+        )
+    _check_grid(a_vals, name)
 
 
 @dataclass(frozen=True)
@@ -297,9 +306,7 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
     Returns (a_star, profile of all evaluated candidates).
     """
     cand = [float(a) for a in candidate_as]
-    if len(cand) < 2 * _WINDOW + 1:
-        raise ValidationError(f"need at least {2 * _WINDOW + 1} candidates, got {len(cand)}")
-    _check_grid(cand)
+    _check_candidates(cand)
 
     def evaluate(a: float) -> FdEntry:
         try:

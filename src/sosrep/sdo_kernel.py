@@ -245,15 +245,16 @@ def rescale_frequencies(fs: FrequencySample, a: float) -> FrequencySample:
     return sample_frequencies(fs.base_params.with_a(a), fs.T, fs.seed)
 
 
-@lru_cache(maxsize=256)
-def _spectral_mass_cached(a: float, m: int, d: int, n_grid: int) -> float:
-    grid = build_radial_grid(SdoParams(a=a, d=d, m=m), n_grid)
-    return sphere_area(d) * grid.total_mass
+def spectral_mass(params: SdoParams) -> float:
+    """Total mass W of the spectral weight w^a over R^d, in closed form.
 
-
-def spectral_mass(params: SdoParams, n_grid: int = DEFAULT_N_GRID) -> float:
-    """Total mass W of the spectral weight w^a over R^d."""
-    return _spectral_mass_cached(params.a, params.m, params.d, n_grid)
+    In polar coordinates W = S_(d-1) * integral of r^(d-1) / (1 + c r^(2m))
+    dr with c = a (2 pi)^(2m); the substitution u = c^(1/(2m)) r turns the
+    integral into c^(-d/(2m)) * pi / (2m sin(pi d / (2m))), finite as 2m > d.
+    """
+    d, two_m = params.d, 2 * params.m
+    c = params.a * (2.0 * math.pi) ** two_m
+    return sphere_area(d) * c ** (-d / two_m) * math.pi / (two_m * math.sin(math.pi * d / two_m))
 
 
 def feature_phases(X, fs: FrequencySample, exact_normalization: bool = False):

@@ -239,8 +239,12 @@ def fit(K, opts: SolverOptions = SolverOptions()) -> FitResult:
 
 
 def add_jitter(K: np.ndarray) -> np.ndarray:
-    """Diagonal jitter 1e-10 * (trace/N) for finite-T Gram matrices."""
-    K = np.asarray(K, dtype=float).copy()
+    """Diagonal jitter 1e-10 * (trace/N) for finite-T Gram matrices, on a copy."""
+    return _add_jitter_in_place(np.asarray(K, dtype=float).copy())
+
+
+def _add_jitter_in_place(K: np.ndarray) -> np.ndarray:
+    """add_jitter on K itself, for a float Gram temporary that nothing else holds."""
     n = K.shape[0]
     K[np.diag_indices(n)] += _JITTER_REL * (np.trace(K) / n)
     return K
@@ -321,7 +325,7 @@ def fit_model(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     fs = sample_frequencies(params, T, seed)
     Phi = feature_map(X, fs, exact_normalization)
-    K = add_jitter(Phi @ Phi.T)
+    K = _add_jitter_in_place(Phi @ Phi.T)
     res = fit(K, opts)
     w = Phi.T @ res.alpha
     return FittedModel(

@@ -7,12 +7,14 @@ the function values are constant on each cluster, equal to (a, b) solving
 
     a = H11 / a + H12 / b,      b = H21 / a + H22 / b,
 
-for suitable positive coefficients H.  With the large-N approximate system
-(H11 = gamma^2, H22 = gamma_prime^2, H12 = H21 = beta*gamma*gamma_prime) the
-squared ratio a^2/b^2 equals gamma^2/gamma_prime^2 for every beta, unlike
-the KDE ratio which degrades with the cross-correlation.  The exact finite-N
-system replaces the diagonals by 1 + (N-1) gamma^2 and scales the cross
-terms by the opposite cluster size.
+for suitable positive coefficients H.  solve_two_block solves it in closed
+form: t = a/b is the positive root of a quadratic, and a and b follow from
+t.  With the large-N approximate system (H11 = gamma^2, H22 = gamma_prime^2,
+H12 = H21 = beta*gamma*gamma_prime) the squared ratio a^2/b^2 equals
+gamma^2/gamma_prime^2 for every beta, unlike the KDE ratio which degrades
+with the cross-correlation.  The exact finite-N system replaces the
+diagonals by 1 + (N-1) gamma^2 and scales the cross terms by the opposite
+cluster size.
 """
 
 from __future__ import annotations
@@ -22,12 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .solver import SolverOptions, fit, rkhs_norm_sq
-
-_FIXED_POINT_ITERS = 400
-_FIXED_POINT_DAMPING = 0.5
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class TwoBlockSolution:
     b: float
     ratio: float  # a^2 / b^2
     ratio_by_rho: dict  # closed-form candidate ratios for rho = +1 and -1
-    rho: int  # admissible sign
+    rho: int  # sign of the positive root in ratio_by_rho, always +1
     residual: float
 
 
@@ -94,86 +92,31 @@ def _system_residual(a: float, b: float, H11, H12, H21, H22) -> float:
 
 
 def solve_two_block(H11: float, H12: float, H21: float, H22: float) -> TwoBlockSolution:
-    """Positive solution of a = H11/a + H12/b, b = H21/a + H22/b.
+    """Positive solution of a = H11/a + H12/b, b = H21/a + H22/b, in closed form.
 
-    Runs a damped fixed-point iteration from a = b = 1, then polishes with
-    the closed-form quadratic in s = u^2 (u = 1/a) from eliminating v:
+    Multiplying the equations by a and b gives a^2 = H11 + H12 t and
+    b^2 = H22 + H21 / t with t = a/b, and dividing them shows that t is a root
+    of the quadratic
 
-        s^2 (H11^2 H22 - H11 H12 H21) + s (H12 H21 - H12^2 - 2 H11 H22) + H22 = 0.
+        H22 t^2 + (H21 - H12) t - H11 = 0.
 
-    Also reports the closed-form ratio candidates for both signs rho = +-1;
-    the admissible sign is the one consistent with the positive solution.
+    Its roots t_rho = ((H12 - H21) + rho * disc) / (2 H22), rho = +-1, have
+    the product -H11/H22 < 0, so exactly one is positive: rho = +1 always.
+    That root is taken in the form without cancellation, 2 H11 / (B + disc)
+    for B = H21 - H12 >= 0 and (disc - B) / (2 H22) otherwise; a and b then
+    follow from the two squares.  Also reports the ratio t_rho^2 of both roots.
     """
     H = (H11, H12, H21, H22)
     if any(not np.isfinite(h) for h in H) or H11 <= 0 or H22 <= 0 or H12 < 0 or H21 < 0:
         raise ValidationError(f"H must be positive (cross terms nonnegative), got {H}")
-
-    a, b = 1.0, 1.0
-    t = _FIXED_POINT_DAMPING
-    for _ in range(_FIXED_POINT_ITERS):
-        a_new = (1 - t) * a + t * (H11 / a + H12 / b)
-        b_new = (1 - t) * b + t * (H21 / a + H22 / b)
-        a, b = a_new, b_new
-
-    # closed-form ratio candidates: t = a/b solves H22 t^2 + (H21 - H12) t - H11 = 0
-    disc = math.sqrt((H21 - H12) ** 2 + 4.0 * H11 * H22)
-    ratio_by_rho = {}
-    for rho in (+1, -1):
-        t_rho = ((H12 - H21) + rho * disc) / (2.0 * H22)
-        ratio_by_rho[rho] = t_rho * t_rho
-
-    # polish via the quadratic in s = (1/a)^2
-    candidates = []
-    if H12 == 0.0 and H21 == 0.0:
-        candidates.append((math.sqrt(H11), math.sqrt(H22)))
-    else:
-        c2 = H11 * H11 * H22 - H11 * H12 * H21
-        c1 = H12 * H21 - H12 * H12 - 2.0 * H11 * H22
-        c0 = H22
-        if c2 == 0.0:
-            roots = [-c0 / c1] if c1 != 0.0 else []
-        else:
-            d2 = c1 * c1 - 4.0 * c2 * c0
-            if d2 < 0:
-                roots = []
-            else:
-                sq = math.sqrt(d2)
-                # numerically stable quadratic roots
-                q = -0.5 * (c1 + math.copysign(sq, c1))
-                roots = [q / c2]
-                if q != 0.0:
-                    roots.append(c0 / q)
-        for s in roots:
-            if s <= 0 or not np.isfinite(s):
-                continue
-            u = math.sqrt(s)
-            # positive root of H22 v^2 + H21 u v = 1, in conjugate form so
-            # near-decoupled systems (tiny cross terms) cannot cancel
-            v = 2.0 / (H21 * u + math.sqrt((H21 * u) ** 2 + 4.0 * H22))
-            if v <= 0 or not np.isfinite(v):
-                continue
-            candidates.append((1.0 / u, 1.0 / v))
-    # the damped iterate itself competes; it carries the solve when the
-    # elimination quadratic is too ill-conditioned to yield a candidate
-    candidates.append((a, b))
-
-    best = None
-    for ca, cb in candidates:
-        res = _system_residual(ca, cb, *H)
-        rel = res / max(ca, cb)
-        if rel <= _RESIDUAL_TOL and (best is None or rel < best[2]):
-            best = (ca, cb, rel)
-    if best is None:
-        fp_res = _system_residual(a, b, *H)
-        raise NumericsError(
-            f"no positive solution found; fixed-point residual {fp_res:.3e}, "
-            f"closed-form candidates {candidates}"
-        )
-    a, b, rel = best[0], best[1], best[2]
-    ratio = (a / b) ** 2
-    rho = min(ratio_by_rho, key=lambda r: abs(ratio_by_rho[r] - ratio))
+    B = H21 - H12
+    disc = math.sqrt(B * B + 4.0 * H11 * H22)
+    t = 2.0 * H11 / (B + disc) if B >= 0 else (disc - B) / (2.0 * H22)
+    t_neg = -H11 / (H22 * t)  # the negative root, from the roots' product
+    a = math.sqrt(H11 + H12 * t)
+    b = math.sqrt(H22 + H21 / t)
     return TwoBlockSolution(
-        a=a, b=b, ratio=ratio, ratio_by_rho=ratio_by_rho, rho=rho,
+        a=a, b=b, ratio=t * t, ratio_by_rho={1: t * t, -1: t_neg * t_neg}, rho=1,
         residual=_system_residual(a, b, *H),
     )
 
@@ -201,7 +144,12 @@ def sosrep_block_ratio(spec: BlockSpec) -> float:
     return sol.ratio
 
 
-def verify_against_solver(spec: BlockSpec, opts: SolverOptions | None = None) -> dict:
+# Natural-gradient fits run long and to a tight tolerance, so that the
+# solver's cluster ratio can be compared with the oracle's to many digits.
+VERIFY_OPTIONS = SolverOptions(method="natural", lr=0.1, n_iters=20000, seed=0, grad_tol=1e-12)
+
+
+def verify_against_solver(spec: BlockSpec, opts: SolverOptions = VERIFY_OPTIONS) -> dict:
     """Fit the block kernel numerically and compare cluster ratios to the oracle.
 
     Returns a JSON-ready report with the KDE ratio (when N = M), the
@@ -210,8 +158,6 @@ def verify_against_solver(spec: BlockSpec, opts: SolverOptions | None = None) ->
     """
     if spec.N > 200 or spec.M > 200:
         raise ValidationError("solver verification is desk-scale: cluster sizes <= 200")
-    if opts is None:
-        opts = SolverOptions(method="natural", lr=0.1, n_iters=20000, seed=0, grad_tol=1e-12)
     K = build_block_kernel(spec)
     res = fit(K, opts)
     f = K @ res.alpha

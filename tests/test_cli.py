@@ -495,6 +495,34 @@ class TestAdConfigValidation:
         assert not (tmp_path / "x.json").exists()
 
 
+class TestCandidateGrids:
+    @pytest.mark.parametrize("protocol", ["ad", "duplicates"])
+    @pytest.mark.parametrize("flags, grid", [
+        (["--a-grid", "1,2,3"], "a_grid"),
+        (["--a-grid", "log:1e-4:1e2:6"], "a_grid"),
+        (["--sigma-grid=-1,2,3,4,5,6,7"], "sigma_grid"),
+        (["--sigma-grid", "0,1,2,3,4,5,6"], "sigma_grid"),
+    ])
+    def test_bad_grid_fails_before_any_fit(self, tmp_path, mixture_csv, capsys, protocol,
+                                           flags, grid):
+        rc = main(["experiment", "--protocol", protocol, "--data", mixture_csv,
+                   "--methods", "sosrep_sdo,kde_gaussian", *EXP_FLAGS, *flags,
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation"
+        assert grid in error["message"]
+        assert not (tmp_path / "x.json").exists()
+
+    def test_short_grid_is_the_same_error_in_tune(self, tmp_path, gaussian_csv, capsys):
+        rc = main(["tune", "--data", gaussian_csv, "--a-grid", "1,2,3",
+                   "--out", str(tmp_path / "s.json")])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation"
+        assert "a_grid" in error["message"]
+
+
 class TestFitOnlyFlags:
     @pytest.mark.parametrize("flag", [["--method", "standard"], ["--exact-normalization"]])
     @pytest.mark.parametrize("command", ["tune", "experiment"])

@@ -391,6 +391,10 @@ class TestAdConfig:
         {"lr": -1.0},
         {"n_iters": 0},
         {"grad_tol": -1.0},
+        {"a_grid": (3.0, 2.0, 1.0)},
+        {"a_grid": (7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 2.0)},
+        {"sigma_grid": (6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0)},
+        {"sigma_grid": (7.0, 6.0, 5.0, math.nan, 3.0, 2.0, 1.0)},
     ])
     def test_invalid_value_rejected_at_construction(self, kwargs):
         with pytest.raises(ValidationError):

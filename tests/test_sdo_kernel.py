@@ -282,6 +282,17 @@ class TestOracles1d:
 
 
 class TestSpectralMass:
+    @pytest.mark.parametrize("d, m, a", [(3, 2, 1.0), (5, 3, 1.0), (1, 1, 100.0)])
+    def test_matches_quadrature(self, d, m, a):
+        # W = S_(d-1) * integral over r > 0 of r^(d-1) / (1 + a (2 pi)^(2m) r^(2m))
+        from scipy import integrate
+
+        c = a * (2.0 * np.pi) ** (2 * m)
+        radial, _ = integrate.quad(lambda r: r ** (d - 1) / (1.0 + c * r ** (2 * m)),
+                                   0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        np.testing.assert_allclose(sp.spectral_mass(sp.SdoParams(a=a, d=d, m=m)),
+                                   sp.sphere_area(d) * radial, rtol=1e-12)
+
     def test_1d_closed_form(self):
         # W = 2 * integral of 1/(1 + a (2 pi r)^2) dr = 1/(2 sqrt(a))
         np.testing.assert_allclose(

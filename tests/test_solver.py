@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,24 @@ class TestFittedModel:
         f, _ = m.f_and_grad(Y)
         np.testing.assert_allclose(f, m.f_values(Y), rtol=1e-12)
         np.testing.assert_allclose(f * f, m.density(Y), rtol=1e-12)
+
+
+class TestFitModelMemory:
+    def test_peak_holds_one_gram_matrix(self):
+        # N > T, so the N x N Gram dominates the N x T features; a jittered
+        # copy of the Gram would put the peak at about Phi + 2 K.
+        N, T = 600, 128
+        X = np.random.default_rng(42).normal(size=(N, 2))
+        params = sp.SdoParams(a=0.5, d=2)
+        sp.sample_frequencies(params, T, seed=5)  # builds the cached radial grid
+        tracemalloc.start()
+        try:
+            sp.fit_model(X, params, T=T, seed=5, opts=sp.SolverOptions(n_iters=20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        phi_bytes, gram_bytes = N * T * 8, N * N * 8
+        assert peak < phi_bytes + 1.5 * gram_bytes
 
 
 class TestSerialization:

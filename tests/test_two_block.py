@@ -75,6 +75,14 @@ class TestSolveTwoBlock:
         sol = sp.solve_two_block(0.64, 0.08, 0.08, 0.04)
         np.testing.assert_allclose(sol.ratio_by_rho[sol.rho], sol.ratio, rtol=1e-9)
 
+    def test_log_uniform_sweep(self):
+        rng = np.random.default_rng(20)
+        for H in 10.0 ** rng.uniform(-6.0, 6.0, size=(2000, 4)):
+            sol = sp.solve_two_block(*H)
+            assert sol.rho == 1
+            assert sol.residual <= 1e-15 * max(sol.a, sol.b)
+            np.testing.assert_allclose(sol.ratio, (sol.a / sol.b) ** 2, rtol=1e-14)
+
     def test_rejects_bad_coefficients(self):
         with pytest.raises(ValidationError):
             sp.solve_two_block(0.0, 1.0, 1.0, 1.0)
@@ -109,6 +117,16 @@ class TestApproxSystemRatio:
     def test_equal_correlations_give_one(self):
         spec = sp.BlockSpec(N=5, M=5, gamma=0.6, gamma_prime=0.6, beta=0.2)
         np.testing.assert_allclose(sp.sosrep_block_ratio(spec), 1.0, rtol=1e-9)
+
+    def test_seeded_sweep_is_beta_independent(self):
+        rng = np.random.default_rng(21)
+        for gamma, ratio_gp, beta in rng.uniform((0.05, 0.05, 0.0), (1.0, 1.0, 1.0),
+                                                 size=(2000, 3)):
+            gamma_prime = gamma * ratio_gp
+            spec = sp.BlockSpec(N=10, M=10, gamma=gamma, gamma_prime=gamma_prime, beta=beta)
+            np.testing.assert_allclose(
+                sp.sosrep_block_ratio(spec), (gamma / gamma_prime) ** 2, rtol=1e-14
+            )
 
     def test_requires_equal_sizes(self):
         with pytest.raises(ValidationError):

@@ -3,6 +3,14 @@
 Both families carry the 1/sigma^d normalization so that evaluation at x = y
 equals (1/sigma)^d.  Bandwidths are tuned with the same Fisher-divergence
 machinery used for the sampled kernel's smoothness parameter.
+
+The (N, M, d) difference and gradient tensors are filled one coordinate at a
+time, each slice [:, :, j] one N x M operation.  A broadcast over the short
+last axis would run numpy's inner loop over only d elements, several times
+slower per element; the per-coordinate fill applies the same IEEE operation
+to every element, so its values are those of the broadcast bit for bit.  The
+squared distance stays one einsum over the tensor: a per-coordinate sum
+matches it only for d <= 2.
 """
 
 from __future__ import annotations
@@ -39,7 +47,10 @@ def _pairwise_diff(X, Y):
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise DataError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return X[:, None, :] - Y[None, :, :]  # (N, M, d)
+    diff = np.empty((X.shape[0], Y.shape[0], X.shape[1]))  # x_i - y_j
+    for j in range(X.shape[1]):
+        np.subtract(X[:, j, None], Y[None, :, j], out=diff[:, :, j])
+    return diff
 
 
 def _kernel_from_diff(k: ClosedFormKernel, diff: np.ndarray):
@@ -68,14 +79,17 @@ def eval_kernel(k: ClosedFormKernel, x, y) -> float:
 
 def kernel_and_gradient_closed_form(k: ClosedFormKernel, X, Y):
     """(kernel_matrix_closed_form, kernel_gradient_closed_form) from one difference tensor."""
-    diff = _pairwise_diff(X, Y)  # x_i - y_j
-    vals, dist = _kernel_from_diff(k, diff)
-    if k.family == "gaussian":
-        return vals, vals[:, :, None] * diff / k.sigma**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = diff / dist[:, :, None]
-    unit[~np.isfinite(unit)] = 0.0
-    return vals, vals[:, :, None] * unit / k.sigma
+    grads = _pairwise_diff(X, Y)  # x_i - y_j, overwritten by the gradient
+    vals, dist = _kernel_from_diff(k, grads)
+    for j in range(k.d):
+        g = grads[:, :, j]
+        if k.family == "laplacian":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(g, dist, out=g)  # the unit vector's coordinate j
+            g[~np.isfinite(g)] = 0.0
+        np.multiply(vals, g, out=g)
+    grads /= k.sigma**2 if k.family == "gaussian" else k.sigma
+    return vals, grads
 
 
 def kernel_gradient_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:

@@ -112,8 +112,9 @@ def _parse_ints(text: str, what: str) -> tuple:
     return vals
 
 
-def _parse_a_grid(text: str) -> tuple:
-    """Either 'log:lo:hi:n' (descending geometric grid) or a comma list."""
+def _parse_a_grid(text: str, what: str) -> tuple:
+    """Either 'log:lo:hi:n' (descending geometric grid) or a comma list of
+    distinct values, sorted descending; `what`, the grid's flag, names it in errors."""
     if text.startswith("log:"):
         parts = text.split(":")
         if len(parts) != 4:
@@ -126,12 +127,14 @@ def _parse_a_grid(text: str) -> tuple:
             raise _UsageError("grid bounds must be positive and n >= 2")
         return tuple(np.geomspace(max(lo, hi), min(lo, hi), n))
     try:
-        vals = sorted({float(t) for t in text.split(",") if t.strip()}, reverse=True)
+        vals = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise _UsageError(f"could not parse candidate list {text!r}")
+        raise _UsageError(f"could not parse {what} list {text!r}")
     if not vals:
-        raise _UsageError("candidate list is empty")
-    return tuple(vals)
+        raise _UsageError(f"{what} list is empty")
+    if len(set(vals)) != len(vals):
+        raise _UsageError(f"{what} list {text!r} repeats a value")
+    return tuple(sorted(vals, reverse=True))
 
 
 def _load_dataset(path, label_column, require_labels=False):
@@ -198,7 +201,7 @@ def _config_from_args(args, sigma_grid=None, fd_max_rows=None) -> AdConfig:
     )
     for name, spec in (("a_grid", args.a_grid), ("sigma_grid", sigma_grid)):
         if spec is not None:
-            kwargs[name] = _parse_a_grid(spec)
+            kwargs[name] = _parse_a_grid(spec, "--" + name.replace("_", "-"))
     return AdConfig(**kwargs)
 
 

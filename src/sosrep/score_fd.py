@@ -12,6 +12,13 @@ of len(Y) rows.  Because scores are invariant to the density's
 normalization, the statistic can rank smoothness candidates without
 normalizing the fitted pre-density.
 
+The probes depend only on (seed, number of rows, n_fd_iters, d, probe kind),
+never on the model, so the probe plan -- the probes, stored as int8, and
+their numbering into distinct probes per row -- is drawn once per such key
+and kept, read-only, in a one-plan cache.  The candidates of one tune sweep
+reuse one plan, and tune empties the cache when its sweep ends, so no plan
+outlives its sweep.
+
 Hyperparameter selection follows a stable-local-minimum rule on the profile
 of FD values over a descending grid of smoothness candidates: the chosen
 point must lie strictly below its three neighbors on each side, ties broken
@@ -22,6 +29,7 @@ point is certified.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -198,6 +206,20 @@ def _distinct_probes(eps: np.ndarray):
     return slot, first[:, : slot.max() + 1]
 
 
+@functools.lru_cache(maxsize=1)
+def _probe_plan(seed: int, n_rows: int, n_fd_iters: int, d: int, probe: str):
+    """(eps, slot, first): row i's probes eps[i], drawn from rng_from_seed(seed, i),
+    and their _distinct_probes numbering.  The arrays are shared and read-only;
+    eps holds the probe entries -1, 0 and 1 as int8, an eighth of float64."""
+    eps = np.empty((n_rows, n_fd_iters, d), dtype=np.int8)
+    for i in range(n_rows):
+        eps[i] = _draw_probes(rng_from_seed(seed, i), n_fd_iters, d, probe)
+    plan = (eps, *_distinct_probes(eps))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
 def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     """Fisher-divergence statistic of the model over test rows Y.
 
@@ -210,7 +232,7 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     scores row i's r-th distinct displacement, in one model call of len(Y)
     rows with row i at position i, and the Hutchinson sum then gathers the
     scores probe by probe.  The values equal those of one call per probe,
-    bit for bit.
+    bit for bit.  The probes and their numbering come from _probe_plan.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n_rows, d = Y.shape
@@ -219,20 +241,17 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     S0, f0 = model.score_batch(Y)
     ok = np.abs(f0) >= _DENSITY_FLOOR
 
-    eps = np.empty((n_rows, opts.n_fd_iters, d))
-    for i in range(n_rows):
-        eps[i] = _draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe)
-
-    slot, first = _distinct_probes(eps)
+    eps, slot, first = _probe_plan(opts.seed, n_rows, opts.n_fd_iters, d, opts.probe)
     rows = np.arange(n_rows)
     S_round = np.empty((first.shape[1], n_rows, d))
     f_round = np.empty((first.shape[1], n_rows))
     for r in range(first.shape[1]):
-        S_round[r], f_round[r] = model.score_batch(Y + opts.h * eps[rows, first[:, r]])
+        E = eps[rows, first[:, r]].astype(float)
+        S_round[r], f_round[r] = model.score_batch(Y + opts.h * E)
 
     trace_acc = np.zeros(n_rows)
     for j in range(opts.n_fd_iters):
-        E = eps[:, j, :]
+        E = eps[:, j, :].astype(float)
         Sj, fj = S_round[slot[:, j], rows], f_round[slot[:, j], rows]
         ok &= np.abs(fj) >= _DENSITY_FLOOR
         with np.errstate(invalid="ignore"):
@@ -301,7 +320,8 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
     construction the one with the largest candidate value.  A candidate whose
     fit or statistic fails records fd = +inf.  If no stable minimum exists
     after exhausting the grid, the global minimum of the evaluated profile is
-    returned (ties toward the larger candidate).
+    returned (ties toward the larger candidate).  The candidates share one
+    probe plan, which is dropped when the sweep ends.
 
     Returns (a_star, profile of all evaluated candidates).
     """
@@ -322,11 +342,14 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
                            skipped_rows=int(np.atleast_2d(Y_test).shape[0]))
 
     entries: list[FdEntry] = []
-    for j, a in enumerate(cand):
-        entries.append(evaluate(a))
-        center = j - _WINDOW
-        if center >= _WINDOW and _is_stable_center(np.array([e.fd for e in entries]), center):
-            return cand[center], FdProfile(entries=tuple(entries))
+    try:
+        for j, a in enumerate(cand):
+            entries.append(evaluate(a))
+            center = j - _WINDOW
+            if center >= _WINDOW and _is_stable_center(np.array([e.fd for e in entries]), center):
+                return cand[center], FdProfile(entries=tuple(entries))
+    finally:
+        _probe_plan.cache_clear()  # the sweep's probe plan is not needed after it
 
     profile = FdProfile(entries=tuple(entries))
     fd = profile.fd_values()

@@ -283,8 +283,8 @@ def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np
     With exact_normalization the features carry sqrt(2W) so that Phi @ Phi.T
     estimates the kernel itself instead of kernel/(2W).
     """
-    U, scale = feature_phases(X, fs, exact_normalization)
-    Phi = np.cos(U)
+    Phi, scale = feature_phases(X, fs, exact_normalization)
+    np.cos(Phi, out=Phi)  # in place: one N x T array alive, not two
     Phi *= scale
     return Phi
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosrep as sp
+from sosrep.baseline_kernels import kernel_and_gradient_closed_form
 from sosrep.errors import DataError, ValidationError
+from sosrep.harness import ClosedFormRepresenterModel
 
 
 class TestClosedFormKernel:
@@ -180,3 +182,54 @@ def test_gram_psd_property(family, sigma, seed):
     K = sp.kernel_matrix_closed_form(k, X, X)
     eigs = np.linalg.eigvalsh((K + K.T) / 2.0)
     assert eigs.min() >= -1e-10 * max(1.0, np.trace(K))
+
+
+def _broadcast_reference(k, X, Y):
+    """(values, gradients) by the length-d broadcasts the per-coordinate
+    construction replaced, kept verbatim as its bitwise oracle."""
+    diff = X[:, None, :] - Y[None, :, :]  # (N, M, d)
+    norm = k.sigma ** (-k.d)
+    if k.family == "gaussian":
+        sq = np.einsum("nmd,nmd->nm", diff, diff)
+        vals = norm * np.exp(-sq / (2.0 * k.sigma**2))
+        return vals, vals[:, :, None] * diff / k.sigma**2
+    dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    vals = norm * np.exp(-dist / k.sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = diff / dist[:, :, None]
+    unit[~np.isfinite(unit)] = 0.0
+    return vals, vals[:, :, None] * unit / k.sigma
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "laplacian"]),
+    d=st.integers(1, 13),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    sigma=st.floats(min_value=0.05, max_value=5.0),
+    spread=st.floats(min_value=0.01, max_value=10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_path_is_bitwise_the_broadcast(family, d, n, m, sigma, spread, seed):
+    rng = np.random.default_rng(seed)
+    X = spread * rng.normal(size=(n, d))
+    Y = spread * rng.normal(size=(m, d))
+    Y[0] = X[-1]  # coinciding points: the Laplacian's zero gradient
+    k = sp.ClosedFormKernel(family=family, sigma=sigma, d=d)
+    alpha = rng.random(n)
+    vals, grads = _broadcast_reference(k, X, Y)
+
+    def same(a, b):
+        return a.shape == b.shape and np.array_equal(a, b)
+
+    both = kernel_and_gradient_closed_form(k, X, Y)
+    assert same(both[0], vals) and same(both[1], grads)
+    assert same(sp.kernel_matrix_closed_form(k, X, Y), vals)
+    assert same(sp.kernel_gradient_closed_form(k, X, Y), grads)
+    assert same(sp.kde_density(X, Y, k), vals.mean(axis=0))
+    f, G = ClosedFormRepresenterModel(X, alpha, k, squared=True).f_and_grad(Y)
+    assert same(f, alpha @ vals)
+    assert same(G, np.einsum("n,nmd->md", alpha, grads))
+    if family == "laplacian":
+        assert not grads[-1, 0].any()

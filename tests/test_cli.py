@@ -522,6 +522,24 @@ class TestCandidateGrids:
         assert error["kind"] == "validation"
         assert "a_grid" in error["message"]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("tune", "--a-grid"), ("experiment", "--a-grid"), ("experiment", "--sigma-grid"),
+    ])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, gaussian_csv, mixture_csv,
+                                                capsys, command, flag):
+        grid = "1,1,0.5,0.25,0.1,0.05,0.02,0.01"  # 8 values, 7 distinct
+        argv = {
+            "tune": ["tune", "--data", gaussian_csv, *TUNE_FLAGS],
+            "experiment": ["experiment", "--protocol", "ad", "--data", mixture_csv,
+                           "--methods", "sosrep_sdo,kde_gaussian", *EXP_FLAGS],
+        }[command]
+        rc = main([*argv, flag, grid, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "usage"
+        assert flag in error["message"]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestFitOnlyFlags:
     @pytest.mark.parametrize("flag", [["--method", "standard"], ["--exact-normalization"]])

@@ -19,6 +19,7 @@ from sosrep.score_fd import (
     FdEntry,
     FdStat,
     _draw_probes,
+    _probe_plan,
     profile_from_csv,
     profile_to_csv,
     selection_kind,
@@ -264,6 +265,63 @@ class TestFdStatisticDistinctProbes:
         stat = sp.fd_statistic(model, Y, opts)
         assert stat == _fd_statistic_reference(model, Y, opts)
         assert stat.skipped_rows == 1
+
+
+class TestProbePlan:
+    def test_cached_arrays_reject_writes(self):
+        for arr in _probe_plan(3, 5, 7, 2, "rademacher"):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+
+    def test_calls_after_a_first_call_equal_one_call_per_probe(self):
+        Y = np.random.default_rng(50).normal(size=(11, 2))
+        base = sp.FdOptions(n_fd_iters=25, h=1e-4, probe="rademacher", seed=3)
+        model = _backend_model("gaussian", 2)
+        sp.fd_statistic(model, Y, base)
+        cases = [
+            (model, Y, base),
+            (model, Y, sp.FdOptions(n_fd_iters=25, h=1e-4, probe="rademacher", seed=4)),
+            (model, Y, sp.FdOptions(n_fd_iters=25, h=1e-4, probe="paper_three_point", seed=3)),
+            (model, Y, sp.FdOptions(n_fd_iters=24, h=1e-4, probe="rademacher", seed=3)),
+            (model, Y[:7], base),
+            (_backend_model("gaussian", 3), np.random.default_rng(51).normal(size=(11, 3)), base),
+        ]
+        for m, rows, opts in cases:
+            assert sp.fd_statistic(m, rows, opts) == _fd_statistic_reference(m, rows, opts)
+
+    def test_tune_draws_one_plan_for_all_candidates_and_drops_it(self, monkeypatch):
+        Y = np.random.default_rng(52).normal(size=(9, 2))
+        opts = sp.FdOptions(n_fd_iters=10, seed=7)
+        X = np.random.default_rng(53).normal(size=(20, 2))
+        drawn = []
+        draw = sp.score_fd._draw_probes
+        monkeypatch.setattr(sp.score_fd, "_draw_probes",
+                            lambda *args: drawn.append(args[1:]) or draw(*args))
+        _probe_plan.cache_clear()
+
+        def fit_fn(sigma):
+            kernel = sp.ClosedFormKernel(family="gaussian", sigma=sigma, d=2)
+            return ClosedFormRepresenterModel(X, np.full(20, 0.05), kernel, squared=False)
+
+        _, profile = sp.tune(np.geomspace(5.0, 0.05, 9), fit_fn, Y, opts)
+        assert len(profile) > 1
+        assert drawn == [(10, 2, "rademacher")] * len(Y)  # one row of probes each, once
+        assert _probe_plan.cache_info().currsize == 0
+
+    def test_tune_drops_the_plan_when_a_fit_raises(self):
+        model = _backend_model("gaussian", 2)
+        fits = []
+
+        def fit_fn(a):
+            fits.append(a)
+            if len(fits) == 2:
+                raise RuntimeError("fit interrupted")
+            return model
+
+        with pytest.raises(RuntimeError):
+            sp.tune(np.geomspace(5.0, 0.05, 7), fit_fn, np.zeros((4, 2)), sp.FdOptions(n_fd_iters=5))
+        assert _probe_plan.cache_info().currsize == 0
 
 
 class _RecordingModel:

@@ -413,21 +413,31 @@ class TestFittedModel:
 
 
 class TestFitModelMemory:
+    @staticmethod
+    def _peak(N, T, data_seed, seed):
+        """tracemalloc's peak over one fit_model on N points with T features."""
+        X = np.random.default_rng(data_seed).normal(size=(N, 2))
+        params = sp.SdoParams(a=0.5, d=2)
+        sp.sample_frequencies(params, T, seed=seed)  # builds the cached radial grid
+        tracemalloc.start()
+        try:
+            sp.fit_model(X, params, T=T, seed=seed, opts=sp.SolverOptions(n_iters=20))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_holds_one_gram_matrix(self):
         # N > T, so the N x N Gram dominates the N x T features; a jittered
         # copy of the Gram would put the peak at about Phi + 2 K.
         N, T = 600, 128
-        X = np.random.default_rng(42).normal(size=(N, 2))
-        params = sp.SdoParams(a=0.5, d=2)
-        sp.sample_frequencies(params, T, seed=5)  # builds the cached radial grid
-        tracemalloc.start()
-        try:
-            sp.fit_model(X, params, T=T, seed=5, opts=sp.SolverOptions(n_iters=20))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         phi_bytes, gram_bytes = N * T * 8, N * N * 8
-        assert peak < phi_bytes + 1.5 * gram_bytes
+        assert self._peak(N, T, data_seed=42, seed=5) < phi_bytes + 1.5 * gram_bytes
+
+    def test_peak_holds_one_feature_matrix(self):
+        # T > N, so the N x T features dominate; computing the cosines into a
+        # second array would put the peak at about 2 Phi.
+        N, T = 200, 2048
+        assert self._peak(N, T, data_seed=43, seed=6) < 1.5 * N * T * 8
 
 
 class TestSerialization:

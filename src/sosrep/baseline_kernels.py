@@ -1,4 +1,4 @@
-"""Closed-form Gaussian and Laplacian kernels and the plain KDE estimator.
+"""Closed-form Gaussian and Laplacian kernels and their plain KDE estimator.
 
 Both families carry the 1/sigma^d normalization so that evaluation at x = y
 equals (1/sigma)^d.  Bandwidths are tuned with the same Fisher-divergence
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdo_kernel
 from .errors import DataError, ValidationError
 
 FAMILIES = ("gaussian", "laplacian")
@@ -101,17 +100,17 @@ def kernel_gradient_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
     return kernel_and_gradient_closed_form(k, X, Y)[1]
 
 
-def kde_density(X_train, Y, kernel) -> np.ndarray:
-    """(1/N) * sum_i k(x_i, y_j) for each query row y_j.
+def kde_density(X_train, Y, kernel: ClosedFormKernel) -> np.ndarray:
+    """(1/N) * sum_i k(x_i, y_j) for each query row y_j of a closed-form kernel.
 
-    `kernel` is either a ClosedFormKernel or a sampled-kernel FrequencySample;
-    with the latter, finite-T values can be slightly negative and are
-    reported as-is.
+    The sampled-kernel KDE is harness.SdoKdeModel, which evaluates the same
+    mean through the mean feature vector without an N x M Gram matrix.
     """
+    if not isinstance(kernel, ClosedFormKernel):
+        raise ValidationError(
+            f"kde_density takes a ClosedFormKernel, got {type(kernel).__name__}"
+        )
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     if X_train.shape[0] < 1:
         raise DataError("KDE requires a nonempty training set")
-    if isinstance(kernel, sdo_kernel.FrequencySample):
-        K = sdo_kernel.kernel_matrix(Y, X_train, kernel)
-        return K.mean(axis=1)
     return kernel_matrix_closed_form(kernel, X_train, Y).mean(axis=0)

@@ -6,12 +6,15 @@ and `duplicates` protocols of `experiment` share the Fisher-divergence flags
 them and select per seed through harness.select; --method and
 --exact-normalization act on `fit` alone.  The whole AdConfig is validated
 before any fit, and list flags (--seeds, --k-values, --sample-sizes) take
-distinct integers and --methods distinct names.  A flag given to an
-experiment protocol that does not read it is a usage error, and so is
-`tune --eval-data` with an explicit --train-frac (no split of --data takes
-place, and run_config records train_frac as null).  The solver, kernel and
-FD flags take their defaults from SolverOptions and AdConfig, so each
-default is declared once.
+distinct integers, --a-grid and --sigma-grid distinct values, and --methods
+distinct names; a bad list is a usage error that names its flag.  A flag
+given to an experiment protocol that does not read it is a usage error, and
+so is `tune --eval-data` with an explicit --train-frac (no split of --data
+takes place, and run_config records train_frac as null).  The solver,
+kernel and FD flags take their defaults from SolverOptions and AdConfig, so
+each default is declared once.  `experiment` runs its dataset x method
+cells one after another in this process; parallel work is one process per
+dataset or method.
 
 Errors are reported as a single JSON object on stderr; exit code 2 flags
 usage/validation/data/io problems and 3 flags numeric failures.  All file
@@ -25,9 +28,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -88,17 +89,6 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write("\n")
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("SOSREP_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValidationError(f"SOSREP_THREADS must be an integer, got {raw!r}")
-    if v < 1:
-        raise ValidationError(f"SOSREP_THREADS must be >= 1, got {v}")
-    return v
-
-
 def _parse_ints(text: str, what: str) -> tuple:
     """A comma list of distinct integers; `what`, the list's flag, names it in errors."""
     try:
@@ -118,13 +108,15 @@ def _parse_a_grid(text: str, what: str) -> tuple:
     if text.startswith("log:"):
         parts = text.split(":")
         if len(parts) != 4:
-            raise _UsageError(f"expected log:lo:hi:n, got {text!r}")
+            raise _UsageError(f"{what}: expected log:lo:hi:n, got {text!r}")
         try:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
-            raise _UsageError(f"could not parse grid spec {text!r}")
+            raise _UsageError(f"could not parse {what} spec {text!r}")
         if lo <= 0 or hi <= 0 or n < 2:
-            raise _UsageError("grid bounds must be positive and n >= 2")
+            raise _UsageError(f"{what} bounds must be positive and n >= 2, got {text!r}")
+        if lo == hi:
+            raise _UsageError(f"{what} spec {text!r} repeats a value")
         return tuple(np.geomspace(max(lo, hi), min(lo, hi), n))
     try:
         vals = [float(t) for t in text.split(",") if t.strip()]
@@ -325,9 +317,11 @@ def cmd_two_block(args) -> int:
 
 
 def _run_ad_cells(args, datasets) -> list:
-    """run_ad for each dataset x method, SOSREP_THREADS cells at a time.
+    """run_ad for each dataset x method, one cell after another.
 
-    Returns one list of reports per dataset, in --methods order.
+    Returns one list of reports per dataset, in --methods order.  Cells run
+    serially, so each selection sweep has the process's probe-plan cache to
+    itself.
     """
     methods = AD_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     for m in methods:
@@ -338,19 +332,7 @@ def _run_ad_cells(args, datasets) -> list:
     seeds = _parse_ints(args.seeds, "--seeds")
     config = _config_from_args(args, sigma_grid=args.sigma_grid,
                                fd_max_rows=args.fd_max_rows)
-    threads = _n_threads()
-    cells = [(ds, m) for ds in datasets for m in methods]
-
-    def one(cell):
-        return run_ad(*cell, seeds=seeds, config=config)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(one, cells))
-    else:
-        reports = [one(c) for c in cells]
-    n = len(methods)
-    return [reports[i:i + n] for i in range(0, len(reports), n)]
+    return [[run_ad(ds, m, seeds=seeds, config=config) for m in methods] for ds in datasets]
 
 
 def _experiment_ad(args, ds) -> dict:

@@ -17,7 +17,9 @@ never on the model, so the probe plan -- the probes, stored as int8, and
 their numbering into distinct probes per row -- is drawn once per such key
 and kept, read-only, in a one-plan cache.  The candidates of one tune sweep
 reuse one plan, and tune empties the cache when its sweep ends, so no plan
-outlives its sweep.
+outlives its sweep.  Sweeps running concurrently in one process would evict
+each other's plan and redraw it, with the same values; the CLI runs its
+experiment cells one after another.
 
 Hyperparameter selection follows a stable-local-minimum rule on the profile
 of FD values over a descending grid of smoothness candidates: the chosen

@@ -159,13 +159,11 @@ class TestKde:
         with pytest.raises(DataError):
             sp.kde_density(np.zeros((0, 1)), np.zeros((1, 1)), k)
 
-    def test_sampled_kernel_branch_matches_gram_mean(self):
+    def test_sampled_kernel_rejected(self):
+        # the sampled-kernel KDE is SdoKdeModel; kde_density is closed-form only
         fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 256, seed=11)
-        rng = np.random.default_rng(12)
-        X, q = rng.normal(size=(9, 2)), rng.normal(size=(4, 2))
-        dens = sp.kde_density(X, q, fs)
-        K = sp.kernel_matrix(q, X, fs)
-        np.testing.assert_allclose(dens, K.mean(axis=1), rtol=1e-15)
+        with pytest.raises(ValidationError, match="ClosedFormKernel"):
+            sp.kde_density(np.zeros((3, 2)), np.zeros((1, 2)), fs)
 
 
 @settings(max_examples=30, deadline=None)

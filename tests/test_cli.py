@@ -405,25 +405,25 @@ class TestExperiment:
         assert _stderr_error(capsys)["kind"] == "usage"
 
 
-class TestThreads:
-    def test_parallel_run_matches_serial(self, tmp_path, mixture_csv, monkeypatch):
-        serial_p, par_p = tmp_path / "serial.json", tmp_path / "par.json"
+class TestSerialCells:
+    def test_one_probe_plan_per_sweep_and_threads_variable_ignored(
+            self, tmp_path, mixture_csv, monkeypatch):
+        drawn = []
+        draw = sp.score_fd._draw_probes
+        monkeypatch.setattr(sp.score_fd, "_draw_probes",
+                            lambda *args: drawn.append(args[1:]) or draw(*args))
         argv = ["experiment", "--protocol", "ad", "--data", mixture_csv,
-                "--methods", "sosrep_sdo,kde_gaussian", *EXP_FLAGS]
-        monkeypatch.setenv("SOSREP_THREADS", "1")
-        assert main(argv + ["--out", str(serial_p)]) == 0
+                "--methods", "all", *EXP_FLAGS, "--seeds", "0,1"]
+        monkeypatch.delenv("SOSREP_THREADS", raising=False)
+        assert main(argv + ["--out", str(tmp_path / "unset.json")]) == 0
         monkeypatch.setenv("SOSREP_THREADS", "2")
-        assert main(argv + ["--out", str(par_p)]) == 0
-        assert serial_p.read_bytes() == par_p.read_bytes()
-
-    def test_invalid_thread_count_rejected(self, tmp_path, mixture_csv,
-                                           monkeypatch, capsys):
-        monkeypatch.setenv("SOSREP_THREADS", "zero")
-        rc = main(["experiment", "--protocol", "ad", "--data", mixture_csv,
-                   "--methods", "sosrep_sdo", *EXP_FLAGS,
-                   "--out", str(tmp_path / "x.json")])
-        assert rc == 2
-        assert _stderr_error(capsys)["kind"] == "validation"
+        assert main(argv + ["--out", str(tmp_path / "two.json")]) == 0
+        assert (tmp_path / "unset.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+        # a plan draws one row of probes per FD row: --fd-max-rows 64 of the
+        # 72-row test split, so 64 draws are one plan; one plan per
+        # (method, seed) sweep, in each of the two runs
+        n_sweeps = len(sp.AD_METHODS) * 2
+        assert drawn == [(5, 2, "rademacher")] * (64 * n_sweeps * 2)
 
 
 class TestOutOfRangeSeeds:
@@ -525,9 +525,16 @@ class TestCandidateGrids:
     @pytest.mark.parametrize("command, flag", [
         ("tune", "--a-grid"), ("experiment", "--a-grid"), ("experiment", "--sigma-grid"),
     ])
-    def test_repeated_grid_value_is_usage_error(self, tmp_path, gaussian_csv, mixture_csv,
-                                                capsys, command, flag):
-        grid = "1,1,0.5,0.25,0.1,0.05,0.02,0.01"  # 8 values, 7 distinct
+    @pytest.mark.parametrize("grid, message", [
+        ("1,1,0.5,0.25,0.1,0.05,0.02,0.01", "repeats a value"),  # 8 values, 7 distinct
+        ("log:1:1:7", "repeats a value"),
+        ("log:1:2", "expected log:lo:hi:n"),
+        ("log:a:2:7", "could not parse"),
+        ("log:0:2:7", "must be positive"),
+        ("log:1:2:1", "n >= 2"),
+    ])
+    def test_bad_grid_spec_is_usage_error_naming_its_flag(
+            self, tmp_path, gaussian_csv, mixture_csv, capsys, command, flag, grid, message):
         argv = {
             "tune": ["tune", "--data", gaussian_csv, *TUNE_FLAGS],
             "experiment": ["experiment", "--protocol", "ad", "--data", mixture_csv,
@@ -538,6 +545,7 @@ class TestCandidateGrids:
         error = _only_stderr_error(capsys)
         assert error["kind"] == "usage"
         assert flag in error["message"]
+        assert message in error["message"]
         assert not (tmp_path / "x.json").exists()
 
 

@@ -567,7 +567,8 @@ class TestInternalModels:
         fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 256, seed=32)
         model = SdoKdeModel(X, fs)
         q = rng.normal(size=(6, 2))
-        np.testing.assert_allclose(model.density(q), sp.kde_density(X, q, fs), rtol=1e-12)
+        np.testing.assert_allclose(model.density(q), sp.kernel_matrix(q, X, fs).mean(axis=1),
+                                   rtol=1e-12)
 
 
 class TestRepresenterProtocol:

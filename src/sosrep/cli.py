@@ -320,8 +320,7 @@ def _run_ad_cells(args, datasets) -> list:
     """run_ad for each dataset x method, one cell after another.
 
     Returns one list of reports per dataset, in --methods order.  Cells run
-    serially, so each selection sweep has the process's probe-plan cache to
-    itself.
+    serially; parallel work is one process per dataset or method.
     """
     methods = AD_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     for m in methods:

@@ -12,14 +12,11 @@ of len(Y) rows.  Because scores are invariant to the density's
 normalization, the statistic can rank smoothness candidates without
 normalizing the fitted pre-density.
 
-The probes depend only on (seed, number of rows, n_fd_iters, d, probe kind),
-never on the model, so the probe plan -- the probes, stored as int8, and
-their numbering into distinct probes per row -- is drawn once per such key
-and kept, read-only, in a one-plan cache.  The candidates of one tune sweep
-reuse one plan, and tune empties the cache when its sweep ends, so no plan
-outlives its sweep.  Sweeps running concurrently in one process would evict
-each other's plan and redraw it, with the same values; the CLI runs its
-experiment cells one after another.
+The probes depend only on the options, the number of rows and d, never on
+the model.  tune draws one probe plan -- the probes, stored as int8, and
+their numbering into distinct probes per row -- for its sweep and passes it
+to every candidate's statistic; fd_statistic called alone draws its own.
+No probe state is kept between calls.
 
 Hyperparameter selection follows a stable-local-minimum rule on the profile
 of FD values over a descending grid of smoothness candidates: the chosen
@@ -31,7 +28,6 @@ point is certified.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import os
@@ -208,21 +204,34 @@ def _distinct_probes(eps: np.ndarray):
     return slot, first[:, : slot.max() + 1]
 
 
-@functools.lru_cache(maxsize=1)
-def _probe_plan(seed: int, n_rows: int, n_fd_iters: int, d: int, probe: str):
-    """(eps, slot, first): row i's probes eps[i], drawn from rng_from_seed(seed, i),
-    and their _distinct_probes numbering.  The arrays are shared and read-only;
-    eps holds the probe entries -1, 0 and 1 as int8, an eighth of float64."""
-    eps = np.empty((n_rows, n_fd_iters, d), dtype=np.int8)
+@dataclass(frozen=True, eq=False)
+class _ProbePlan:
+    """Row i's probes eps[i], drawn from rng_from_seed(opts.seed, i) and stored
+    as int8 (the entries are -1, 0 and 1), and their _distinct_probes
+    numbering (slot, first).  opts are the options the plan was drawn for."""
+
+    opts: FdOptions
+    eps: np.ndarray
+    slot: np.ndarray
+    first: np.ndarray
+
+
+def _probe_plan(opts: FdOptions, n_rows: int, d: int) -> _ProbePlan:
+    eps = np.empty((n_rows, opts.n_fd_iters, d), dtype=np.int8)
     for i in range(n_rows):
-        eps[i] = _draw_probes(rng_from_seed(seed, i), n_fd_iters, d, probe)
-    plan = (eps, *_distinct_probes(eps))
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+        eps[i] = _draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe)
+    return _ProbePlan(opts, eps, *_distinct_probes(eps))
 
 
-def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
+def _test_rows(Y) -> np.ndarray:
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.shape[0] < 1:
+        raise ValidationError("fd_statistic requires at least one test row")
+    return Y
+
+
+def fd_statistic(model, Y, opts: FdOptions = FdOptions(),
+                 plan: _ProbePlan | None = None) -> FdStat:
     """Fisher-divergence statistic of the model over test rows Y.
 
     Rows where the model's underlying f vanishes (at the base point or any
@@ -234,16 +243,21 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions()) -> FdStat:
     scores row i's r-th distinct displacement, in one model call of len(Y)
     rows with row i at position i, and the Hutchinson sum then gathers the
     scores probe by probe.  The values equal those of one call per probe,
-    bit for bit.  The probes and their numbering come from _probe_plan.
+    bit for bit.  The probes and their numbering come from plan, a
+    _probe_plan(opts, len(Y), d), which is drawn here when not given; a plan
+    drawn for other options or another shape of Y is a ValidationError.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _test_rows(Y)
     n_rows, d = Y.shape
-    if n_rows < 1:
-        raise ValidationError("fd_statistic requires at least one test row")
+    if plan is None:
+        plan = _probe_plan(opts, n_rows, d)
+    elif plan.opts != opts or plan.eps.shape != (n_rows, opts.n_fd_iters, d):
+        raise ValidationError(f"probe plan drawn for {plan.opts} on {plan.eps.shape[0]} x "
+                              f"{plan.eps.shape[2]} rows, not {opts} on {n_rows} x {d}")
+    eps, slot, first = plan.eps, plan.slot, plan.first
     S0, f0 = model.score_batch(Y)
     ok = np.abs(f0) >= _DENSITY_FLOOR
 
-    eps, slot, first = _probe_plan(opts.seed, n_rows, opts.n_fd_iters, d, opts.probe)
     rows = np.arange(n_rows)
     S_round = np.empty((first.shape[1], n_rows, d))
     f_round = np.empty((first.shape[1], n_rows))
@@ -322,18 +336,20 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
     construction the one with the largest candidate value.  A candidate whose
     fit or statistic fails records fd = +inf.  If no stable minimum exists
     after exhausting the grid, the global minimum of the evaluated profile is
-    returned (ties toward the larger candidate).  The candidates share one
-    probe plan, which is dropped when the sweep ends.
+    returned (ties toward the larger candidate).  The sweep draws one probe
+    plan and every candidate's statistic uses it.
 
     Returns (a_star, profile of all evaluated candidates).
     """
     cand = [float(a) for a in candidate_as]
     _check_candidates(cand)
+    Y_test = _test_rows(Y_test)
+    plan = _probe_plan(opts, *Y_test.shape)
 
     def evaluate(a: float) -> FdEntry:
         try:
             model = fit_fn(a)
-            stat = fd_statistic(model, Y_test, opts)
+            stat = fd_statistic(model, Y_test, opts, plan)
             fd = stat.value
             if math.isnan(fd):
                 fd = math.inf
@@ -341,17 +357,14 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
                            skipped_rows=stat.skipped_rows)
         except (NumericsError, SolverDivergence, FloatingPointError):
             return FdEntry(a=a, fd=math.inf, retained_rows=0,
-                           skipped_rows=int(np.atleast_2d(Y_test).shape[0]))
+                           skipped_rows=Y_test.shape[0])
 
     entries: list[FdEntry] = []
-    try:
-        for j, a in enumerate(cand):
-            entries.append(evaluate(a))
-            center = j - _WINDOW
-            if center >= _WINDOW and _is_stable_center(np.array([e.fd for e in entries]), center):
-                return cand[center], FdProfile(entries=tuple(entries))
-    finally:
-        _probe_plan.cache_clear()  # the sweep's probe plan is not needed after it
+    for j, a in enumerate(cand):
+        entries.append(evaluate(a))
+        center = j - _WINDOW
+        if center >= _WINDOW and _is_stable_center(np.array([e.fd for e in entries]), center):
+            return cand[center], FdProfile(entries=tuple(entries))
 
     profile = FdProfile(entries=tuple(entries))
     fd = profile.fd_values()
@@ -394,6 +407,10 @@ def profile_from_csv(text: str) -> FdProfile:
     for row in reader:
         if not row:
             continue
-        entries.append(FdEntry(a=float(row[0]), fd=float(row[1]),
-                               retained_rows=int(row[2]), skipped_rows=int(row[3])))
+        try:
+            a, fd, retained, skipped = row
+            entries.append(FdEntry(a=float(a), fd=float(fd),
+                                   retained_rows=int(retained), skipped_rows=int(skipped)))
+        except ValueError as exc:
+            raise ValidationError(f"malformed profile row on line {reader.line_num}: {row}") from exc
     return FdProfile(entries=tuple(entries))

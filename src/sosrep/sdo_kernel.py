@@ -370,14 +370,35 @@ def frequency_sample_to_json(fs: FrequencySample) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _json_record(text: str) -> dict:
+    """Parse a JSON record; a value that is not an object is a TypeError."""
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
+def _record_int(record: dict, key: str) -> int:
+    """record[key], which must be a JSON integer (not a bool), else TypeError."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def frequency_sample_from_json(text: str) -> FrequencySample:
-    """Inverse of frequency_sample_to_json; bit-identical round trip."""
+    """Inverse of frequency_sample_to_json; bit-identical round trip.
+
+    A record that is not a JSON object, lacks a field, has a T or seed that is
+    not an integer, or whose Z or b does not fit T and d is a ValidationError.
+    """
     try:
-        record = json.loads(text)
+        record = _json_record(text)
         params = SdoParams(a=record["a_base"], d=record["d"], m=record["m"])
-        T = int(record["T"])
+        T = _record_int(record, "T")
         Z = np.array(record["Z"], dtype=float).reshape(T, params.d)
         b = np.array(record["b"], dtype=float)
-        return FrequencySample(Z=Z, b=b, T=T, seed=int(record["seed"]), base_params=params)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        return FrequencySample(Z=Z, b=b, T=T, seed=_record_int(record, "seed"),
+                               base_params=params)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON decoding
         raise ValidationError(f"malformed frequency sample record: {exc}") from exc

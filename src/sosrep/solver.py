@@ -41,6 +41,8 @@ from .sdo_kernel import (
     FORMAT_VERSION,
     FrequencySample,
     SdoParams,
+    _json_record,
+    _record_int,
     feature_map,
     feature_phases,
     rng_from_seed,
@@ -387,16 +389,17 @@ def model_from_json(text: str) -> FittedModel:
     """Rebuild a model from its JSON record, regenerating the frequency sample.
 
     A record without "squared" (written before the flag was stored) loads as
-    a squared model.  alpha and feature_weights must be lists of finite
-    numbers, feature_weights of length T.
+    a squared model.  The record must be a JSON object whose T and seed are
+    integers; alpha and feature_weights must be lists of finite numbers,
+    feature_weights of length T.
     """
     try:
-        record = json.loads(text)
+        record = _json_record(text)
         if record.get("kind") != "sosrep_model":
             raise ValidationError("not a model record")
         p = record["params"]
         params = SdoParams(a=p["a"], d=p["d"], m=p["m"])
-        fs = sample_frequencies(params, int(record["T"]), int(record["seed"]))
+        fs = sample_frequencies(params, _record_int(record, "T"), _record_int(record, "seed"))
         return FittedModel(
             alpha=_finite_vector(record["alpha"], "alpha"),
             fs=fs,

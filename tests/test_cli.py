@@ -170,18 +170,23 @@ class TestScore:
         np.testing.assert_array_equal(rows[:, 0], kde.f_values(X))
 
     @pytest.mark.parametrize("field, value", [("feature_weights", [0.5] * 3),
-                                              ("alpha", ["x"])])
+                                              ("alpha", ["x"]),
+                                              ("T", "abc"),
+                                              ("seed", 1.5),
+                                              (None, [])])
     def test_malformed_model_vector_is_validation_error(self, tmp_path, gaussian_csv,
                                                         fitted, capsys, field, value):
+        # field None replaces the whole record with value
         rec = json.loads((tmp_path / "model.json").read_text())
-        rec[field] = value
+        rec = value if field is None else {**rec, field: value}
         bad_p, out_p = tmp_path / "bad.json", tmp_path / "scores.csv"
         bad_p.write_text(json.dumps(rec))
         rc = main(["score", "--model", str(bad_p), "--data", gaussian_csv,
                    "--out", str(out_p)])
         assert rc == 2
         error = _only_stderr_error(capsys)
-        assert error["kind"] == "validation" and field in error["message"]
+        assert error["kind"] == "validation"
+        assert (field or "malformed model record") in error["message"]
         assert not out_p.exists()
 
     def test_dimension_mismatch_rejected(self, tmp_path, fitted, capsys):

@@ -267,13 +267,24 @@ class TestFdStatisticDistinctProbes:
         assert stat.skipped_rows == 1
 
 
-class TestProbePlan:
-    def test_cached_arrays_reject_writes(self):
-        for arr in _probe_plan(3, 5, 7, 2, "rademacher"):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 0
+def _counting_draws(monkeypatch):
+    """Record the (n, d, probe) of every _draw_probes call: one per plan row."""
+    drawn = []
+    draw = sp.score_fd._draw_probes
+    monkeypatch.setattr(sp.score_fd, "_draw_probes",
+                        lambda *args: drawn.append(args[1:]) or draw(*args))
+    return drawn
 
+
+def _gaussian_fit_fn(X):
+    def fit_fn(sigma):
+        kernel = sp.ClosedFormKernel(family="gaussian", sigma=sigma, d=X.shape[1])
+        return ClosedFormRepresenterModel(X, np.full(len(X), 1.0 / len(X)), kernel,
+                                          squared=False)
+    return fit_fn
+
+
+class TestProbePlan:
     def test_calls_after_a_first_call_equal_one_call_per_probe(self):
         Y = np.random.default_rng(50).normal(size=(11, 2))
         base = sp.FdOptions(n_fd_iters=25, h=1e-4, probe="rademacher", seed=3)
@@ -294,34 +305,57 @@ class TestProbePlan:
         Y = np.random.default_rng(52).normal(size=(9, 2))
         opts = sp.FdOptions(n_fd_iters=10, seed=7)
         X = np.random.default_rng(53).normal(size=(20, 2))
-        drawn = []
-        draw = sp.score_fd._draw_probes
-        monkeypatch.setattr(sp.score_fd, "_draw_probes",
-                            lambda *args: drawn.append(args[1:]) or draw(*args))
-        _probe_plan.cache_clear()
-
-        def fit_fn(sigma):
-            kernel = sp.ClosedFormKernel(family="gaussian", sigma=sigma, d=2)
-            return ClosedFormRepresenterModel(X, np.full(20, 0.05), kernel, squared=False)
-
-        _, profile = sp.tune(np.geomspace(5.0, 0.05, 9), fit_fn, Y, opts)
+        drawn = _counting_draws(monkeypatch)
+        _, profile = sp.tune(np.geomspace(5.0, 0.05, 9), _gaussian_fit_fn(X), Y, opts)
         assert len(profile) > 1
         assert drawn == [(10, 2, "rademacher")] * len(Y)  # one row of probes each, once
-        assert _probe_plan.cache_info().currsize == 0
 
-    def test_tune_drops_the_plan_when_a_fit_raises(self):
+    def test_nested_sweeps_each_draw_one_plan(self, monkeypatch):
+        # the outer sweep's second fit runs a whole inner sweep on other rows
+        # with another seed; neither sweep redraws its plan
+        rng = np.random.default_rng(54)
+        X, Y_out, Y_in = rng.normal(size=(20, 2)), rng.normal(size=(9, 2)), rng.normal(size=(6, 2))
+        grid = np.geomspace(5.0, 0.05, 9)
+        outer_opts = sp.FdOptions(n_fd_iters=10, seed=7)
+        inner_opts = sp.FdOptions(n_fd_iters=10, seed=8)
+        outer_fit = _gaussian_fit_fn(X)
+        solo_outer = sp.tune(grid, outer_fit, Y_out, outer_opts)
+        solo_inner = sp.tune(grid, outer_fit, Y_in, inner_opts)
+
+        inner = []
+
+        def fit_fn(sigma):
+            if len(inner) == 0 and sigma == grid[1]:
+                inner.append(sp.tune(grid, outer_fit, Y_in, inner_opts))
+            return outer_fit(sigma)
+
+        drawn = _counting_draws(monkeypatch)
+        nested_outer = sp.tune(grid, fit_fn, Y_out, outer_opts)
+        assert len(inner) == 1
+        assert drawn == [(10, 2, "rademacher")] * (9 + 6)
+        for got, want in ((nested_outer, solo_outer), (inner[0], solo_inner)):
+            assert got[0] == want[0] and got[1] == want[1]
+
+    def test_plan_drawn_for_other_options_or_rows_rejected(self):
         model = _backend_model("gaussian", 2)
+        Y = np.random.default_rng(55).normal(size=(6, 2))
+        opts = sp.FdOptions(n_fd_iters=8, seed=1)
+        plan = _probe_plan(opts, 6, 2)
+        assert sp.fd_statistic(model, Y, opts, plan) == sp.fd_statistic(model, Y, opts)
+        for other, rows in [(sp.FdOptions(n_fd_iters=8, seed=2), Y),
+                            (sp.FdOptions(n_fd_iters=8, seed=1, probe="paper_three_point"), Y),
+                            (sp.FdOptions(n_fd_iters=8, seed=1, h=1e-3), Y),
+                            (sp.FdOptions(n_fd_iters=9, seed=1), Y),
+                            (opts, Y[:5]),
+                            (opts, np.zeros((6, 3)))]:
+            with pytest.raises(ValidationError, match="probe plan drawn for"):
+                sp.fd_statistic(model, rows, other, plan)
+
+    def test_tune_rejects_empty_rows_before_any_fit(self):
         fits = []
-
-        def fit_fn(a):
-            fits.append(a)
-            if len(fits) == 2:
-                raise RuntimeError("fit interrupted")
-            return model
-
-        with pytest.raises(RuntimeError):
-            sp.tune(np.geomspace(5.0, 0.05, 7), fit_fn, np.zeros((4, 2)), sp.FdOptions(n_fd_iters=5))
-        assert _probe_plan.cache_info().currsize == 0
+        with pytest.raises(ValidationError, match="requires at least one test row"):
+            sp.tune(np.geomspace(5.0, 0.05, 7), fits.append, np.zeros((0, 2)))
+        assert fits == []
 
 
 class _RecordingModel:
@@ -551,6 +585,12 @@ class TestProfileCsv:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             profile_from_csv("x,y\n1,2\n")
+
+    @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5", "x,2,3,4", "1,2,3.5,4"])
+    def test_malformed_row_rejected_naming_its_line(self, row):
+        text = f"a,fd,retained_rows,skipped_rows\n2,1.5,4,0\n{row}\n"
+        with pytest.raises(ValidationError, match="line 3"):
+            profile_from_csv(text)
 
 
 class TestAtomicWrite:

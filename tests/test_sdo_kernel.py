@@ -325,6 +325,16 @@ class TestSerialization:
         assert back.seed == fs.seed and back.T == fs.T
         assert back.base_params == fs.base_params
 
+    @pytest.mark.parametrize("key, value", [(None, []), ("T", "abc"), ("T", 96.0),
+                                            ("seed", 1.5), ("Z", [0.5] * 5), ("Z", ["x"])])
+    def test_malformed_record_rejected(self, key, value):
+        # key None replaces the whole record with value
+        fs = sp.sample_frequencies(sp.SdoParams(a=0.37, d=3, m=2), 96, seed=21)
+        record = json.loads(sp.frequency_sample_to_json(fs))
+        record = value if key is None else {**record, key: value}
+        with pytest.raises(ValidationError, match="malformed frequency sample record"):
+            sp.frequency_sample_from_json(json.dumps(record))
+
     def test_json_record_fields(self):
         fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=1, m=1), 4, seed=0)
         record = json.loads(sp.frequency_sample_to_json(fs))

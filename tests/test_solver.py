@@ -484,7 +484,13 @@ class TestSerialization:
             sp.model_from_json("{not json")
         with pytest.raises(ValidationError):
             sp.model_from_json(json.dumps({"kind": "sosrep_model"}))  # missing fields
-
+        with pytest.raises(ValidationError, match="malformed model record: expected a JSON"):
+            sp.model_from_json("[]")
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        good = json.loads(sp.model_to_json(m))
+        for key, value in [("T", "abc"), ("T", 8.0), ("seed", 1.5), ("seed", True)]:
+            with pytest.raises(ValidationError, match=f"malformed model record: {key} must be"):
+                sp.model_from_json(json.dumps({**good, key: value}))
 
     def test_feature_weights_of_wrong_length_rejected(self):
         m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -51,11 +52,18 @@ DEFAULT_N_GRID = 10_000
 _SAMPLER_N_GRID = 200_000
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; False for a bool and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SdoParams:
     """Smoothness a, derivative order m, and dimension d of the SDO kernel.
 
-    m defaults to floor(d/2) + 1, the smallest integer with 2m > d.
+    m defaults to floor(d/2) + 1, the smallest integer with 2m > d.  a must be
+    a real number and d, m integers (Python or numpy, never bool), else
+    ValidationError naming the field.
     """
 
     a: float
@@ -65,12 +73,13 @@ class SdoParams:
     def __post_init__(self):
         if self.m is None:
             object.__setattr__(self, "m", self.d // 2 + 1)
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
+        if not (_is_int(self.d) and self.d >= 1):
             raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+        if not (_is_int(self.m) and self.m >= 1):
             raise ValidationError(f"derivative order m must be a positive integer, got {self.m!r}")
-        if not (np.isfinite(self.a) and self.a > 0):
-            raise ValidationError(f"smoothness a must be positive and finite, got {self.a!r}")
+        real = isinstance(self.a, numbers.Real) and not isinstance(self.a, bool)
+        if not (real and math.isfinite(self.a) and self.a > 0):
+            raise ValidationError(f"smoothness a must be a positive finite real number, got {self.a!r}")
         if 2 * self.m <= self.d:
             raise ValidationError(
                 f"need 2m > d for the kernel integral to converge (m={self.m}, d={self.d})"
@@ -200,8 +209,12 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
     Counter-based, so each stream is deterministic and independent of the
     order in which streams are drawn.  Seed and stream are the two 64-bit
-    words of the key: an integer outside 0..2**64-1 raises ValidationError.
+    words of the key: anything but a Python or numpy integer in 0..2**64-1
+    (a bool or a float too) raises ValidationError.
     """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise ValidationError(f"seed and stream must lie in 0..2**64-1, got {seed}, {stream}")
     key = np.array([seed, stream], dtype=np.uint64)
@@ -381,7 +394,7 @@ def _json_record(text: str) -> dict:
 def _record_int(record: dict, key: str) -> int:
     """record[key], which must be a JSON integer (not a bool), else TypeError."""
     value = record[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
 

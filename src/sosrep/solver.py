@@ -16,8 +16,10 @@ keeps f = K alpha nonnegative for entrywise-nonnegative kernels when
 lr < 0.5.  Any fixed point satisfies alpha_i (K alpha)_i = 1/N and therefore
 alpha^T K alpha = 1.
 
-`fit` enters one numpy errstate per call.  A natural iteration makes one
-K @ product (f = K alpha) and a standard iteration makes two (f and K f^(-1)).
+`fit_many` advances a batch of starts in one loop under one numpy errstate,
+and `fit` is its one-start case.  Per start, a natural iteration makes one
+matrix-vector product (f = K alpha) and a standard iteration makes two (f and
+K f^(-1)).
 
 Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
 `squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
@@ -41,6 +43,7 @@ from .sdo_kernel import (
     FORMAT_VERSION,
     FrequencySample,
     SdoParams,
+    _is_int,
     _json_record,
     _record_int,
     feature_map,
@@ -75,8 +78,10 @@ class SolverOptions:
             raise ValidationError(f"init must be one of {_INITS}, got {self.init!r}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be positive, got {self.lr!r}")
-        if self.n_iters < 1:
-            raise ValidationError("n_iters must be at least 1")
+        if not (_is_int(self.n_iters) and self.n_iters >= 1):
+            raise ValidationError(f"n_iters must be a positive integer, got {self.n_iters!r}")
+        if not _is_int(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.grad_tol < 0:
             raise ValidationError("grad_tol must be nonnegative")
         if self.init == "user" and self.alpha0 is None:
@@ -92,6 +97,28 @@ class FitResult:
     converged: bool
     clamp_warnings: int
     objective_history: np.ndarray
+
+
+class FitBatch(list):
+    """fit_many's entries in start order: a FitResult, or the SolverDivergence that start raised.
+
+    Its summary fields read like one FitResult's over the whole batch, so
+    code that reads a fit's summary (a profiler wrapping `fit`, say) reads a
+    batch too: n_iters_run and clamp_warnings total the starts that finished,
+    and converged holds when every start converged.
+    """
+
+    @property
+    def n_iters_run(self) -> int:
+        return sum(r.n_iters_run for r in self if isinstance(r, FitResult))
+
+    @property
+    def converged(self) -> bool:
+        return all(isinstance(r, FitResult) and r.converged for r in self)
+
+    @property
+    def clamp_warnings(self) -> int:
+        return sum(r.clamp_warnings for r in self if isinstance(r, FitResult))
 
 
 def _check_nonzero(f: np.ndarray):
@@ -141,14 +168,25 @@ def rkhs_norm_sq(alpha, K) -> float:
 
 
 def _clamped_inverse(f: np.ndarray, small: np.ndarray):
-    """Elementwise 1/f, with the entries marked small (|f| < 1e-12) set to sign(f) * 1e12."""
+    """Elementwise 1/f, with the entries marked small (|f| < 1e-12) set to sign(f) * 1e12.
+
+    Returns the inverse and the number of clamped entries in each row.
+    """
     inv = np.empty_like(f)
     safe = ~small
     inv[safe] = 1.0 / f[safe]
     signs = np.sign(f[small])
     signs[signs == 0.0] = 1.0
     inv[small] = signs * _CLAMP_VALUE
-    return inv, int(small.sum())
+    return inv, small.sum(axis=1)
+
+
+def _matvecs(K: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The rows K @ A[j]: one matrix-vector product per row, bitwise K @ A[j].
+
+    A single K @ A.T would be one matrix-matrix product, whose bits differ.
+    """
+    return np.matmul(K, A[:, :, None])[:, :, 0]
 
 
 def _draw_init(n: int, seed: int, K: np.ndarray) -> np.ndarray:
@@ -162,82 +200,134 @@ def _draw_init(n: int, seed: int, K: np.ndarray) -> np.ndarray:
     )
 
 
-def fit(K, opts: SolverOptions = SolverOptions()) -> FitResult:
-    """Minimize the objective by the chosen gradient iteration.
-
-    Initializes alpha_i = |g_i| with g standard normal under opts.seed
-    (redrawing up to 10 times if some (K alpha)_i is exactly zero), then
-    iterates until n_iters steps are done or the chosen gradient's sup-norm
-    drops below grad_tol.  A non-finite objective aborts with the iteration
-    index.  Near-zero (K alpha)_i have their inverses clamped to +-1e12 and
-    counted in clamp_warnings.
-    """
+def _square_gram(K) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValidationError(f"K must be square, got shape {K.shape}")
-    n = K.shape[0]
-    if n < 1:
+    if K.shape[0] < 1:
         raise ValidationError("K must be at least 1x1")
+    return K
+
+
+def fit(K, opts: SolverOptions = SolverOptions()) -> FitResult | FitBatch:
+    """Minimize the objective by the chosen gradient iteration.
+
+    Initializes alpha_i = |g_i| with g standard normal under opts.seed
+    (redrawing up to 10 times if some (K alpha)_i is exactly zero), or takes
+    opts.alpha0 when init == "user", then runs fit_many on that one start
+    and raises its SolverDivergence, if any.  A user alpha0 of shape (B, N)
+    is a batch of starts: fit returns fit_many's FitBatch for it, where a
+    start that diverged holds its SolverDivergence instead of raising it.
+    """
+    K = _square_gram(K)
+    n = K.shape[0]
     if opts.init == "user":
-        alpha = np.asarray(opts.alpha0, dtype=float).copy()
+        alpha = np.asarray(opts.alpha0, dtype=float)
+        if alpha.ndim == 2:
+            return fit_many(K, alpha, opts)
         if alpha.shape != (n,):
             raise ValidationError(f"alpha0 must have shape ({n},), got {alpha.shape}")
     else:
         alpha = _draw_init(n, opts.seed, K)
+    res = fit_many(K, alpha[None], opts)[0]
+    if isinstance(res, SolverDivergence):
+        raise res
+    return res
 
-    # One errstate for the whole fit: log(0), overflow and inf - inf become
-    # a non-finite objective, which is reported as SolverDivergence.  Each
-    # iteration computes |f| once; it feeds both the objective and the next
-    # clamp test, and sum()/n is bitwise np.mean.
+
+def fit_many(K, A0, opts: SolverOptions = SolverOptions()) -> FitBatch:
+    """Run the gradient iteration from each row of A0 (B x N) at once.
+
+    Returns a FitBatch with one entry per start: its FitResult, or the
+    SolverDivergence it raised.  Each entry is bit for bit what a lone fit from that start gives,
+    since every start makes its own matrix-vector products.  A start iterates
+    until n_iters steps are done or the chosen gradient's sup-norm drops
+    below grad_tol; a non-finite objective ends it with the iteration index.
+    Near-zero (K alpha)_i have their inverses clamped to +-1e12 and counted
+    in clamp_warnings.  Only opts' method, lr, n_iters and grad_tol are read.
+    """
+    K = _square_gram(K)
+    n = K.shape[0]
+    alpha = np.asarray(A0, dtype=float)
+    if alpha.ndim != 2 or alpha.shape[0] < 1 or alpha.shape[1] != n:
+        raise ValidationError(f"A0 must have shape (B, {n}) with B >= 1, got {alpha.shape}")
+
+    # One errstate for all starts: log(0), overflow and inf - inf become a
+    # non-finite objective, which ends that start with SolverDivergence.
+    # Every array holds the running starts only (rows[i] is row i's start),
+    # so rows are gathered only in an iteration where some start ends.
+    # Iteration 0 checks the initial objective.  Each iteration computes |f|
+    # once; it feeds both the objective and the next clamp test, and
+    # sum()/n is bitwise np.mean.  np.count_nonzero tests a mask in a third
+    # of the time of .any(), which counts for one start on a small Gram.
     natural = opts.method == "natural"
     lr, grad_tol = opts.lr, opts.grad_tol
-    history = np.empty(opts.n_iters + 1)
-    clamp_warnings = 0
-    converged = False
-    it = 0
-    gnorm = math.inf
-    f = K @ alpha
+    out = FitBatch([None] * alpha.shape[0])
+    rows = np.arange(alpha.shape[0])
+    history = np.empty((alpha.shape[0], opts.n_iters + 1))
+    clamp_warnings = np.zeros(alpha.shape[0], dtype=int)
+    gnorm = np.full(alpha.shape[0], math.inf)
+
+    def finish(i, it, converged):
+        out[rows[i]] = FitResult(
+            alpha=alpha[i].copy(),
+            objective=float(history[i, it]),
+            grad_sup_norm=float(gnorm[i]),
+            n_iters_run=it,
+            converged=converged,
+            clamp_warnings=int(clamp_warnings[i]),
+            objective_history=history[i, : it + 1].copy(),
+        )
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        absf = np.abs(f)
-        obj = float(-2.0 * (np.log(absf).sum() / n) + alpha @ f)
-        if not math.isfinite(obj):
-            raise SolverDivergence("objective non-finite at initialization", iteration=0)
-        history[0] = obj
-        for it in range(1, opts.n_iters + 1):
-            small = absf < _CLAMP_THRESHOLD
-            if small.any():
-                inv, n_clamped = _clamped_inverse(f, small)
-                clamp_warnings += n_clamped
+        for it in range(opts.n_iters + 1):
+            if it == 0:
+                f = _matvecs(K, alpha)
             else:
-                inv = 1.0 / f
-            if natural:
-                g = 2.0 * (alpha - inv / n)
-            else:
-                g = 2.0 * (f - (K @ inv) / n)
-            gnorm = float(np.abs(g).max())
-            if gnorm < grad_tol:
-                converged = True
-                it -= 1
-                break
-            alpha = alpha - lr * g
-            f = K @ alpha
+                small = absf < _CLAMP_THRESHOLD
+                if np.count_nonzero(small):
+                    inv, n_clamped = _clamped_inverse(f, small)
+                    clamp_warnings += n_clamped
+                else:
+                    inv = 1.0 / f
+                if natural:
+                    g = 2.0 * (alpha - inv / n)
+                else:
+                    g = 2.0 * (f - _matvecs(K, inv) / n)
+                gnorm = np.abs(g).max(axis=1)
+                ended = gnorm < grad_tol
+                if np.count_nonzero(ended):
+                    for i in np.flatnonzero(ended):
+                        finish(i, it - 1, True)
+                    if ended.all():
+                        return out
+                    keep = ~ended
+                    rows, alpha, g, gnorm, history, clamp_warnings = (
+                        rows[keep], alpha[keep], g[keep], gnorm[keep], history[keep],
+                        clamp_warnings[keep])
+                alpha = alpha - lr * g
+                f = _matvecs(K, alpha)
             absf = np.abs(f)
-            obj = float(-2.0 * (np.log(absf).sum() / n) + alpha @ f)
-            if not math.isfinite(obj):
-                raise SolverDivergence(
-                    f"objective became non-finite at iteration {it}", iteration=it
-                )
-            history[it] = obj
-    history = history[: it + 1]
-    return FitResult(
-        alpha=alpha,
-        objective=float(history[-1]),
-        grad_sup_norm=gnorm,
-        n_iters_run=it,
-        converged=converged,
-        clamp_warnings=clamp_warnings,
-        objective_history=history,
-    )
+            obj = -2.0 * (np.log(absf).sum(axis=1) / n) + np.matmul(
+                alpha[:, None, :], f[:, :, None])[:, 0, 0]
+            ended = ~np.isfinite(obj)
+            if np.count_nonzero(ended):
+                for j in rows[ended]:
+                    out[j] = SolverDivergence(
+                        f"objective became non-finite at iteration {it}" if it
+                        else "objective non-finite at initialization",
+                        iteration=it,
+                    )
+                if ended.all():
+                    return out
+                keep = ~ended
+                rows, alpha, f, absf, obj, gnorm, history, clamp_warnings = (
+                    rows[keep], alpha[keep], f[keep], absf[keep], obj[keep], gnorm[keep],
+                    history[keep], clamp_warnings[keep])
+            history[:, it] = obj
+    for i in range(alpha.shape[0]):
+        finish(i, opts.n_iters, False)
+    return out
 
 
 def add_jitter(K: np.ndarray) -> np.ndarray:
@@ -390,7 +480,8 @@ def model_from_json(text: str) -> FittedModel:
 
     A record without "squared" (written before the flag was stored) loads as
     a squared model.  The record must be a JSON object whose T and seed are
-    integers; alpha and feature_weights must be lists of finite numbers,
+    integers and whose params hold a real a and integer d and m (no bools);
+    alpha and feature_weights must be lists of finite numbers,
     feature_weights of length T.
     """
     try:

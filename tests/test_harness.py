@@ -17,6 +17,7 @@ from sosrep.harness import (
     SdoKdeModel,
     select,
 )
+from sosrep.sdo_kernel import rng_from_seed
 
 from conftest import make_mixture2d, make_two_clusters, philox
 
@@ -430,6 +431,48 @@ class TestNegativeFraction:
             fr = out["methods"][method]["fractions"]
             assert len(fr) == 6
             assert all(0.0 <= f <= 1.0 for f in fr)
+
+    @staticmethod
+    def _serial(ds, T, n_init, n_iters, lr, seed):
+        """The per-method results from one fit call per start, in start order."""
+        fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=ds.d), T, seed)
+        K = sp.add_jitter(sp.kernel_matrix(ds.X, None, fs))
+        inits = [np.abs(rng_from_seed(seed, i + 1).standard_normal(K.shape[0]))
+                 for i in range(n_init)]
+        methods, warn_list = {}, []
+        for method in ("natural", "standard"):
+            fracs, n_divergent = [], 0
+            for i, a0 in enumerate(inits):
+                opts = sp.SolverOptions(method=method, lr=lr, n_iters=n_iters, seed=seed,
+                                        init="user", alpha0=a0, grad_tol=0.0)
+                try:
+                    fracs.append(float(np.mean(K @ sp.fit(K, opts).alpha < 0.0)))
+                except NumericsError as exc:
+                    fracs.append(1.0)
+                    n_divergent += 1
+                    warn_list.append(f"{method} init {i}: {exc}")
+            methods[method] = (fracs, n_divergent)
+        init_fracs = [float(np.mean(K @ a0 < 0.0)) for a0 in inits]
+        return methods, warn_list, init_fracs
+
+    @pytest.mark.parametrize("n_iters, lr", [(200, 50.0), (200, 0.5), (60, 0.1)],
+                             ids=["all-diverge", "standard-diverges", "none-diverge"])
+    def test_batched_fits_match_serial_fits(self, two_clusters, n_iters, lr):
+        cfg = dict(T=256, n_init=8, n_iters=n_iters, lr=lr, seed=4)
+        out = sp.negative_fraction_experiment(two_clusters, a=1.0, **cfg)
+        methods, warn_list, init_fracs = self._serial(two_clusters, **cfg)
+        for method, (fracs, n_divergent) in methods.items():
+            assert out["methods"][method]["fractions"] == fracs
+            assert out["methods"][method]["n_divergent"] == n_divergent
+        assert out["warnings"] == warn_list
+        assert out["init"]["mean_fraction"] == float(np.mean(init_fracs))
+        if lr == 50.0:
+            assert warn_list[0] == "natural init 0: objective became non-finite at iteration 77"
+            assert len(warn_list) == 16
+        elif lr == 0.5:
+            assert 0 < len(warn_list) < 16
+        else:
+            assert warn_list == [] and any(f > 0.0 for f in methods["standard"][0])
 
     def test_too_few_initializations_rejected(self, two_clusters):
         with pytest.raises(ValidationError):

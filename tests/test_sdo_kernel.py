@@ -33,6 +33,21 @@ class TestSdoParams:
         with pytest.raises(ValidationError):
             sp.SdoParams(a=1.0, d=0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(a="x", d=1), "smoothness a"), (dict(a=True, d=1), "smoothness a"),
+        (dict(a=[1.0], d=1), "smoothness a"), (dict(a=1.0, d=True), "dimension d"),
+        (dict(a=1.0, d=2.0), "dimension d"), (dict(a=1.0, d=1, m=True), "derivative order m"),
+        (dict(a=1.0, d=1, m=1.0), "derivative order m"),
+    ])
+    def test_rejects_non_numeric_or_bool_fields(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            sp.SdoParams(**kwargs)
+
+    def test_accepts_python_and_numpy_numbers(self):
+        p = sp.SdoParams(a=np.float32(0.5), d=np.int64(3), m=np.uint8(2))
+        assert (p.a, p.d, p.m) == (0.5, 3, 2)
+        assert sp.SdoParams(a=2, d=1).a == 2.0
+
     def test_with_a_replaces_only_a(self):
         p = sp.SdoParams(a=1.0, d=3, m=2)
         q = p.with_a(0.25)
@@ -105,6 +120,19 @@ class TestRngFromSeed:
 
     def test_largest_key_accepted(self):
         assert 0.0 <= rng_from_seed(2**64 - 1, 2**64 - 1).random() < 1.0
+
+    @pytest.mark.parametrize("seed, stream, name", [
+        (1.5, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"), ("1", 0, "seed"),
+        (np.float64(1.0), 0, "seed"), (0, 2.0, "stream"), (0, False, "stream"),
+    ])
+    def test_non_integer_key_is_validation_error(self, seed, stream, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            rng_from_seed(seed, stream)
+
+    def test_numpy_integer_key_accepted(self):
+        want = rng_from_seed(7, 3).random(4)
+        for seed, stream in [(np.int64(7), np.uint32(3)), (np.uint64(7), np.int8(3))]:
+            np.testing.assert_array_equal(rng_from_seed(seed, stream).random(4), want)
 
 
 class TestSampleFrequencies:

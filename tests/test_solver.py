@@ -185,6 +185,22 @@ class TestFit:
         with pytest.raises(ValidationError):
             sp.fit(np.eye(3), sp.SolverOptions(init="user", alpha0=np.ones(2)))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(seed=1.5), "seed"), (dict(seed=1.0), "seed"), (dict(seed=True), "seed"),
+        (dict(n_iters=2.5), "n_iters"), (dict(n_iters=True), "n_iters"),
+        (dict(n_iters=10.0), "n_iters"),
+    ])
+    def test_non_integer_seed_or_iteration_count_rejected(self, kwargs, field):
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            sp.SolverOptions(**kwargs)
+
+    def test_numpy_integer_seed_and_iteration_count_accepted(self):
+        K = _psd_gram(6, seed=12)
+        want = sp.fit(K, sp.SolverOptions(seed=3, n_iters=7, grad_tol=0.0))
+        got = sp.fit(K, sp.SolverOptions(seed=np.uint64(3), n_iters=np.int32(7), grad_tol=0.0))
+        np.testing.assert_array_equal(got.alpha, want.alpha)
+        assert got.n_iters_run == 7
+
 
 def _fit_reference(K, opts):
     """The fit loop as it stood before the lean rewrite, kept verbatim as an oracle."""
@@ -339,6 +355,146 @@ class TestFitMatchesReference:
             assert got.value.iteration == 0
 
 
+# One shared K = diag(1, 1, 1, 16).  At lr = 0.25 the standard step is
+# Newton's iteration on the first three coordinates (fixed point 0.5) and
+# unstable on the fourth, whose fixed point 0.125 is exact: a start that sits
+# there stays put, one that does not grows until its objective overflows.
+_MANY_K = np.diag([1.0, 1.0, 1.0, 16.0])
+_MANY_STARTS = [  # (start, what the standard run must do)
+    ([1e100, 1.0, 1.0, 0.125], "fixed"),
+    ([2.0, 3.0, 0.7, 0.125], "converged"),
+    ([1e-13, 1.0, 1.0, 0.125], "clamped"),
+    ([1.0, 1.0, 1.0, 1e30], "diverges"),
+    ([1.0, 0.0, 1.0, 0.125], "diverges at init"),
+    ([0.5, 0.5, 0.5, 0.125], "converged"),
+    ([1.0, 1.0, 1.0, 3.0], "diverges"),
+]
+
+
+class TestFitMany:
+    """Every entry of one batch is the reference loop's result for its start."""
+
+    @staticmethod
+    def _reference(K, start, opts):
+        try:
+            return _fit_reference(K, dataclasses.replace(opts, init="user", alpha0=start))
+        except SolverDivergence as exc:
+            return exc
+
+    @staticmethod
+    def _assert_same(got, want):
+        if isinstance(want, SolverDivergence):
+            assert isinstance(got, SolverDivergence)
+            assert (str(got), got.iteration) == (str(want), want.iteration)
+        else:
+            assert isinstance(got, sp.FitResult)
+            TestFitMatchesReference._assert_identical(got, want)
+
+    @pytest.mark.parametrize("method", ["standard", "natural"])
+    def test_mixed_batch_matches_reference_per_start(self, method):
+        opts = sp.SolverOptions(method=method, lr=0.25, n_iters=250, grad_tol=1e-8)
+        A0 = np.array([start for start, _ in _MANY_STARTS])
+        got = sp.fit_many(_MANY_K, A0, opts)
+        assert len(got) == len(_MANY_STARTS)
+        for entry, start in zip(got, A0):
+            self._assert_same(entry, self._reference(_MANY_K, start, opts))
+        if method == "standard":
+            for entry, (_, kind) in zip(got, _MANY_STARTS):
+                if kind == "fixed":
+                    assert entry.n_iters_run == opts.n_iters and not entry.converged
+                elif kind == "converged":
+                    assert entry.converged and entry.n_iters_run < opts.n_iters
+                elif kind == "clamped":
+                    assert entry.clamp_warnings > 0 and entry.converged
+                elif kind == "diverges":
+                    assert 1 <= entry.iteration < opts.n_iters
+                else:
+                    assert entry.iteration == 0
+            diverged_at = {e.iteration for e in got if isinstance(e, SolverDivergence)}
+            assert len(diverged_at) == 3  # at init and at two different iterations
+
+    @pytest.mark.parametrize("method,lr", [("natural", 0.05), ("standard", 0.02)])
+    def test_dense_gram_batch_matches_reference_per_start(self, method, lr):
+        K = _psd_gram(16, seed=32)
+        A0 = np.vstack([np.abs(_mixed_sign_init(16, 40)), _mixed_sign_init(16, 33),
+                        _mixed_sign_init(16, 35), _draw_init(16, 5, K)])
+        opts = sp.SolverOptions(method=method, lr=lr, n_iters=200, grad_tol=0.0)
+        for entry, start in zip(sp.fit_many(K, A0, opts), A0):
+            self._assert_same(entry, self._reference(K, start, opts))
+
+    def test_every_start_ending_early_ends_the_loop(self):
+        opts = sp.SolverOptions(method="standard", lr=0.25, n_iters=250, grad_tol=1e-8)
+        A0 = np.array([[1.0, 0.0, 1.0, 0.125], [2.0, 3.0, 0.7, 0.125], [1.0, 1.0, 1.0, 3.0]])
+        for k in range(1, 4):
+            for entry, start in zip(sp.fit_many(_MANY_K, A0[:k], opts), A0):
+                self._assert_same(entry, self._reference(_MANY_K, start, opts))
+
+    @pytest.mark.parametrize("method", ["standard", "natural"])
+    def test_start_converging_at_the_last_iteration(self, method):
+        opts = sp.SolverOptions(method=method, lr=0.25, n_iters=250, grad_tol=1e-8)
+        converging = np.array([2.0, 3.0, 0.7, 0.125])
+        last = sp.fit(_MANY_K, dataclasses.replace(opts, init="user", alpha0=converging))
+        opts = dataclasses.replace(opts, n_iters=last.n_iters_run + 1)
+        A0 = np.array([[1e100, 1.0, 1.0, 0.125], converging, [1e100, 2.0, 1.0, 0.125]])
+        got = sp.fit_many(_MANY_K, A0, opts)
+        assert got[1].converged and not got[0].converged and not got[2].converged
+        for entry, start in zip(got, A0):
+            self._assert_same(entry, self._reference(_MANY_K, start, opts))
+
+    @pytest.mark.parametrize("name,K,kwargs,kind", _IDENTITY_CASES,
+                             ids=[c[0] for c in _IDENTITY_CASES])
+    def test_one_start_is_fit(self, name, K, kwargs, kind):
+        opts = sp.SolverOptions(**kwargs)
+        start = opts.alpha0 if opts.init == "user" else _draw_init(K.shape[0], opts.seed, K)
+        (got,) = sp.fit_many(K, start[None], opts)
+        self._assert_same(got, sp.fit(K, opts))
+
+    def test_fit_with_a_batch_of_starts_returns_the_batch(self):
+        opts = sp.SolverOptions(method="standard", lr=0.25, n_iters=250, grad_tol=1e-8)
+        A0 = np.array([start for start, _ in _MANY_STARTS])
+        got = sp.fit(_MANY_K, dataclasses.replace(opts, init="user", alpha0=A0))
+        assert isinstance(got, sp.FitBatch)
+        want = sp.fit_many(_MANY_K, A0, opts)
+        assert len(got) == len(want)
+        for entry, other in zip(got, want):
+            self._assert_same(entry, other)
+        finished = [e for e in got if isinstance(e, sp.FitResult)]
+        assert 0 < len(finished) < len(got)
+        assert got.n_iters_run == sum(e.n_iters_run for e in finished)
+        assert got.clamp_warnings == sum(e.clamp_warnings for e in finished) > 0
+        assert not got.converged
+
+    def test_batch_summary_fields(self):
+        opts = sp.SolverOptions(method="standard", lr=0.25, n_iters=250, grad_tol=1e-8)
+        converging = np.array([[2.0, 3.0, 0.7, 0.125], [0.5, 0.5, 0.5, 0.125]])
+        got = sp.fit_many(_MANY_K, converging, opts)
+        assert got.converged and all(e.converged for e in got)
+        assert got.n_iters_run == got[0].n_iters_run + got[1].n_iters_run
+        diverged = sp.fit_many(_MANY_K, np.array([[1.0, 1.0, 1.0, 3.0]]), opts)
+        assert isinstance(diverged[0], SolverDivergence)
+        assert (diverged.n_iters_run, diverged.converged, diverged.clamp_warnings) == (0, False, 0)
+
+    def test_batch_of_starts_with_wrong_n_rejected(self):
+        with pytest.raises(ValidationError, match="A0 must have shape"):
+            sp.fit(_MANY_K, sp.SolverOptions(init="user", alpha0=np.ones((2, 3))))
+
+    def test_start_rows_are_not_modified(self):
+        A0 = np.array([[1.0, 2.0, 0.125, 0.125], [1e-13, 1.0, 1.0, 0.125]])
+        before = A0.copy()
+        sp.fit_many(_MANY_K, A0, sp.SolverOptions(method="natural", lr=0.25, n_iters=20))
+        np.testing.assert_array_equal(A0, before)
+
+    @pytest.mark.parametrize("A0", [np.ones(4), np.ones((1, 1, 4)), np.ones((2, 3)),
+                                    np.empty((0, 4))], ids=["1-D", "3-D", "wrong-N", "no-rows"])
+    def test_bad_starts_rejected(self, A0):
+        with pytest.raises(ValidationError, match="A0 must have shape"):
+            sp.fit_many(_MANY_K, A0)
+
+    def test_non_square_gram_rejected(self):
+        with pytest.raises(ValidationError, match="K must be square"):
+            sp.fit_many(np.ones((2, 3)), np.ones((1, 3)))
+
+
 class TestRkhsNorm:
     def test_zero_alpha(self):
         assert sp.rkhs_norm_sq(np.zeros(4), np.eye(4)) == 0.0
@@ -491,6 +647,26 @@ class TestSerialization:
         for key, value in [("T", "abc"), ("T", 8.0), ("seed", 1.5), ("seed", True)]:
             with pytest.raises(ValidationError, match=f"malformed model record: {key} must be"):
                 sp.model_from_json(json.dumps({**good, key: value}))
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("a", "x", "smoothness a"), ("a", True, "smoothness a"), ("a", None, "smoothness a"),
+        ("d", True, "dimension d"), ("d", 1.0, "dimension d"), ("d", "1", "dimension d"),
+        ("m", True, "derivative order m"), ("m", 1.5, "derivative order m"),
+    ])
+    def test_bad_params_rejected_naming_the_field(self, key, value, field):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        rec["params"][key] = value
+        with pytest.raises(ValidationError, match=field):
+            sp.model_from_json(json.dumps(rec))
+
+    def test_integer_a_and_missing_m_still_load(self):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        rec["params"].update(a=1, m=None)
+        back = sp.model_from_json(json.dumps(rec))
+        assert (back.fs.base_params.a, back.fs.base_params.m) == (1.0, 1)
+        np.testing.assert_array_equal(back.f_values(np.ones((3, 1))), m.f_values(np.ones((3, 1))))
 
     def test_feature_weights_of_wrong_length_rejected(self):
         m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)

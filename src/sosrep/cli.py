@@ -220,8 +220,7 @@ def cmd_fit(args) -> int:
         raise DataError(f"{args.data}: cannot fit on an empty dataset")
     params = SdoParams(a=args.a, d=ds.d, m=_resolve_m(args.m))
     opts = SolverOptions(
-        method=args.method, lr=args.lr, n_iters=args.n_iters,
-        seed=args.seed, grad_tol=args.grad_tol,
+        method=args.method, lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol,
     )
     model = fit_model(
         ds.X, params, args.n_z, seed=args.seed, opts=opts,

@@ -44,6 +44,7 @@ from .sdo_kernel import (
     FrequencySample,
     SdoParams,
     _cumulative_trapezoid,
+    _is_int,
     feature_map,
     kernel_matrix,
     rng_from_seed,
@@ -184,6 +185,11 @@ class AdConfig:
     fd_max_rows: int | None = None
 
     def __post_init__(self):
+        if not (_is_int(self.T) and self.T >= 1):
+            raise ValidationError(f"T must be a positive integer, got {self.T!r}")
+        if not (self.m is None or (_is_int(self.m) and self.m >= 1)):
+            raise ValidationError(
+                f"derivative order m must be None or a positive integer, got {self.m!r}")
         if not (0.0 < self.train_frac < 1.0):
             raise ValidationError(
                 f"train_frac must lie strictly between 0 and 1, got {self.train_frac}"
@@ -195,10 +201,13 @@ class AdConfig:
         self.options(0)  # runs the options' checks before any seed is fitted
 
     def options(self, seed: int) -> tuple[SolverOptions, FdOptions]:
-        """(SolverOptions, FdOptions) of one seed's selection: natural-gradient fits."""
+        """(SolverOptions, FdOptions) of one seed's selection: natural-gradient fits.
+
+        The seed keys the FD probes; the fits take the same seed as an argument.
+        """
         return (
             SolverOptions(method="natural", lr=self.lr, n_iters=self.n_iters,
-                          seed=seed, grad_tol=self.grad_tol),
+                          grad_tol=self.grad_tol),
             FdOptions(n_fd_iters=self.n_fd_iters, h=self.h, probe=self.probe, seed=seed),
         )
 
@@ -440,7 +449,8 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
             return SdoKdeModel(train_X, sample_frequencies(params, config.T, seed))
         kernel = ClosedFormKernel(family=backend, sigma=value, d=d)
         if squared:
-            alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X), opts).alpha
+            alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X), opts,
+                        seed=seed).alpha
         else:
             alpha = np.full(train_X.shape[0], 1.0 / train_X.shape[0])
         return ClosedFormRepresenterModel(train_X, alpha, kernel, squared)
@@ -472,6 +482,8 @@ def run_ad(
     seeds = tuple(int(s) for s in seeds)
     for seed in seeds:
         rng_from_seed(seed)  # an out-of-range seed fails the run here, before any split
+    if method.endswith("_sdo"):
+        SdoParams(a=1.0, d=ds.d, m=config.m)  # and so does an m with 2m <= d
     aucs: dict[int, float] = {}
     chosen: dict[int, float] = {}
     profiles: dict[int, FdProfile] = {}
@@ -581,11 +593,10 @@ def negative_fraction_experiment(
     }
     for method in ("natural", "standard"):
         # One fit call per method advances all the starts as one batch.
-        opts = SolverOptions(method=method, lr=lr, n_iters=n_iters, seed=seed,
-                             init="user", alpha0=inits, grad_tol=0.0)
+        opts = SolverOptions(method=method, lr=lr, n_iters=n_iters, grad_tol=0.0)
         fracs = np.empty(n_init)
         n_divergent = 0
-        for i, res in enumerate(fit(K, opts)):
+        for i, res in enumerate(fit(K, opts, alpha0=inits)):
             if isinstance(res, NumericsError):
                 fracs[i] = 1.0
                 n_divergent += 1
@@ -703,9 +714,7 @@ def consistency_experiment(
             rng = rng_from_seed(seed, sub)
             X = density.sample(N, rng)
             fit_seed = seed * 1_000_003 + sub
-            opts = SolverOptions(
-                method="natural", lr=lr, n_iters=n_iters, seed=fit_seed, grad_tol=grad_tol
-            )
+            opts = SolverOptions(method="natural", lr=lr, n_iters=n_iters, grad_tol=grad_tol)
             model = fit_model(X, SdoParams(a=a, d=1, m=1), T, seed=fit_seed, opts=opts)
             fhat = np.abs(model.f_values(grid.reshape(-1, 1)))
             mass = float(np.trapezoid(fhat * fhat, grid))

@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     VanishingDensity,
 )
-from .sdo_kernel import rng_from_seed
+from .sdo_kernel import _is_int, rng_from_seed
 
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
@@ -58,8 +58,9 @@ class FdOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_fd_iters < 1:
-            raise ValidationError("n_fd_iters must be at least 1")
+        if not (_is_int(self.n_fd_iters) and self.n_fd_iters >= 1):
+            raise ValidationError(
+                f"n_fd_iters must be a positive integer, got {self.n_fd_iters!r}")
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValidationError("h must be positive")
         if self.probe not in _PROBES:

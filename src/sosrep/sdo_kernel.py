@@ -230,8 +230,8 @@ def sample_frequencies(params: SdoParams, T: int, seed: int) -> FrequencySample:
     inner product with data reproduces the kernel's 2*pi phase convention.
     Deterministic given (params, T, seed).
     """
-    if T < 1:
-        raise ValidationError(f"T must be a positive integer, got {T}")
+    if not (_is_int(T) and T >= 1):
+        raise ValidationError(f"T must be a positive integer, got {T!r}")
     grid = _unit_grid(params.m, params.d, _SAMPLER_N_GRID)
     rng = rng_from_seed(seed)
     r = sample_radii(grid, T, rng)

@@ -16,10 +16,12 @@ keeps f = K alpha nonnegative for entrywise-nonnegative kernels when
 lr < 0.5.  Any fixed point satisfies alpha_i (K alpha)_i = 1/N and therefore
 alpha^T K alpha = 1.
 
-`fit_many` advances a batch of starts in one loop under one numpy errstate,
-and `fit` is its one-start case.  Per start, a natural iteration makes one
-matrix-vector product (f = K alpha) and a standard iteration makes two (f and
-K f^(-1)).
+`fit` runs the iteration from one start, drawn from a seed or given, or from
+a batch of starts, which advance together in one loop under one numpy
+errstate.  SolverOptions holds the iteration's settings only (method, lr,
+n_iters, grad_tol); the start is an argument of `fit`.  Per start, a natural
+iteration makes one matrix-vector product (f = K alpha) and a standard
+iteration makes two (f and K f^(-1)).
 
 Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
 `squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
@@ -31,7 +33,6 @@ harness.ClosedFormRepresenterModel is the closed-form one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -53,7 +54,6 @@ from .sdo_kernel import (
 )
 
 _METHODS = ("natural", "standard")
-_INITS = ("abs_gaussian", "user")
 _ZERO_DENSITY_FLOOR = 1e-300
 _CLAMP_THRESHOLD = 1e-12
 _CLAMP_VALUE = 1e12
@@ -66,26 +66,17 @@ class SolverOptions:
     method: str = "natural"
     lr: float = 0.1
     n_iters: int = 1000
-    seed: int = 0
-    init: str = "abs_gaussian"
     grad_tol: float = 1e-8
-    alpha0: np.ndarray | None = None  # used when init == "user"
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.init not in _INITS:
-            raise ValidationError(f"init must be one of {_INITS}, got {self.init!r}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be positive, got {self.lr!r}")
         if not (_is_int(self.n_iters) and self.n_iters >= 1):
             raise ValidationError(f"n_iters must be a positive integer, got {self.n_iters!r}")
-        if not _is_int(self.seed):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.grad_tol < 0:
             raise ValidationError("grad_tol must be nonnegative")
-        if self.init == "user" and self.alpha0 is None:
-            raise ValidationError("init='user' requires alpha0")
 
 
 @dataclass
@@ -100,7 +91,7 @@ class FitResult:
 
 
 class FitBatch(list):
-    """fit_many's entries in start order: a FitResult, or the SolverDivergence that start raised.
+    """fit's result for a batch of starts: per start, its FitResult or its SolverDivergence.
 
     Its summary fields read like one FitResult's over the whole batch, so
     code that reads a fit's summary (a profiler wrapping `fit`, say) reads a
@@ -209,48 +200,47 @@ def _square_gram(K) -> np.ndarray:
     return K
 
 
-def fit(K, opts: SolverOptions = SolverOptions()) -> FitResult | FitBatch:
+def fit(K, opts: SolverOptions = SolverOptions(), *, seed: int = 0,
+        alpha0=None) -> FitResult | FitBatch:
     """Minimize the objective by the chosen gradient iteration.
 
-    Initializes alpha_i = |g_i| with g standard normal under opts.seed
-    (redrawing up to 10 times if some (K alpha)_i is exactly zero), or takes
-    opts.alpha0 when init == "user", then runs fit_many on that one start
-    and raises its SolverDivergence, if any.  A user alpha0 of shape (B, N)
-    is a batch of starts: fit returns fit_many's FitBatch for it, where a
-    start that diverged holds its SolverDivergence instead of raising it.
+    With alpha0 None the start is alpha_i = |g_i| with g standard normal
+    under `seed`, redrawn up to 10 times if some (K alpha)_i is exactly zero.
+    A 1-D alpha0 of length N is the start; fit raises its SolverDivergence,
+    if any.  A B x N alpha0 is a batch of B starts, advanced together: fit
+    returns a FitBatch, where a start that diverged holds its
+    SolverDivergence instead of raising it, and each entry is bit for bit
+    what a lone fit from that start gives.
     """
     K = _square_gram(K)
     n = K.shape[0]
-    if opts.init == "user":
-        alpha = np.asarray(opts.alpha0, dtype=float)
-        if alpha.ndim == 2:
-            return fit_many(K, alpha, opts)
-        if alpha.shape != (n,):
-            raise ValidationError(f"alpha0 must have shape ({n},), got {alpha.shape}")
+    if alpha0 is None:
+        alpha = _draw_init(n, seed, K)
     else:
-        alpha = _draw_init(n, opts.seed, K)
-    res = fit_many(K, alpha[None], opts)[0]
+        alpha = np.asarray(alpha0, dtype=float)
+        if alpha.ndim == 2 and alpha.shape[0] >= 1 and alpha.shape[1] == n:
+            return _fit_starts(K, alpha, opts)
+        if alpha.shape != (n,):
+            raise ValidationError(
+                f"alpha0 must have shape ({n},) or (B, {n}) with B >= 1, got {alpha.shape}")
+    res = _fit_starts(K, alpha[None], opts)[0]
     if isinstance(res, SolverDivergence):
         raise res
     return res
 
 
-def fit_many(K, A0, opts: SolverOptions = SolverOptions()) -> FitBatch:
-    """Run the gradient iteration from each row of A0 (B x N) at once.
+def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBatch:
+    """Run the gradient iteration from each row of the B x N start array alpha at once.
 
     Returns a FitBatch with one entry per start: its FitResult, or the
-    SolverDivergence it raised.  Each entry is bit for bit what a lone fit from that start gives,
-    since every start makes its own matrix-vector products.  A start iterates
-    until n_iters steps are done or the chosen gradient's sup-norm drops
-    below grad_tol; a non-finite objective ends it with the iteration index.
-    Near-zero (K alpha)_i have their inverses clamped to +-1e12 and counted
-    in clamp_warnings.  Only opts' method, lr, n_iters and grad_tol are read.
+    SolverDivergence it raised.  Every start makes its own matrix-vector
+    products, so its entry does not depend on the other starts.  A start
+    iterates until n_iters steps are done or the chosen gradient's sup-norm
+    drops below grad_tol; a non-finite objective ends it with the iteration
+    index.  Near-zero (K alpha)_i have their inverses clamped to +-1e12 and
+    counted in clamp_warnings.
     """
-    K = _square_gram(K)
-    n = K.shape[0]
-    alpha = np.asarray(A0, dtype=float)
-    if alpha.ndim != 2 or alpha.shape[0] < 1 or alpha.shape[1] != n:
-        raise ValidationError(f"A0 must have shape (B, {n}) with B >= 1, got {alpha.shape}")
+    n = K.shape[1]
 
     # One errstate for all starts: log(0), overflow and inf - inf become a
     # non-finite objective, which ends that start with SolverDivergence.
@@ -342,12 +332,6 @@ def _add_jitter_in_place(K: np.ndarray) -> np.ndarray:
     return K
 
 
-def data_hash(X: np.ndarray) -> str:
-    """SHA-256 of the row-major float64 bytes of X."""
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    return hashlib.sha256(X.tobytes()).hexdigest()
-
-
 @dataclass
 class FittedModel:
     """Representer model f = sum_i alpha_i k(x_i, .) = <w, phi(.)> in feature space.
@@ -361,7 +345,6 @@ class FittedModel:
     fs: FrequencySample
     feature_weights: np.ndarray
     kernel_scale_flag: bool = False
-    train_data_hash: str = ""
     fit_info: dict = field(default_factory=dict)
     squared: bool = True
 
@@ -413,19 +396,21 @@ def fit_model(
     opts: SolverOptions = SolverOptions(),
     exact_normalization: bool = False,
 ) -> FittedModel:
-    """Sample frequencies, build the jittered Gram matrix, fit, cache weights."""
+    """Sample frequencies, build the jittered Gram matrix, fit, cache weights.
+
+    The one seed draws both the frequencies and the solver's start.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     fs = sample_frequencies(params, T, seed)
     Phi = feature_map(X, fs, exact_normalization)
     K = _add_jitter_in_place(Phi @ Phi.T)
-    res = fit(K, opts)
+    res = fit(K, opts, seed=seed)
     w = Phi.T @ res.alpha
     return FittedModel(
         alpha=res.alpha,
         fs=fs,
         feature_weights=w,
         kernel_scale_flag=exact_normalization,
-        train_data_hash=data_hash(X),
         fit_info={
             "objective": res.objective,
             "rkhs_norm_sq": rkhs_norm_sq(res.alpha, K),
@@ -452,7 +437,6 @@ def model_to_json(model: FittedModel, run_config: dict | None = None) -> str:
         "alpha": [float(v) for v in model.alpha],
         "feature_weights": [float(v) for v in model.feature_weights],
         "kernel_scale_flag": bool(model.kernel_scale_flag),
-        "train_data_hash": model.train_data_hash,
         "fit_info": model.fit_info,
         "run_config": run_config or {},
         "squared": bool(model.squared),
@@ -479,7 +463,8 @@ def model_from_json(text: str) -> FittedModel:
     """Rebuild a model from its JSON record, regenerating the frequency sample.
 
     A record without "squared" (written before the flag was stored) loads as
-    a squared model.  The record must be a JSON object whose T and seed are
+    a squared model; a "train_data_hash" key, which older records carry, is
+    ignored.  The record must be a JSON object whose T and seed are
     integers and whose params hold a real a and integer d and m (no bools);
     alpha and feature_weights must be lists of finite numbers,
     feature_weights of length T.
@@ -496,7 +481,6 @@ def model_from_json(text: str) -> FittedModel:
             fs=fs,
             feature_weights=_finite_vector(record["feature_weights"], "feature_weights", fs.T),
             kernel_scale_flag=bool(record["kernel_scale_flag"]),
-            train_data_hash=record.get("train_data_hash", ""),
             fit_info=record.get("fit_info", {}),
             squared=bool(record.get("squared", True)),
         )

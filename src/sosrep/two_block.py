@@ -146,7 +146,7 @@ def sosrep_block_ratio(spec: BlockSpec) -> float:
 
 # Natural-gradient fits run long and to a tight tolerance, so that the
 # solver's cluster ratio can be compared with the oracle's to many digits.
-VERIFY_OPTIONS = SolverOptions(method="natural", lr=0.1, n_iters=20000, seed=0, grad_tol=1e-12)
+VERIFY_OPTIONS = SolverOptions(method="natural", lr=0.1, n_iters=20000, grad_tol=1e-12)
 
 
 def verify_against_solver(spec: BlockSpec, opts: SolverOptions = VERIFY_OPTIONS) -> dict:

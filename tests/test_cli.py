@@ -499,6 +499,23 @@ class TestAdConfigValidation:
         assert _stderr_error(capsys)["kind"] == "validation"
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-z", "0"], "T must be a positive integer"),
+        (["--m", "0"], "derivative order m"),
+        (["--m", "1"], "2m > d"),
+    ], ids=["n-z-0", "m-0", "m-1-on-2d"])
+    @pytest.mark.parametrize("command", ["experiment", "tune"])
+    def test_bad_kernel_size_is_validation_error(self, tmp_path, mixture_csv, capsys,
+                                                 command, flags, message):
+        argv = (["experiment", "--protocol", "ad", "--methods", "sosrep_sdo,kde_gaussian",
+                 *EXP_FLAGS] if command == "experiment" else ["tune", *TUNE_FLAGS])
+        out_p = tmp_path / "x.json"
+        rc = main([*argv, "--data", mixture_csv, *flags, "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and message in error["message"]
+        assert not out_p.exists()
+
 
 class TestCandidateGrids:
     @pytest.mark.parametrize("protocol", ["ad", "duplicates"])

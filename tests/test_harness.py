@@ -396,10 +396,33 @@ class TestAdConfig:
         {"a_grid": (7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 2.0)},
         {"sigma_grid": (6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0)},
         {"sigma_grid": (7.0, 6.0, 5.0, math.nan, 3.0, 2.0, 1.0)},
+        {"T": 0},
+        {"T": 2.5},
+        {"T": True},
+        {"m": 0},
+        {"m": 1.5},
+        {"m": True},
     ])
     def test_invalid_value_rejected_at_construction(self, kwargs):
         with pytest.raises(ValidationError):
             sp.AdConfig(**kwargs)
+
+    @pytest.mark.parametrize("method", [m for m in sp.AD_METHODS if m.endswith("_sdo")])
+    def test_order_too_low_for_the_dimension_fails_before_any_split(
+            self, mixture2d, monkeypatch, method):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split reached")
+
+        monkeypatch.setattr(harness, "split", no_split)
+        config = dataclasses.replace(SMALL_AD_CONFIG, m=1)
+        with pytest.raises(ValidationError, match="2m > d"):
+            sp.run_ad(mixture2d, method, seeds=(0,), config=config)
+
+    def test_order_is_not_read_by_the_closed_form_methods(self, mixture2d):
+        config = dataclasses.replace(SMALL_AD_CONFIG, m=1)
+        want = sp.run_ad(mixture2d, "kde_gaussian", seeds=(0,), config=SMALL_AD_CONFIG)
+        got = sp.run_ad(mixture2d, "kde_gaussian", seeds=(0,), config=config)
+        assert got.aucs == want.aucs and got.chosen == want.chosen
 
 
 class TestSelect:
@@ -443,10 +466,9 @@ class TestNegativeFraction:
         for method in ("natural", "standard"):
             fracs, n_divergent = [], 0
             for i, a0 in enumerate(inits):
-                opts = sp.SolverOptions(method=method, lr=lr, n_iters=n_iters, seed=seed,
-                                        init="user", alpha0=a0, grad_tol=0.0)
+                opts = sp.SolverOptions(method=method, lr=lr, n_iters=n_iters, grad_tol=0.0)
                 try:
-                    fracs.append(float(np.mean(K @ sp.fit(K, opts).alpha < 0.0)))
+                    fracs.append(float(np.mean(K @ sp.fit(K, opts, alpha0=a0).alpha < 0.0)))
                 except NumericsError as exc:
                     fracs.append(1.0)
                     n_divergent += 1
@@ -473,6 +495,11 @@ class TestNegativeFraction:
             assert 0 < len(warn_list) < 16
         else:
             assert warn_list == [] and any(f > 0.0 for f in methods["standard"][0])
+
+    @pytest.mark.parametrize("T", [2.5, True])
+    def test_non_integer_T_rejected(self, two_clusters, T):
+        with pytest.raises(ValidationError, match="T must be a positive integer"):
+            sp.negative_fraction_experiment(two_clusters, T=T, n_init=5, n_iters=10)
 
     def test_too_few_initializations_rejected(self, two_clusters):
         with pytest.raises(ValidationError):

@@ -137,6 +137,11 @@ class TestHutchinsonTrace:
         with pytest.raises(ValidationError):
             sp.FdOptions(probe="gaussian")
 
+    @pytest.mark.parametrize("n_fd_iters", [2.5, 3.0, True])
+    def test_non_integer_probe_count_rejected(self, n_fd_iters):
+        with pytest.raises(ValidationError, match="n_fd_iters must be a positive integer"):
+            sp.FdOptions(n_fd_iters=n_fd_iters)
+
 
 class TestFdStatistic:
     def test_zero_score_model_gives_zero(self):

@@ -170,6 +170,16 @@ class TestSampleFrequencies:
         np.testing.assert_array_equal(re.Z, fresh.Z)
         np.testing.assert_array_equal(re.b, fresh.b)
 
+    @pytest.mark.parametrize("T", [0, 2.5, 3.0, True, "8"])
+    def test_non_positive_or_non_integer_T_rejected(self, T):
+        with pytest.raises(ValidationError, match="T must be a positive integer"):
+            sp.sample_frequencies(sp.SdoParams(a=1.0, d=2), T, seed=0)
+
+    def test_numpy_integer_T_accepted(self):
+        params = sp.SdoParams(a=1.0, d=2)
+        fs = sp.sample_frequencies(params, np.int64(16), seed=0)
+        np.testing.assert_array_equal(fs.Z, sp.sample_frequencies(params, 16, seed=0).Z)
+
     def test_phases_in_range(self):
         fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=2, m=2), 4096, seed=1)
         assert np.all(fs.b >= 0.0) and np.all(fs.b < 2.0 * np.pi)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ValidationError
+from .sdo_kernel import _is_int
 
 FAMILIES = ("gaussian", "laplacian")
 
@@ -37,8 +38,8 @@ class ClosedFormKernel:
             raise ValidationError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.d < 1:
-            raise ValidationError("dimension must be positive")
+        if not (_is_int(self.d) and self.d >= 1):
+            raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
 
 
 def _pairwise_diff(X, Y):

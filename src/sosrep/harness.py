@@ -194,8 +194,9 @@ class AdConfig:
             raise ValidationError(
                 f"train_frac must lie strictly between 0 and 1, got {self.train_frac}"
             )
-        if self.fd_max_rows is not None and self.fd_max_rows < 1:
-            raise ValidationError(f"fd_max_rows must be at least 1, got {self.fd_max_rows}")
+        if not (self.fd_max_rows is None or (_is_int(self.fd_max_rows) and self.fd_max_rows >= 1)):
+            raise ValidationError(
+                f"fd_max_rows must be None or a positive integer, got {self.fd_max_rows!r}")
         _check_candidates(self.a_grid, "a_grid")
         _check_candidates(self.sigma_grid, "sigma_grid")
         self.options(0)  # runs the options' checks before any seed is fitted
@@ -479,9 +480,10 @@ def run_ad(
         raise ValidationError(f"unknown method {method!r}; expected one of {AD_METHODS}")
     if ds.y is None:
         raise DataError("the AD protocol requires labels")
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(seeds)
     for seed in seeds:
-        rng_from_seed(seed)  # an out-of-range seed fails the run here, before any split
+        rng_from_seed(seed)  # a non-integer or out-of-range seed fails here, before any split
+    seeds = tuple(int(s) for s in seeds)
     if method.endswith("_sdo"):
         SdoParams(a=1.0, d=ds.d, m=config.m)  # and so does an m with 2m <= d
     aucs: dict[int, float] = {}
@@ -531,8 +533,8 @@ def duplicate_anomalies(ds: Dataset, k: int) -> Dataset:
     """
     if ds.y is None:
         raise DataError("duplicate_anomalies requires labels")
-    if not (1 <= int(k) <= 6):
-        raise ValidationError(f"k must lie in 1..6, got {k}")
+    if not (_is_int(k) and 1 <= k <= 6):
+        raise ValidationError(f"k must be an integer in 1..6, got {k!r}")
     k = int(k)
     counts = np.where(ds.y == 1, k, 1)
     X2 = np.repeat(ds.X, counts, axis=0)
@@ -562,8 +564,9 @@ def negative_fraction_experiment(
     the mean of the 5 worst final fractions per method plus the
     initialization-time fractions.  Divergent runs count as fraction 1.
     """
-    if n_init < 5:
-        raise ValidationError("need at least 5 initializations for a worst-5 mean")
+    if not (_is_int(n_init) and n_init >= 5):
+        raise ValidationError(
+            f"n_init must be an integer of at least 5 for a worst-5 mean, got {n_init!r}")
     X = ds.X
     if kernel == "sdo":
         params = SdoParams(a=a, d=ds.d, m=m)
@@ -689,15 +692,16 @@ def consistency_experiment(
     For each sample size N and repetition: draw N points, fit with a = 1/N
     and m = 1, rescale |f| to unit L2 mass on the grid, and record the
     trapezoid L2 distance to the true root density.  Reports the median over
-    repetitions.  A sample size or n_reps below 1, or a grid that is not
-    finite and strictly increasing with at least 2 points, raises
-    ValidationError before any fit.
+    repetitions.  A sample size or n_reps that is not a positive integer, or
+    a grid that is not finite and strictly increasing with at least 2 points,
+    raises ValidationError before any fit.
     """
+    Ns = list(Ns)
+    if not all(_is_int(N) and N >= 1 for N in Ns):
+        raise ValidationError(f"sample sizes must be positive integers, got {Ns}")
     Ns = [int(N) for N in Ns]
-    if any(N < 1 for N in Ns):
-        raise ValidationError(f"sample sizes must be at least 1, got {Ns}")
-    if n_reps < 1:
-        raise ValidationError(f"n_reps must be at least 1, got {n_reps}")
+    if not (_is_int(n_reps) and n_reps >= 1):
+        raise ValidationError(f"n_reps must be a positive integer, got {n_reps!r}")
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size < 2:
         raise ValidationError(f"the grid needs at least 2 points, got {grid.size}")

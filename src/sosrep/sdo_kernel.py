@@ -20,7 +20,10 @@ only rescales the fitted pre-density, so the default leaves it off.
 
 Radii are always drawn from the a=1 law and rescaled by a^(-1/(2m)); with a
 shared seed this makes kernels at different smoothness values exact
-reparametrizations of one another.
+reparametrizations of one another.  The a=1 radial law is tabulated once per
+(m, d), its trapezoid CDF on 200 000 uniform nodes, and inverted by linear
+interpolation.  A sample is kept by reference, as (params, T, seed), since
+sample_frequencies redraws the same rows bit for bit.
 
 The module needs numpy alone: the radial CDF comes from a numpy copy of
 scipy's cumulative trapezoid rule, and scipy is imported only inside
@@ -29,27 +32,21 @@ numeric_kernel_1d, the quadrature oracle that the tests compare against.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
 
-FORMAT_VERSION = "1"
-
 _TAIL_FRACTION = 1e-4
 _MAX_DOUBLINGS = 60
-_MIN_GRID = 16
-# The public grid default follows the reference discretization; the sampler
-# privately uses a finer unit grid so that linear inverse-CDF interpolation
-# contributes negligible bias to kernel estimates.
-DEFAULT_N_GRID = 10_000
-_SAMPLER_N_GRID = 200_000
+# Nodes of the radial table: fine enough that linear inverse-CDF
+# interpolation contributes negligible bias to kernel estimates.
+_RADIAL_NODES = 200_000
 
 
 def _is_int(value) -> bool:
@@ -87,19 +84,6 @@ class SdoParams:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "m", int(self.m))
-
-    def with_a(self, a: float) -> "SdoParams":
-        return replace(self, a=float(a))
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid with the (unnormalized) density and its CDF."""
-
-    r_values: np.ndarray
-    density_values: np.ndarray
-    cdf: np.ndarray
-    total_mass: float  # unnormalized trapezoid integral of zeta over [0, r_max]
 
 
 @dataclass(frozen=True)
@@ -162,19 +146,20 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def build_radial_grid(params: SdoParams, n_grid: int = DEFAULT_N_GRID) -> RadialGrid:
-    """Uniform grid on [0, r_max] with trapezoid CDF of the radial density.
+@lru_cache(maxsize=64)
+def _radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, cdf): uniform nodes on [0, r_max] and the a=1 radial law's trapezoid CDF.
 
-    r_max is doubled from an initial guess until the analytic bound on the
-    tail mass beyond r_max falls below 1e-4 of the total.
+    r_max is doubled from 1 until the analytic bound on the tail mass beyond
+    r_max falls below 1e-4 of the total; the CDF is normalized to end at 1.
+    Both arrays are cached and read-only.
     """
-    if n_grid < _MIN_GRID:
-        raise ValidationError(f"n_grid must be at least {_MIN_GRID}, got {n_grid}")
-    c = params.a * (2.0 * np.pi) ** (2 * params.m)
-    p = 2 * params.m - params.d  # tail decay exponent, positive by 2m > d
-    r_max = max(1.0, params.a ** (-1.0 / (2 * params.m)))
+    params = SdoParams(a=1.0, d=d, m=m)
+    c = (2.0 * np.pi) ** (2 * m)
+    p = 2 * m - d  # tail decay exponent, positive by 2m > d
+    r_max = 1.0
     for _ in range(_MAX_DOUBLINGS):
-        r = np.linspace(0.0, r_max, n_grid)
+        r = np.linspace(0.0, r_max, _RADIAL_NODES)
         dens = radial_density(r, params)
         total = float(np.trapezoid(dens, r))
         # zeta(r) <= r^(d-1-2m)/c for r >= r_max, integrated exactly
@@ -184,24 +169,14 @@ def build_radial_grid(params: SdoParams, n_grid: int = DEFAULT_N_GRID) -> Radial
         r_max *= 2.0
     else:
         raise NumericsError(
-            "radial grid tail mass did not drop below 1e-4 of the total "
-            f"within {_MAX_DOUBLINGS} doublings (a={params.a}, m={params.m}, d={params.d})"
+            "radial table tail mass did not drop below 1e-4 of the total "
+            f"within {_MAX_DOUBLINGS} doublings (m={m}, d={d})"
         )
     cdf = _cumulative_trapezoid(dens, r)
-    total = float(cdf[-1])
-    cdf = cdf / total
+    cdf = cdf / cdf[-1]
     cdf[-1] = 1.0
-    return RadialGrid(r_values=r, density_values=dens, cdf=cdf, total_mass=total)
-
-
-@lru_cache(maxsize=64)
-def _unit_grid(m: int, d: int, n_grid: int) -> RadialGrid:
-    return build_radial_grid(SdoParams(a=1.0, d=d, m=m), n_grid)
-
-
-def sample_radii(grid: RadialGrid, T: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from the grid law, linear interpolation between nodes."""
-    return np.interp(rng.random(T), grid.cdf, grid.r_values)
+    r.flags.writeable = cdf.flags.writeable = False
+    return r, cdf
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
@@ -232,9 +207,9 @@ def sample_frequencies(params: SdoParams, T: int, seed: int) -> FrequencySample:
     """
     if not (_is_int(T) and T >= 1):
         raise ValidationError(f"T must be a positive integer, got {T!r}")
-    grid = _unit_grid(params.m, params.d, _SAMPLER_N_GRID)
+    r_table, cdf = _radial_table(params.m, params.d)
     rng = rng_from_seed(seed)
-    r = sample_radii(grid, T, rng)
+    r = np.interp(rng.random(T), cdf, r_table)
     g = rng.standard_normal((T, params.d))
     norms = np.linalg.norm(g, axis=1)
     while np.any(norms == 0.0):  # probability-zero guard
@@ -247,15 +222,6 @@ def sample_frequencies(params: SdoParams, T: int, seed: int) -> FrequencySample:
     factor = (2.0 * np.pi) * params.a ** (-1.0 / (2 * params.m))
     Z = factor * (r[:, None] * theta)
     return FrequencySample(Z=Z, b=b, T=T, seed=seed, base_params=params)
-
-
-def rescale_frequencies(fs: FrequencySample, a: float) -> FrequencySample:
-    """The same seed's sample at a different smoothness value.
-
-    Bit-identical to calling sample_frequencies with the new parameters: only
-    the radial scale factor changes, not the underlying draws.
-    """
-    return sample_frequencies(fs.base_params.with_a(a), fs.T, fs.seed)
 
 
 def spectral_mass(params: SdoParams) -> float:
@@ -302,6 +268,19 @@ def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np
     return Phi
 
 
+def _gram(Phi: np.ndarray) -> np.ndarray:
+    """Phi @ Phi.T, bit for bit, in an array whose start is 64-byte aligned.
+
+    malloc aligns to 16 bytes only, and the solver's matrix-vector products
+    on a cache-resident Gram run about 25% slower when its rows do not start
+    on a 32-byte boundary, as every row of an aligned Gram does when 4 | N.
+    """
+    n = Phi.shape[0]
+    buf = np.empty(n * n + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return np.matmul(Phi, Phi.T, out=buf[start:start + n * n].reshape(n, n))
+
+
 def kernel_matrix(X, Y, fs: FrequencySample, exact_normalization: bool = False) -> np.ndarray:
     """Sampled kernel Gram matrix feature_map(X) @ feature_map(Y).T.
 
@@ -310,7 +289,7 @@ def kernel_matrix(X, Y, fs: FrequencySample, exact_normalization: bool = False) 
     """
     Phi_x = feature_map(X, fs, exact_normalization)
     if Y is None or Y is X:
-        return Phi_x @ Phi_x.T
+        return _gram(Phi_x)
     Phi_y = feature_map(Y, fs, exact_normalization)
     return Phi_x @ Phi_y.T
 
@@ -366,52 +345,3 @@ def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:
             f"kernel quadrature error estimate too large ({err:.3e} for value {val:.6e})"
         )
     return float(val)
-
-
-def frequency_sample_to_json(fs: FrequencySample) -> str:
-    """Serialize to the audit record {seed, T, m, d, a_base, Z row-major, b}."""
-    record = {
-        "format_version": FORMAT_VERSION,
-        "seed": fs.seed,
-        "T": fs.T,
-        "m": fs.base_params.m,
-        "d": fs.base_params.d,
-        "a_base": fs.base_params.a,
-        "Z": [float(v) for v in fs.Z.reshape(-1)],
-        "b": [float(v) for v in fs.b],
-    }
-    return json.dumps(record, sort_keys=True)
-
-
-def _json_record(text: str) -> dict:
-    """Parse a JSON record; a value that is not an object is a TypeError."""
-    record = json.loads(text)
-    if not isinstance(record, dict):
-        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-    return record
-
-
-def _record_int(record: dict, key: str) -> int:
-    """record[key], which must be a JSON integer (not a bool), else TypeError."""
-    value = record[key]
-    if not _is_int(value):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def frequency_sample_from_json(text: str) -> FrequencySample:
-    """Inverse of frequency_sample_to_json; bit-identical round trip.
-
-    A record that is not a JSON object, lacks a field, has a T or seed that is
-    not an integer, or whose Z or b does not fit T and d is a ValidationError.
-    """
-    try:
-        record = _json_record(text)
-        params = SdoParams(a=record["a_base"], d=record["d"], m=record["m"])
-        T = _record_int(record, "T")
-        Z = np.array(record["Z"], dtype=float).reshape(T, params.d)
-        b = np.array(record["b"], dtype=float)
-        return FrequencySample(Z=Z, b=b, T=T, seed=_record_int(record, "seed"),
-                               base_params=params)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON decoding
-        raise ValidationError(f"malformed frequency sample record: {exc}") from exc

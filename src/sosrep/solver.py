@@ -41,18 +41,17 @@ import numpy as np
 
 from .errors import NumericsError, SolverDivergence, ValidationError
 from .sdo_kernel import (
-    FORMAT_VERSION,
     FrequencySample,
     SdoParams,
+    _gram,
     _is_int,
-    _json_record,
-    _record_int,
     feature_map,
     feature_phases,
     rng_from_seed,
     sample_frequencies,
 )
 
+FORMAT_VERSION = "1"
 _METHODS = ("natural", "standard")
 _ZERO_DENSITY_FLOOR = 1e-300
 _CLAMP_THRESHOLD = 1e-12
@@ -403,7 +402,7 @@ def fit_model(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     fs = sample_frequencies(params, T, seed)
     Phi = feature_map(X, fs, exact_normalization)
-    K = _add_jitter_in_place(Phi @ Phi.T)
+    K = _add_jitter_in_place(_gram(Phi))
     res = fit(K, opts, seed=seed)
     w = Phi.T @ res.alpha
     return FittedModel(
@@ -457,6 +456,22 @@ def _finite_vector(values, name: str, length: int | None = None) -> np.ndarray:
             f"malformed model record: {name} has {v.shape[0]} entries, expected T = {length}"
         )
     return v
+
+
+def _json_record(text: str) -> dict:
+    """Parse a JSON record; a value that is not an object is a TypeError."""
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
+def _record_int(record: dict, key: str) -> int:
+    """record[key], which must be a JSON integer (not a bool), else TypeError."""
+    value = record[key]
+    if not _is_int(value):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def model_from_json(text: str) -> FittedModel:

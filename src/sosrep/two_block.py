@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .sdo_kernel import _is_int
 from .solver import SolverOptions, fit, rkhs_norm_sq
 
 
@@ -37,8 +38,11 @@ class BlockSpec:
     beta: float
 
     def __post_init__(self):
-        if self.N < 1 or self.M < 1:
-            raise ValidationError("cluster sizes must be at least 1")
+        for name in ("N", "M"):
+            size = getattr(self, name)
+            if not (_is_int(size) and size >= 1):
+                raise ValidationError(f"cluster size {name} must be a positive integer, got {size!r}")
+            object.__setattr__(self, name, int(size))
         if not (0.0 < self.gamma_prime <= self.gamma <= 1.0):
             raise ValidationError(
                 f"need 0 < gamma_prime <= gamma <= 1, got gamma={self.gamma}, "
@@ -50,13 +54,12 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class TwoBlockSolution:
-    """Positive solution of the two-variable system plus closed-form ratios."""
+    """Positive solution (a, b) of the two-variable system and its ratio a^2/b^2."""
 
     a: float
     b: float
     ratio: float  # a^2 / b^2
-    ratio_by_rho: dict  # closed-form candidate ratios for rho = +1 and -1
-    rho: int  # sign of the positive root in ratio_by_rho, always +1
+    rho: int  # sign of the positive root of the quadratic in t = a/b, always +1
     residual: float
 
 
@@ -104,7 +107,7 @@ def solve_two_block(H11: float, H12: float, H21: float, H22: float) -> TwoBlockS
     the product -H11/H22 < 0, so exactly one is positive: rho = +1 always.
     That root is taken in the form without cancellation, 2 H11 / (B + disc)
     for B = H21 - H12 >= 0 and (disc - B) / (2 H22) otherwise; a and b then
-    follow from the two squares.  Also reports the ratio t_rho^2 of both roots.
+    follow from the two squares.
     """
     H = (H11, H12, H21, H22)
     if any(not np.isfinite(h) for h in H) or H11 <= 0 or H22 <= 0 or H12 < 0 or H21 < 0:
@@ -112,13 +115,10 @@ def solve_two_block(H11: float, H12: float, H21: float, H22: float) -> TwoBlockS
     B = H21 - H12
     disc = math.sqrt(B * B + 4.0 * H11 * H22)
     t = 2.0 * H11 / (B + disc) if B >= 0 else (disc - B) / (2.0 * H22)
-    t_neg = -H11 / (H22 * t)  # the negative root, from the roots' product
     a = math.sqrt(H11 + H12 * t)
     b = math.sqrt(H22 + H21 / t)
-    return TwoBlockSolution(
-        a=a, b=b, ratio=t * t, ratio_by_rho={1: t * t, -1: t_neg * t_neg}, rho=1,
-        residual=_system_residual(a, b, *H),
-    )
+    return TwoBlockSolution(a=a, b=b, ratio=t * t, rho=1,
+                            residual=_system_residual(a, b, *H))
 
 
 def exact_system_coefficients(spec: BlockSpec):

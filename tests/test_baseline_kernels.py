@@ -28,6 +28,14 @@ class TestClosedFormKernel:
         with pytest.raises(ValidationError):
             sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=0)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, True])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValidationError, match="dimension d must be a positive integer"):
+            sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=d)
+
+    def test_accepts_numpy_integer_dimension(self):
+        assert sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=np.int64(2)).d == 2
+
 
 class TestGaussianKernel:
     def test_diagonal_value(self):

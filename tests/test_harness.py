@@ -262,6 +262,16 @@ class TestDuplicateAnomalies:
             with pytest.raises(ValidationError):
                 sp.duplicate_anomalies(mixture2d, k)
 
+    @pytest.mark.parametrize("k", [2.9, 2.0, True])
+    def test_non_integer_k_rejected(self, mixture2d, k):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            sp.duplicate_anomalies(mixture2d, k)
+
+    def test_numpy_integer_k_accepted(self, mixture2d):
+        dup = sp.duplicate_anomalies(mixture2d, np.int64(2))
+        np.testing.assert_array_equal(dup.X, sp.duplicate_anomalies(mixture2d, 2).X)
+        assert dup.name == "mixture2d#dup2"
+
     def test_requires_labels(self, two_clusters):
         with pytest.raises(DataError):
             sp.duplicate_anomalies(two_clusters, 2)
@@ -374,6 +384,21 @@ class TestRunAd:
         assert [e["fd"] for e in out["profiles"]["0"][1:]] == fds[1:]
         assert out["selection"] == {"0": "stable"}
 
+    @pytest.mark.parametrize("seeds", [(1.7,), (0, 1.0), (True,)])
+    def test_non_integer_seed_fails_before_any_split(self, mixture2d, monkeypatch, seeds):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split reached")
+
+        monkeypatch.setattr(harness, "split", no_split)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            sp.run_ad(mixture2d, "kde_gaussian", seeds=seeds, config=SMALL_AD_CONFIG)
+
+    def test_numpy_integer_seeds_accepted(self, mixture2d):
+        got = sp.run_ad(mixture2d, "kde_gaussian", seeds=[np.int64(0)], config=SMALL_AD_CONFIG)
+        want = sp.run_ad(mixture2d, "kde_gaussian", seeds=(0,), config=SMALL_AD_CONFIG)
+        assert got.seeds == (0,) and type(got.seeds[0]) is int
+        assert got.to_dict() == want.to_dict()
+
     @pytest.mark.parametrize("seeds", [(-1,), (0, -1), (2**64,)])
     def test_out_of_range_seed_fails_before_any_split(self, mixture2d, monkeypatch, seeds):
         def no_split(*args, **kwargs):
@@ -402,6 +427,9 @@ class TestAdConfig:
         {"m": 0},
         {"m": 1.5},
         {"m": True},
+        {"fd_max_rows": 0},
+        {"fd_max_rows": 2.5},
+        {"fd_max_rows": True},
     ])
     def test_invalid_value_rejected_at_construction(self, kwargs):
         with pytest.raises(ValidationError):
@@ -505,6 +533,11 @@ class TestNegativeFraction:
         with pytest.raises(ValidationError):
             sp.negative_fraction_experiment(two_clusters, n_init=4, n_iters=10)
 
+    @pytest.mark.parametrize("n_init", [5.5, 6.0, True])
+    def test_non_integer_n_init_rejected(self, two_clusters, n_init):
+        with pytest.raises(ValidationError, match="n_init must be an integer"):
+            sp.negative_fraction_experiment(two_clusters, T=64, n_init=n_init, n_iters=10)
+
     def test_gaussian_kernel_variant_runs(self, two_clusters):
         out = sp.negative_fraction_experiment(
             two_clusters, T=256, n_init=5, n_iters=30, lr=0.1, seed=0,
@@ -559,6 +592,10 @@ class TestConsistencyExperiment:
         {"Ns": (50, 0)},
         {"Ns": (-3,)},
         {"n_reps": 0},
+        {"Ns": (20.9,)},
+        {"Ns": (50, np.float64(100.0))},
+        {"n_reps": 1.5},
+        {"n_reps": True},
         {"grid": np.linspace(1.2, -1.2, 11)},
         {"grid": np.array([0.0, 0.5, 0.5, 1.0])},
         {"grid": np.array([0.0])},

@@ -1,6 +1,5 @@
 """Tests for the sampled-frequency kernel: radial law, sampler, oracles."""
 
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from scipy.integrate import quad
 
 import sosrep as sp
 from sosrep.errors import ValidationError
-from sosrep.sdo_kernel import rng_from_seed
+from sosrep.sdo_kernel import _radial_table, rng_from_seed
 
 
 class TestSdoParams:
@@ -48,11 +47,6 @@ class TestSdoParams:
         assert (p.a, p.d, p.m) == (0.5, 3, 2)
         assert sp.SdoParams(a=2, d=1).a == 2.0
 
-    def test_with_a_replaces_only_a(self):
-        p = sp.SdoParams(a=1.0, d=3, m=2)
-        q = p.with_a(0.25)
-        assert q.a == 0.25 and q.d == 3 and q.m == 2
-
 
 class TestRadialDensity:
     def test_r_zero_d2_is_zero(self):
@@ -75,41 +69,37 @@ class TestRadialDensity:
 
 
 class TestRadialGrid:
+    # _radial_table, the sampler's one grid: the a = 1 radial law of each (m, d).
     def test_cdf_monotone_and_normalized(self):
-        grid = sp.build_radial_grid(sp.SdoParams(a=1.0, d=1, m=1))
-        assert grid.cdf[-1] == 1.0
-        assert np.all(np.diff(grid.cdf) >= 0.0)
-        assert np.all(np.diff(grid.cdf[1:]) > 0.0)  # strictly increasing where zeta > 0
+        r, cdf = _radial_table(1, 1)
+        assert r[0] == 0.0 and cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert np.all(np.diff(r) > 0.0)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.all(np.diff(cdf[1:]) > 0.0)  # strictly increasing where zeta > 0
+        assert not (r.flags.writeable or cdf.flags.writeable)  # one cached table per (m, d)
 
     def test_argmax_matches_stationarity(self):
-        # (d-1)(1 + aC r^{2m}) = 2m aC r^{2m}  =>  r* = ((d-1)/(aC(2m-d+1)))^{1/(2m)}
-        d, m, a = 3, 2, 0.1
-        grid = sp.build_radial_grid(sp.SdoParams(a=a, d=d, m=m))
+        # (d-1)(1 + C r^{2m}) = 2m C r^{2m}  =>  r* = ((d-1)/(C(2m-d+1)))^{1/(2m)} at a = 1
+        d, m = 3, 2
+        r, _ = _radial_table(m, d)
         C = (2.0 * np.pi) ** (2 * m)
-        r_star = ((d - 1) / (a * C * (2 * m - d + 1))) ** (1.0 / (2 * m))
-        r_argmax = grid.r_values[np.argmax(grid.density_values)]
-        step = grid.r_values[1] - grid.r_values[0]
-        assert abs(r_argmax - r_star) <= step
-
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            sp.build_radial_grid(sp.SdoParams(a=1.0, d=1, m=1), n_grid=2)
+        r_star = ((d - 1) / (C * (2 * m - d + 1))) ** (1.0 / (2 * m))
+        r_argmax = r[np.argmax(sp.radial_density(r, sp.SdoParams(a=1.0, d=d, m=m)))]
+        assert abs(r_argmax - r_star) <= r[1] - r[0]
 
     def test_tail_mass_below_threshold(self):
-        params = sp.SdoParams(a=0.5, d=1, m=1)
-        grid = sp.build_radial_grid(params)
-        r_max = grid.r_values[-1]
-        c = params.a * (2 * np.pi) ** 2
-        total, _ = quad(lambda r: 1.0 / (1.0 + c * r * r), 0.0, np.inf)
-        tail, _ = quad(lambda r: 1.0 / (1.0 + c * r * r), r_max, np.inf)
+        r, _ = _radial_table(1, 1)
+        c = (2 * np.pi) ** 2
+        total, _ = quad(lambda x: 1.0 / (1.0 + c * x * x), 0.0, np.inf)
+        tail, _ = quad(lambda x: 1.0 / (1.0 + c * x * x), r[-1], np.inf)
         assert tail <= 1.001e-4 * total
 
     def test_total_mass_matches_quadrature(self):
-        params = sp.SdoParams(a=0.5, d=1, m=1)
-        grid = sp.build_radial_grid(params, n_grid=40000)
-        c = params.a * (2 * np.pi) ** 2
-        total, _ = quad(lambda r: 1.0 / (1.0 + c * r * r), 0.0, np.inf)
-        np.testing.assert_allclose(grid.total_mass, total, rtol=2e-4)
+        r, _ = _radial_table(1, 1)
+        c = (2 * np.pi) ** 2
+        total, _ = quad(lambda x: 1.0 / (1.0 + c * x * x), 0.0, np.inf)
+        tabulated = np.trapezoid(sp.radial_density(r, sp.SdoParams(a=1.0, d=1, m=1)), r)
+        np.testing.assert_allclose(tabulated, total, rtol=2e-4)
 
 
 class TestRngFromSeed:
@@ -162,13 +152,22 @@ class TestSampleFrequencies:
         np.testing.assert_array_equal(fs16.Z, 0.25 * fs1.Z)
         np.testing.assert_array_equal(fs16.b, fs1.b)
 
-    def test_rescale_frequencies_equals_fresh_sample(self):
-        params = sp.SdoParams(a=1.0, d=3, m=2)
-        fs = sp.sample_frequencies(params, 64, seed=5)
-        re = sp.rescale_frequencies(fs, 0.07)
-        fresh = sp.sample_frequencies(params.with_a(0.07), 64, seed=5)
-        np.testing.assert_array_equal(re.Z, fresh.Z)
-        np.testing.assert_array_equal(re.b, fresh.b)
+    # The first three rows of two samples.  How frequencies are drawn is
+    # fixed: the acceptance suite's sampled-kernel bound holds at its one
+    # frequency seed, so a change to the draws must show here first.
+    @pytest.mark.parametrize("a, d, m, seed, Z3, b3", [
+        (0.3, 2, 2, 5,
+         [[-2.001500496695206, 0.31786713496935365], [-1.5588224365806302, 0.07471674101190888],
+          [-0.5861787296398097, 0.5238623343557716]],
+         [0.30892389014578187, 3.883939585442643, 3.2846621141739054]),
+        (1.0, 1, 1, 0,
+         [[-0.018145184207839782], [0.3988469836537684], [-0.17689285870524654]],
+         [5.498717173501189, 3.8972235733896694, 4.934757124855724]),
+    ])
+    def test_draws_are_pinned(self, a, d, m, seed, Z3, b3):
+        fs = sp.sample_frequencies(sp.SdoParams(a=a, d=d, m=m), 64, seed=seed)
+        np.testing.assert_allclose(fs.Z[:3], Z3, rtol=1e-12)
+        np.testing.assert_allclose(fs.b[:3], b3, rtol=1e-12)
 
     @pytest.mark.parametrize("T", [0, 2.5, 3.0, True, "8"])
     def test_non_positive_or_non_integer_T_rejected(self, T):
@@ -186,12 +185,11 @@ class TestSampleFrequencies:
 
     def test_radii_reproduce_grid_cdf(self):
         # KS statistic of 1e5 sampled radii against the sampling CDF below 0.01
-        params = sp.SdoParams(a=1.0, d=2, m=2)
-        grid = sp.build_radial_grid(params, n_grid=50000)
-        rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-        radii = sp.sample_radii(grid, 100_000, rng)
+        fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=2, m=2), 100_000, seed=0)
+        radii = np.linalg.norm(fs.Z, axis=1) / (2.0 * np.pi)
         radii.sort()
-        model_cdf = np.interp(radii, grid.r_values, grid.cdf)
+        r, cdf = _radial_table(2, 2)
+        model_cdf = np.interp(radii, r, cdf)
         empirical = np.arange(1, radii.size + 1) / radii.size
         ks = float(np.max(np.abs(model_cdf - empirical)))
         assert ks < 0.01
@@ -252,7 +250,9 @@ class TestKernelMatrix:
         Phi = sp.feature_map(X, fs)
         K = Phi @ Phi.T
         np.testing.assert_array_equal(K, K.T)
-        np.testing.assert_array_equal(sp.kernel_matrix(X, None, fs), K)
+        K_self = sp.kernel_matrix(X, None, fs)
+        np.testing.assert_array_equal(K_self, K)
+        assert K_self.ctypes.data % 64 == 0  # the solver's products run faster on it
 
     def test_exact_normalization_scales_by_2w(self):
         params = sp.SdoParams(a=0.04, d=1, m=1)
@@ -350,34 +350,6 @@ class TestSphereArea:
         np.testing.assert_allclose(sp.sphere_area(1), 2.0)
         np.testing.assert_allclose(sp.sphere_area(2), 2.0 * np.pi)
         np.testing.assert_allclose(sp.sphere_area(3), 4.0 * np.pi)
-
-
-class TestSerialization:
-    def test_json_roundtrip_bitexact(self):
-        params = sp.SdoParams(a=0.37, d=3, m=2)
-        fs = sp.sample_frequencies(params, 96, seed=21)
-        text = sp.frequency_sample_to_json(fs)
-        back = sp.frequency_sample_from_json(text)
-        np.testing.assert_array_equal(back.Z, fs.Z)
-        np.testing.assert_array_equal(back.b, fs.b)
-        assert back.seed == fs.seed and back.T == fs.T
-        assert back.base_params == fs.base_params
-
-    @pytest.mark.parametrize("key, value", [(None, []), ("T", "abc"), ("T", 96.0),
-                                            ("seed", 1.5), ("Z", [0.5] * 5), ("Z", ["x"])])
-    def test_malformed_record_rejected(self, key, value):
-        # key None replaces the whole record with value
-        fs = sp.sample_frequencies(sp.SdoParams(a=0.37, d=3, m=2), 96, seed=21)
-        record = json.loads(sp.frequency_sample_to_json(fs))
-        record = value if key is None else {**record, key: value}
-        with pytest.raises(ValidationError, match="malformed frequency sample record"):
-            sp.frequency_sample_from_json(json.dumps(record))
-
-    def test_json_record_fields(self):
-        fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=1, m=1), 4, seed=0)
-        record = json.loads(sp.frequency_sample_to_json(fs))
-        for key in ("format_version", "seed", "T", "m", "d", "a_base", "Z", "b"):
-            assert key in record
 
 
 @settings(max_examples=20, deadline=None)

@@ -24,6 +24,16 @@ class TestBlockSpec:
         with pytest.raises(ValidationError):  # beta out of range
             sp.BlockSpec(N=1, M=1, gamma=0.5, gamma_prime=0.2, beta=1.5)
 
+    @pytest.mark.parametrize("sizes, name", [(dict(N=2.5, M=2), "N"), (dict(N=2, M=2.0), "M"),
+                                             (dict(N=True, M=2), "N")])
+    def test_non_integer_cluster_size_rejected(self, sizes, name):
+        with pytest.raises(ValidationError, match=f"cluster size {name} must be a positive integer"):
+            sp.BlockSpec(**sizes, gamma=0.5, gamma_prime=0.2, beta=0.0)
+
+    def test_numpy_integer_cluster_sizes_accepted(self):
+        spec = sp.BlockSpec(N=np.int64(2), M=np.uint8(3), gamma=0.5, gamma_prime=0.2, beta=0.0)
+        assert (spec.N, spec.M) == (2, 3) and type(spec.N) is int and type(spec.M) is int
+
     def test_equal_correlations_allowed(self):
         sp.BlockSpec(N=2, M=2, gamma=0.5, gamma_prime=0.5, beta=0.3)
 
@@ -70,10 +80,6 @@ class TestSolveTwoBlock:
         np.testing.assert_allclose(sol.a, H[0] / sol.a + H[1] / sol.b, rtol=1e-10)
         np.testing.assert_allclose(sol.b, H[2] / sol.a + H[3] / sol.b, rtol=1e-10)
         assert sol.residual <= 1e-8 * max(sol.a, sol.b)
-
-    def test_selected_rho_matches_ratio(self):
-        sol = sp.solve_two_block(0.64, 0.08, 0.08, 0.04)
-        np.testing.assert_allclose(sol.ratio_by_rho[sol.rho], sol.ratio, rtol=1e-9)
 
     def test_log_uniform_sweep(self):
         rng = np.random.default_rng(20)

@@ -19,7 +19,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.stats import rankdata
 
 from sosrep.harness import _average_ranks, _bump, _bump_cdf
-from sosrep.sdo_kernel import SdoParams, _cumulative_trapezoid, build_radial_grid
+from sosrep.sdo_kernel import SdoParams, _cumulative_trapezoid, _radial_table, radial_density
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -138,13 +138,13 @@ def test_cumulative_trapezoid_matches_scipy(y, seed):
 
 
 def test_cumulative_trapezoid_matches_scipy_on_the_package_grids():
-    for params in (SdoParams(a=1.0, d=1), SdoParams(a=0.3, d=2), SdoParams(a=1e-3, d=5)):
-        grid = build_radial_grid(params)
-        cdf = cumulative_trapezoid(grid.density_values, grid.r_values, initial=0.0)
-        assert grid.total_mass == float(cdf[-1])
-        expected = cdf / cdf[-1]
+    for m, d in ((1, 1), (2, 2), (3, 5)):
+        r, cdf = _radial_table(m, d)
+        expected = cumulative_trapezoid(radial_density(r, SdoParams(a=1.0, d=d, m=m)), r,
+                                        initial=0.0)
+        expected = expected / expected[-1]
         expected[-1] = 1.0
-        assert np.array_equal(grid.cdf, expected)
+        assert np.array_equal(cdf, expected)
     u, cdf = _bump_cdf()
     expected = cumulative_trapezoid(_bump(u), u, initial=0.0)
     assert np.array_equal(cdf, expected / expected[-1])

@@ -4,23 +4,33 @@ Both families carry the 1/sigma^d normalization so that evaluation at x = y
 equals (1/sigma)^d.  Bandwidths are tuned with the same Fisher-divergence
 machinery used for the sampled kernel's smoothness parameter.
 
-The (N, M, d) difference and gradient tensors are filled one coordinate at a
-time, each slice [:, :, j] one N x M operation.  A broadcast over the short
-last axis would run numpy's inner loop over only d elements, several times
-slower per element; the per-coordinate fill applies the same IEEE operation
-to every element, so its values are those of the broadcast bit for bit.  The
-squared distance stays one einsum over the tensor: a per-coordinate sum
-matches it only for d <= 2.
+The differences x_i - y_j are filled one coordinate at a time, each slice
+[:, :, j] one operation over all pairs.  A broadcast over the short last axis
+would run numpy's inner loop over only d elements, several times slower per
+element; the per-coordinate fill applies the same IEEE operation to every
+element, so its values are those of the broadcast bit for bit.  The squared
+distance stays one einsum over the differences: a per-coordinate sum matches
+it only for d <= 2.  The kernel values are then computed in place, in the
+order norm * exp(-sq / (2 sigma^2)) or norm * exp(-sqrt(sq) / sigma).
+
+kernel_matrix_closed_form builds its N x M matrix in blocks of training rows:
+each block's differences go into one reused buffer of at most _BLOCK_CELLS
+doubles, and its values into its own rows of the output.  So its memory is
+the output plus about 1 MB, whatever the number of pairs.  Every entry
+depends only on its own pair (x_i, y_j), the d-sum of the einsum stays inside
+that entry and the rest is elementwise, so any block size gives the same
+bits.  The gradient keeps its (N, M, d) output and is not blocked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .sdo_kernel import _is_int
+from .sdo_kernel import _is_int, _is_real
 
 FAMILIES = ("gaussian", "laplacian")
 
@@ -36,38 +46,66 @@ class ClosedFormKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not (_is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValidationError(f"sigma must be a positive finite real number, got {self.sigma!r}")
         if not (_is_int(self.d) and self.d >= 1):
             raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
 
 
-def _pairwise_diff(X, Y):
+# Doubles in the difference buffer of one block of training rows (1 MB).
+_BLOCK_CELLS = 1 << 17
+
+
+def _as_rows(X, Y):
+    """X and Y as 2-D float arrays of rows with the same dimension."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise DataError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    diff = np.empty((X.shape[0], Y.shape[0], X.shape[1]))  # x_i - y_j
+    return X, Y
+
+
+def _check_dim(k: ClosedFormKernel, d: int) -> None:
+    if d != k.d:
+        raise DataError(f"data dimension {d} does not match kernel dimension {k.d}")
+
+
+def _fill_diff(X, Y, out):
+    """out[i, j] = x_i - y_j for an (N, M, d) `out`."""
     for j in range(X.shape[1]):
-        np.subtract(X[:, j, None], Y[None, :, j], out=diff[:, :, j])
-    return diff
+        np.subtract(X[:, j, None], Y[None, :, j], out=out[:, :, j])
+    return out
 
 
-def _kernel_from_diff(k: ClosedFormKernel, diff: np.ndarray):
-    """(N x M kernel values, N x M distances or None) from the (N, M, d) differences."""
-    if diff.shape[2] != k.d:
-        raise DataError(f"data dimension {diff.shape[2]} does not match kernel dimension {k.d}")
-    norm = k.sigma ** (-k.d)
+def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarray:
+    """Overwrite the squared distances `sq` with the kernel values.
+
+    A Laplacian call may pass a `dist` array of sq's shape to keep the
+    distances; otherwise sq holds them on the way.
+    """
     if k.family == "gaussian":
-        sq = np.einsum("nmd,nmd->nm", diff, diff)
-        return norm * np.exp(-sq / (2.0 * k.sigma**2)), None
-    dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
-    return norm * np.exp(-dist / k.sigma), dist
+        np.negative(sq, out=sq)
+        np.divide(sq, 2.0 * k.sigma**2, out=sq)
+    else:
+        np.negative(np.sqrt(sq, out=sq if dist is None else dist), out=sq)
+        np.divide(sq, k.sigma, out=sq)
+    np.exp(sq, out=sq)
+    return np.multiply(sq, k.sigma ** (-k.d), out=sq)
 
 
 def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
-    """Dense N x M matrix of kernel values k(x_i, y_j)."""
-    return _kernel_from_diff(k, _pairwise_diff(X, Y))[0]
+    """Dense N x M matrix of kernel values k(x_i, y_j), in blocks of rows of X."""
+    X, Y = _as_rows(X, Y)
+    _check_dim(k, X.shape[1])
+    (n, d), m = X.shape, Y.shape[0]
+    out = np.empty((n, m))
+    step = max(1, _BLOCK_CELLS // max(m * d, 1))
+    buf = np.empty((min(step, n), m, d))
+    for lo in range(0, n, step):
+        rows = out[lo:lo + step]
+        diff = _fill_diff(X[lo:lo + step], Y, buf[:rows.shape[0]])
+        _values_in_place(k, np.einsum("nmd,nmd->nm", diff, diff, out=rows))
+    return out
 
 
 def eval_kernel(k: ClosedFormKernel, x, y) -> float:
@@ -79,8 +117,12 @@ def eval_kernel(k: ClosedFormKernel, x, y) -> float:
 
 def kernel_and_gradient_closed_form(k: ClosedFormKernel, X, Y):
     """(kernel_matrix_closed_form, kernel_gradient_closed_form) from one difference tensor."""
-    grads = _pairwise_diff(X, Y)  # x_i - y_j, overwritten by the gradient
-    vals, dist = _kernel_from_diff(k, grads)
+    X, Y = _as_rows(X, Y)
+    _check_dim(k, X.shape[1])
+    # x_i - y_j, overwritten by the gradient
+    grads = _fill_diff(X, Y, np.empty((X.shape[0], Y.shape[0], k.d)))
+    dist = None if k.family == "gaussian" else np.empty((X.shape[0], Y.shape[0]))
+    vals = _values_in_place(k, np.einsum("nmd,nmd->nm", grads, grads), dist)
     for j in range(k.d):
         g = grads[:, :, j]
         if k.family == "laplacian":

@@ -45,6 +45,7 @@ from .sdo_kernel import (
     SdoParams,
     _cumulative_trapezoid,
     _is_int,
+    _is_real,
     feature_map,
     kernel_matrix,
     rng_from_seed,
@@ -163,6 +164,12 @@ def _default_a_grid() -> tuple:
     return tuple(np.geomspace(1e2, 1e-6, 25))
 
 
+def _check_train_frac(train_frac) -> None:
+    if not (_is_real(train_frac) and 0.0 < train_frac < 1.0):
+        raise ValidationError(
+            f"train_frac must be a real number strictly between 0 and 1, got {train_frac!r}")
+
+
 def _default_sigma_grid() -> tuple:
     return tuple(np.geomspace(10.0, 0.05, 25))
 
@@ -190,10 +197,7 @@ class AdConfig:
         if not (self.m is None or (_is_int(self.m) and self.m >= 1)):
             raise ValidationError(
                 f"derivative order m must be None or a positive integer, got {self.m!r}")
-        if not (0.0 < self.train_frac < 1.0):
-            raise ValidationError(
-                f"train_frac must lie strictly between 0 and 1, got {self.train_frac}"
-            )
+        _check_train_frac(self.train_frac)
         if not (self.fd_max_rows is None or (_is_int(self.fd_max_rows) and self.fd_max_rows >= 1)):
             raise ValidationError(
                 f"fd_max_rows must be None or a positive integer, got {self.fd_max_rows!r}")
@@ -226,8 +230,7 @@ def split(ds: Dataset, seed: int, train_frac: float = AdConfig.train_frac):
     preserved within one sample per part (largest-remainder allocation).  An
     empty stratum in either part warns rather than fails.
     """
-    if not (0.0 < train_frac < 1.0):
-        raise ValidationError(f"train_frac must lie strictly between 0 and 1, got {train_frac}")
+    _check_train_frac(train_frac)
     n = ds.n
     if n < 2:
         raise ValidationError("need at least 2 rows to split")
@@ -632,8 +635,10 @@ class SmoothBumpDensity:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValidationError("width must be positive")
+        if not (_is_real(self.center) and math.isfinite(self.center)):
+            raise ValidationError(f"center must be a finite real number, got {self.center!r}")
+        if not (_is_real(self.width) and math.isfinite(self.width) and self.width > 0):
+            raise ValidationError(f"width must be a positive finite real number, got {self.width!r}")
 
     def support(self):
         return self.center - self.width, self.center + self.width
@@ -692,9 +697,10 @@ def consistency_experiment(
     For each sample size N and repetition: draw N points, fit with a = 1/N
     and m = 1, rescale |f| to unit L2 mass on the grid, and record the
     trapezoid L2 distance to the true root density.  Reports the median over
-    repetitions.  A sample size or n_reps that is not a positive integer, or
-    a grid that is not finite and strictly increasing with at least 2 points,
-    raises ValidationError before any fit.
+    repetitions.  A sample size or n_reps that is not a positive integer, a
+    grid that is not finite and strictly increasing with at least 2 points,
+    or lr, n_iters or grad_tol that SolverOptions rejects raises
+    ValidationError before any fit.
     """
     Ns = list(Ns)
     if not all(_is_int(N) and N >= 1 for N in Ns):
@@ -707,6 +713,7 @@ def consistency_experiment(
         raise ValidationError(f"the grid needs at least 2 points, got {grid.size}")
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ValidationError("the grid must be finite and strictly increasing")
+    opts = SolverOptions(method="natural", lr=lr, n_iters=n_iters, grad_tol=grad_tol)
     v = density.sqrt_pdf(grid)
     v = v / math.sqrt(float(np.trapezoid(v * v, grid)))
     results = []
@@ -718,7 +725,6 @@ def consistency_experiment(
             rng = rng_from_seed(seed, sub)
             X = density.sample(N, rng)
             fit_seed = seed * 1_000_003 + sub
-            opts = SolverOptions(method="natural", lr=lr, n_iters=n_iters, grad_tol=grad_tol)
             model = fit_model(X, SdoParams(a=a, d=1, m=1), T, seed=fit_seed, opts=opts)
             fhat = np.abs(model.f_values(grid.reshape(-1, 1)))
             mass = float(np.trapezoid(fhat * fhat, grid))

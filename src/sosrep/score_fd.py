@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     VanishingDensity,
 )
-from .sdo_kernel import _is_int, rng_from_seed
+from .sdo_kernel import _is_int, _is_real, rng_from_seed
 
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
@@ -61,16 +61,17 @@ class FdOptions:
         if not (_is_int(self.n_fd_iters) and self.n_fd_iters >= 1):
             raise ValidationError(
                 f"n_fd_iters must be a positive integer, got {self.n_fd_iters!r}")
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValidationError("h must be positive")
+        if not (_is_real(self.h) and math.isfinite(self.h) and self.h > 0):
+            raise ValidationError(f"h must be a positive finite real number, got {self.h!r}")
         if self.probe not in _PROBES:
             raise ValidationError(f"probe must be one of {_PROBES}, got {self.probe!r}")
 
 
 def _check_grid(a_vals, name: str = "candidate values") -> None:
     """Candidate values must be positive, finite and strictly decreasing."""
-    if any(not np.isfinite(a) or a <= 0 for a in a_vals):
-        raise ValidationError(f"{name} must be positive and finite")
+    for a in a_vals:
+        if not (_is_real(a) and math.isfinite(a) and a > 0):
+            raise ValidationError(f"{name} must be positive finite real numbers, got {a!r}")
     if any(a_vals[i] <= a_vals[i + 1] for i in range(len(a_vals) - 1)):
         raise ValidationError(f"{name} must be strictly decreasing")
 
@@ -342,8 +343,9 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
 
     Returns (a_star, profile of all evaluated candidates).
     """
-    cand = [float(a) for a in candidate_as]
+    cand = list(candidate_as)
     _check_candidates(cand)
+    cand = [float(a) for a in cand]
     Y_test = _test_rows(Y_test)
     plan = _probe_plan(opts, *Y_test.shape)
 

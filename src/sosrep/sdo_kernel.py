@@ -54,6 +54,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for a Python or numpy real number, integers included; False for a
+    bool and anything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SdoParams:
     """Smoothness a, derivative order m, and dimension d of the SDO kernel.
@@ -74,8 +80,7 @@ class SdoParams:
             raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
         if not (_is_int(self.m) and self.m >= 1):
             raise ValidationError(f"derivative order m must be a positive integer, got {self.m!r}")
-        real = isinstance(self.a, numbers.Real) and not isinstance(self.a, bool)
-        if not (real and math.isfinite(self.a) and self.a > 0):
+        if not (_is_real(self.a) and math.isfinite(self.a) and self.a > 0):
             raise ValidationError(f"smoothness a must be a positive finite real number, got {self.a!r}")
         if 2 * self.m <= self.d:
             raise ValidationError(

@@ -45,6 +45,7 @@ from .sdo_kernel import (
     SdoParams,
     _gram,
     _is_int,
+    _is_real,
     feature_map,
     feature_phases,
     rng_from_seed,
@@ -70,12 +71,14 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"lr must be positive, got {self.lr!r}")
+        if not (_is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be a positive finite real number, got {self.lr!r}")
         if not (_is_int(self.n_iters) and self.n_iters >= 1):
             raise ValidationError(f"n_iters must be a positive integer, got {self.n_iters!r}")
-        if self.grad_tol < 0:
-            raise ValidationError("grad_tol must be nonnegative")
+        if not (_is_real(self.grad_tol) and math.isfinite(self.grad_tol)
+                and self.grad_tol >= 0):
+            raise ValidationError(
+                f"grad_tol must be a nonnegative finite real number, got {self.grad_tol!r}")
 
 
 @dataclass

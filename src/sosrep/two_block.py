@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sdo_kernel import _is_int
+from .sdo_kernel import _is_int, _is_real
 from .solver import SolverOptions, fit, rkhs_norm_sq
 
 
@@ -43,6 +43,9 @@ class BlockSpec:
             if not (_is_int(size) and size >= 1):
                 raise ValidationError(f"cluster size {name} must be a positive integer, got {size!r}")
             object.__setattr__(self, name, int(size))
+        for name in ("gamma", "gamma_prime", "beta"):
+            if not _is_real(getattr(self, name)):
+                raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (0.0 < self.gamma_prime <= self.gamma <= 1.0):
             raise ValidationError(
                 f"need 0 < gamma_prime <= gamma <= 1, got gamma={self.gamma}, "

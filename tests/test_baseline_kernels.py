@@ -1,6 +1,7 @@
 """Tests for the Gaussian/Laplacian baseline kernels and KDE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosrep as sp
-from sosrep.baseline_kernels import kernel_and_gradient_closed_form
+from sosrep import baseline_kernels
+from sosrep.baseline_kernels import FAMILIES, kernel_and_gradient_closed_form
 from sosrep.errors import DataError, ValidationError
 from sosrep.harness import ClosedFormRepresenterModel
 
@@ -23,6 +25,15 @@ class TestClosedFormKernel:
             sp.ClosedFormKernel(family="gaussian", sigma=0.0, d=1)
         with pytest.raises(ValidationError):
             sp.ClosedFormKernel(family="gaussian", sigma=float("nan"), d=1)
+
+    @pytest.mark.parametrize("sigma", [True, None, "x"])
+    def test_rejects_non_real_sigma(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be a positive finite real"):
+            sp.ClosedFormKernel(family="gaussian", sigma=sigma, d=2)
+
+    def test_accepts_numpy_real_sigma(self):
+        for sigma in (np.float32(0.5), np.int64(2)):
+            assert sp.ClosedFormKernel(family="gaussian", sigma=sigma, d=2).sigma == sigma
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValidationError):
@@ -207,23 +218,7 @@ def _broadcast_reference(k, X, Y):
     return vals, vals[:, :, None] * unit / k.sigma
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    family=st.sampled_from(["gaussian", "laplacian"]),
-    d=st.integers(1, 13),
-    n=st.integers(1, 40),
-    m=st.integers(1, 40),
-    sigma=st.floats(min_value=0.05, max_value=5.0),
-    spread=st.floats(min_value=0.01, max_value=10.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_closed_form_path_is_bitwise_the_broadcast(family, d, n, m, sigma, spread, seed):
-    rng = np.random.default_rng(seed)
-    X = spread * rng.normal(size=(n, d))
-    Y = spread * rng.normal(size=(m, d))
-    Y[0] = X[-1]  # coinciding points: the Laplacian's zero gradient
-    k = sp.ClosedFormKernel(family=family, sigma=sigma, d=d)
-    alpha = rng.random(n)
+def _assert_bitwise_the_broadcast(k, X, Y, alpha):
     vals, grads = _broadcast_reference(k, X, Y)
 
     def same(a, b):
@@ -234,8 +229,117 @@ def test_closed_form_path_is_bitwise_the_broadcast(family, d, n, m, sigma, sprea
     assert same(sp.kernel_matrix_closed_form(k, X, Y), vals)
     assert same(sp.kernel_gradient_closed_form(k, X, Y), grads)
     assert same(sp.kde_density(X, Y, k), vals.mean(axis=0))
-    f, G = ClosedFormRepresenterModel(X, alpha, k, squared=True).f_and_grad(Y)
+    model = ClosedFormRepresenterModel(X, alpha, k, squared=True)
+    assert same(model.f_values(Y), alpha @ vals)
+    f, G = model.f_and_grad(Y)
     assert same(f, alpha @ vals)
     assert same(G, np.einsum("n,nmd->md", alpha, grads))
-    if family == "laplacian":
+    if k.family == "laplacian":
         assert not grads[-1, 0].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    d=st.integers(1, 13),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    sigma=st.floats(min_value=0.05, max_value=5.0),
+    spread=st.floats(min_value=0.01, max_value=10.0),
+    seed=st.integers(0, 2**32 - 1),
+    block_rows=st.sampled_from([None, 1, 2, 3, 7]),
+    extra_cells=st.integers(0, 12),
+)
+def test_closed_form_path_is_bitwise_the_broadcast(family, d, n, m, sigma, spread, seed,
+                                                   block_rows, extra_cells):
+    # block_rows None keeps the module's budget (one block at these sizes);
+    # otherwise the budget holds that many rows of differences plus a few cells
+    rng = np.random.default_rng(seed)
+    X = spread * rng.normal(size=(n, d))
+    Y = spread * rng.normal(size=(m, d))
+    Y[0] = X[-1]  # coinciding points: the Laplacian's zero gradient
+    k = sp.ClosedFormKernel(family=family, sigma=sigma, d=d)
+    alpha = rng.random(n)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(baseline_kernels, "_BLOCK_CELLS",
+                       block_rows * m * d + min(extra_cells, m * d - 1))
+        _assert_bitwise_the_broadcast(k, X, Y, alpha)
+
+
+class TestRowBlocks:
+    """kernel_matrix_closed_form in blocks of training rows: the same bits as
+    one broadcast over all pairs, whatever the block size."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 13])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (7, 1), (10, 6)])
+    @pytest.mark.parametrize("cells", [1, 2, 5, 19, 40])
+    def test_tiny_budgets_are_bitwise_the_broadcast(self, monkeypatch, family, d, n, m,
+                                                    cells):
+        # a budget of a few cells gives one-row blocks or, when a few rows
+        # fit, a ragged last block
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(100 * d + 10 * n + m)
+        X = rng.normal(size=(n, d))
+        Y = rng.normal(size=(m, d))
+        Y[0] = X[-1]
+        k = sp.ClosedFormKernel(family=family, sigma=0.7, d=d)
+        _assert_bitwise_the_broadcast(k, X, Y, rng.random(n))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cells", [1, 3 * 9 * 4 + 5, 1 << 17])
+    def test_gram_is_exactly_symmetric(self, monkeypatch, family, cells):
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
+        X = np.random.default_rng(2).normal(size=(9, 4))
+        K = sp.kernel_matrix_closed_form(sp.ClosedFormKernel(family, 1.3, 4), X, X)
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, m", [(1400, 600), (1400, 1400)], ids=["query", "gram"])
+    def test_peak_memory_is_the_output_and_one_block(self, family, n, m):
+        # d = 2: the (N, M, d) difference tensor alone would be twice the output
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(n, 2))
+        Y = X if m == n else rng.normal(size=(m, 2))
+        k = sp.ClosedFormKernel(family, 0.7, 2)
+        tracemalloc.start()
+        try:
+            K = sp.kernel_matrix_closed_form(k, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (n, m)
+        assert peak < 1.5 * K.nbytes
+
+
+class TestShapesAndErrors:
+    @pytest.mark.parametrize("fn", [sp.kernel_matrix_closed_form, sp.kernel_gradient_closed_form,
+                                    kernel_and_gradient_closed_form])
+    def test_dimension_mismatch_messages(self, fn):
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        with pytest.raises(DataError, match=r"^dimension mismatch: 3 vs 2$"):
+            fn(k, np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(DataError,
+                           match=r"^data dimension 3 does not match kernel dimension 2$"):
+            fn(k, np.zeros((2, 3)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_query_set(self, family):
+        k = sp.ClosedFormKernel(family=family, sigma=1.0, d=2)
+        X, Y = np.ones((5, 2)), np.zeros((0, 2))
+        assert sp.kernel_matrix_closed_form(k, X, Y).shape == (5, 0)
+        vals, grads = kernel_and_gradient_closed_form(k, X, Y)
+        assert vals.shape == (5, 0) and grads.shape == (5, 0, 2)
+        assert sp.kde_density(X, Y, k).shape == (0,)
+        model = ClosedFormRepresenterModel(X, np.ones(5), k, squared=True)
+        assert model.f_values(Y).shape == (0,)
+
+    def test_empty_training_set_gives_empty_rows(self):
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        assert sp.kernel_matrix_closed_form(k, np.zeros((0, 2)), np.ones((3, 2))).shape == (0, 3)
+
+    def test_single_rows_are_promoted(self):
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        K = sp.kernel_matrix_closed_form(k, [0.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(K, [[math.exp(-1.0), 1.0]])

@@ -451,6 +451,33 @@ class TestOutOfRangeSeeds:
         assert not out_p.exists()
 
 
+class TestGradTol:
+    """--grad-tol must be finite: a NaN one never ends a fit (gnorm < nan is
+    false) and would write NaN, which is not JSON, into the run config."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", *FIT_FLAGS, "--metrics", "{tmp}/m.json"],
+        ["tune", *TUNE_FLAGS],
+        ["experiment", "--protocol", "ad", "--methods", "kde_gaussian", *EXP_FLAGS],
+        ["experiment", "--protocol", "duplicates", "--methods", "kde_gaussian", *EXP_FLAGS,
+         "--k-values", "1"],
+        ["experiment", "--protocol", "consistency", "--n-z", "64", "--n-iters", "20",
+         "--sample-sizes", "20", "--n-reps", "1"],
+    ], ids=["fit", "tune", "ad", "duplicates", "consistency"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_is_validation_error(self, tmp_path, mixture_csv, capsys, argv,
+                                            value):
+        out_p = tmp_path / "x.json"
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if argv[0] != "experiment" or argv[2] != "consistency":
+            argv += ["--data", mixture_csv]
+        rc = main([*argv, "--grad-tol", value, "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and "grad_tol must be" in error["message"]
+        assert not out_p.exists() and not (tmp_path / "m.json").exists()
+
+
 class TestConsistencyInputs:
     @pytest.mark.parametrize("flags", [
         ["--sample-sizes", "0"],

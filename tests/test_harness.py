@@ -162,6 +162,11 @@ class TestSplit:
         with pytest.raises(ValidationError):
             sp.split(mixture2d, seed=0, train_frac=0.0)
 
+    @pytest.mark.parametrize("train_frac", ["x", None, True])
+    def test_non_real_fraction_rejected(self, mixture2d, train_frac):
+        with pytest.raises(ValidationError, match="train_frac must be a real number"):
+            sp.split(mixture2d, seed=0, train_frac=train_frac)
+
 
 class TestStandardize:
     def test_train_becomes_zero_mean_unit_std(self, mixture2d):
@@ -435,6 +440,29 @@ class TestAdConfig:
         with pytest.raises(ValidationError):
             sp.AdConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"grad_tol": math.nan}, "grad_tol"),
+        ({"grad_tol": math.inf}, "grad_tol"),
+        ({"grad_tol": True}, "grad_tol"),
+        ({"lr": True}, "lr"),
+        ({"lr": "x"}, "lr"),
+        ({"h": True}, "h"),
+        ({"h": "x"}, "h"),
+        ({"train_frac": "x"}, "train_frac"),
+        ({"train_frac": True}, "train_frac"),
+        ({"train_frac": None}, "train_frac"),
+        ({"a_grid": tuple("gfedcba")}, "a_grid"),
+        ({"sigma_grid": (7.0, 6.0, 5.0, None, 3.0, 2.0, 1.0)}, "sigma_grid"),
+    ])
+    def test_non_real_or_non_finite_value_rejected_naming_its_field(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            sp.AdConfig(**kwargs)
+
+    def test_numpy_reals_accepted(self):
+        config = sp.AdConfig(lr=np.float32(0.2), h=np.float64(1e-3), grad_tol=np.int64(0),
+                             train_frac=np.float64(0.6))
+        assert config.options(0)[0].grad_tol == 0
+
     @pytest.mark.parametrize("method", [m for m in sp.AD_METHODS if m.endswith("_sdo")])
     def test_order_too_low_for_the_dimension_fails_before_any_split(
             self, mixture2d, monkeypatch, method):
@@ -538,6 +566,15 @@ class TestNegativeFraction:
         with pytest.raises(ValidationError, match="n_init must be an integer"):
             sp.negative_fraction_experiment(two_clusters, T=64, n_init=n_init, n_iters=10)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"kernel": "gaussian", "sigma": None}, "sigma"),
+        ({"kernel": "laplacian", "sigma": True}, "sigma"),
+        ({"lr": True}, "lr"),
+    ])
+    def test_non_real_setting_rejected(self, two_clusters, kwargs, field):
+        with pytest.raises(ValidationError, match=f"{field} must be a positive finite real"):
+            sp.negative_fraction_experiment(two_clusters, T=64, n_init=5, n_iters=10, **kwargs)
+
     def test_gaussian_kernel_variant_runs(self, two_clusters):
         out = sp.negative_fraction_experiment(
             two_clusters, T=256, n_init=5, n_iters=30, lr=0.1, seed=0,
@@ -552,6 +589,15 @@ class TestSmoothBumpDensity:
         x = np.linspace(-1.0, 1.0, 20001)
         total = np.trapezoid(bump.pdf(x), x)
         np.testing.assert_allclose(total, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"width": 0.0}, "width"), ({"width": "x"}, "width"), ({"width": True}, "width"),
+        ({"width": math.inf}, "width"), ({"center": None}, "center"),
+        ({"center": math.nan}, "center"),
+    ])
+    def test_bad_shape_rejected(self, kwargs, field):
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            sp.SmoothBumpDensity(**kwargs)
 
     def test_support_and_tails(self):
         bump = sp.SmoothBumpDensity(center=0.5, width=2.0)
@@ -600,6 +646,9 @@ class TestConsistencyExperiment:
         {"grid": np.array([0.0, 0.5, 0.5, 1.0])},
         {"grid": np.array([0.0])},
         {"grid": np.array([0.0, np.nan, 1.0])},
+        {"grad_tol": np.nan},
+        {"lr": True},
+        {"n_iters": 0},
     ])
     def test_unusable_input_rejected_before_any_fit(self, monkeypatch, kwargs):
         def no_fit(*args, **kw):

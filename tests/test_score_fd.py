@@ -137,6 +137,14 @@ class TestHutchinsonTrace:
         with pytest.raises(ValidationError):
             sp.FdOptions(probe="gaussian")
 
+    @pytest.mark.parametrize("h", [True, "x", None, math.nan, math.inf])
+    def test_non_real_or_non_finite_step_rejected(self, h):
+        with pytest.raises(ValidationError, match="h must be a positive finite real number"):
+            sp.FdOptions(h=h)
+
+    def test_numpy_real_step_accepted(self):
+        assert sp.FdOptions(h=np.float32(1e-3)).h == np.float32(1e-3)
+
     @pytest.mark.parametrize("n_fd_iters", [2.5, 3.0, True])
     def test_non_integer_probe_count_rejected(self, n_fd_iters):
         with pytest.raises(ValidationError, match="n_fd_iters must be a positive integer"):
@@ -541,6 +549,20 @@ class TestTune:
             sp.tune([3.0, 2.0, 1.0], lambda a: None, _FD_TEST_ROW)  # too few
         with pytest.raises(ValidationError):
             sp.tune([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], lambda a: None, _FD_TEST_ROW)
+
+    @pytest.mark.parametrize("bad", ["x", None, True])
+    def test_non_real_candidate_rejected(self, bad):
+        grid = [7.0, 6.0, 5.0, bad, 3.0, 2.0, 1.0]
+        with pytest.raises(ValidationError, match=f"must be positive finite real numbers, got {bad!r}"):
+            sp.tune(grid, lambda a: None, _FD_TEST_ROW)
+        with pytest.raises(ValidationError, match="must be positive finite real numbers"):
+            sp.tune(["g", "f", "e", "d", "c", "b", "a"], lambda a: None, _FD_TEST_ROW)
+
+    def test_numpy_real_candidates_accepted(self):
+        grid = [np.float32(7.0), 6.0, np.int64(5), 4.0, 3.0, 2.0, 1.0]
+        a_star, profile = sp.tune(grid, lambda a: _LinearScoreModel(_c_for_target(a)),
+                                  _FD_TEST_ROW, sp.FdOptions(n_fd_iters=2))
+        assert len(profile) == 7
 
 
 class TestSelectionKind:

@@ -201,6 +201,22 @@ class TestFit:
             else:
                 sp.SolverOptions(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(grad_tol=math.nan), "grad_tol"), (dict(grad_tol=math.inf), "grad_tol"),
+        (dict(grad_tol=True), "grad_tol"), (dict(grad_tol="x"), "grad_tol"),
+        (dict(grad_tol=None), "grad_tol"), (dict(grad_tol=-1e-9), "grad_tol"),
+        (dict(lr=True), "lr"), (dict(lr="x"), "lr"), (dict(lr=None), "lr"),
+        (dict(lr=math.inf), "lr"),
+    ])
+    def test_non_real_or_non_finite_setting_rejected(self, kwargs, field):
+        # a NaN grad_tol never ends a fit (gnorm < nan is false) and is not JSON
+        with pytest.raises(ValidationError, match=f"{field} must be a .* real number"):
+            sp.SolverOptions(**kwargs)
+
+    def test_numpy_real_settings_accepted(self):
+        opts = sp.SolverOptions(lr=np.float32(0.25), grad_tol=np.int64(0))
+        assert opts.lr == np.float32(0.25) and opts.grad_tol == 0
+
     def test_numpy_integer_seed_and_iteration_count_accepted(self):
         K = _psd_gram(6, seed=12)
         want = sp.fit(K, sp.SolverOptions(n_iters=7, grad_tol=0.0), seed=3)

@@ -30,6 +30,13 @@ class TestBlockSpec:
         with pytest.raises(ValidationError, match=f"cluster size {name} must be a positive integer"):
             sp.BlockSpec(**sizes, gamma=0.5, gamma_prime=0.2, beta=0.0)
 
+    @pytest.mark.parametrize("name, value", [("gamma", "x"), ("gamma_prime", True),
+                                             ("beta", None)])
+    def test_non_real_correlation_rejected(self, name, value):
+        values = {"gamma": 0.5, "gamma_prime": 0.2, "beta": 0.0, name: value}
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            sp.BlockSpec(N=2, M=2, **values)
+
     def test_numpy_integer_cluster_sizes_accepted(self):
         spec = sp.BlockSpec(N=np.int64(2), M=np.uint8(3), gamma=0.5, gamma_prime=0.2, beta=0.0)
         assert (spec.N, spec.M) == (2, 3) and type(spec.N) is int and type(spec.M) is int

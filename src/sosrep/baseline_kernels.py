@@ -108,13 +108,6 @@ def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
     return out
 
 
-def eval_kernel(k: ClosedFormKernel, x, y) -> float:
-    """Single kernel value k(x, y)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    return float(kernel_matrix_closed_form(k, x, y)[0, 0])
-
-
 def kernel_and_gradient_closed_form(k: ClosedFormKernel, X, Y):
     """(kernel_matrix_closed_form, kernel_gradient_closed_form) from one difference tensor."""
     X, Y = _as_rows(X, Y)

@@ -49,7 +49,7 @@ from .harness import (
 )
 from .score_fd import _PROBES, profile_to_csv, write_atomic
 from .sdo_kernel import SdoParams
-from .solver import SolverOptions, evaluate_density, fit_model, model_from_json, model_to_json
+from .solver import SolverOptions, fit_model, model_from_json, model_to_json
 from .two_block import VERIFY_OPTIONS, BlockSpec, verify_against_solver
 
 class _UsageError(Exception):
@@ -255,7 +255,7 @@ def cmd_score(args) -> int:
             f"query dimension {ds.d} does not match model dimension "
             f"{model.fs.base_params.d}"
         )
-    dens = evaluate_density(model, ds.X) if ds.n else np.empty(0)
+    dens = model.density(ds.X) if ds.n else np.empty(0)
     buf = io.StringIO()
     buf.write("pre_density,anomaly_score\n" if model.squared else "density,anomaly_score\n")
     for v in dens:

@@ -476,17 +476,22 @@ def run_ad(
 ) -> ExperimentReport:
     """Full AD protocol for one method: split, standardize, tune, fit, AUC.
 
-    Per-seed failures are recorded as warnings; the report is emitted as long
-    as at least one seed succeeds.
+    seeds must be a nonempty list of distinct integers in 0..2**64-1, else
+    ValidationError before any split.  Per-seed failures are recorded as
+    warnings; the report is emitted as long as at least one seed succeeds.
     """
     if method not in AD_METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {AD_METHODS}")
     if ds.y is None:
         raise DataError("the AD protocol requires labels")
     seeds = tuple(seeds)
+    if not seeds:
+        raise ValidationError("seeds must not be empty")
     for seed in seeds:
         rng_from_seed(seed)  # a non-integer or out-of-range seed fails here, before any split
     seeds = tuple(int(s) for s in seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValidationError(f"seeds {seeds} repeat a value")
     if method.endswith("_sdo"):
         SdoParams(a=1.0, d=ds.d, m=config.m)  # and so does an m with 2m <= d
     aucs: dict[int, float] = {}

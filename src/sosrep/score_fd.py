@@ -141,24 +141,6 @@ def score(model, x) -> np.ndarray:
     return S[0]
 
 
-def score_jacobian_trace(model, x) -> float:
-    """Analytic trace of the score Jacobian: c * [Lap f / f - ||grad f||^2 / f^2].
-
-    c is 2 for a squared model (density f^2) and 1 for an unsquared one
-    (density f), the factor of score_batch.  Available for feature-space
-    models exposing f_and_grad and laplacian_f; used as a cross-check oracle
-    for the Hutchinson estimator.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    f, G = model.f_and_grad(x)
-    if abs(f[0]) < _DENSITY_FLOOR:
-        raise VanishingDensity("vanishing density at query")
-    lap = model.laplacian_f(x)[0]
-    g2 = float(G[0] @ G[0])
-    factor = 2.0 if model.squared else 1.0
-    return factor * (lap / f[0] - g2 / f[0] ** 2)
-
-
 def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:
     """Finite-difference Hutchinson estimate of trace(Jacobian of score_fn).
 

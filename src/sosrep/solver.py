@@ -54,7 +54,6 @@ from .sdo_kernel import (
 
 FORMAT_VERSION = "1"
 _METHODS = ("natural", "standard")
-_ZERO_DENSITY_FLOOR = 1e-300
 _CLAMP_THRESHOLD = 1e-12
 _CLAMP_VALUE = 1e12
 _JITTER_REL = 1e-10
@@ -112,46 +111,6 @@ class FitBatch(list):
     @property
     def clamp_warnings(self) -> int:
         return sum(r.clamp_warnings for r in self if isinstance(r, FitResult))
-
-
-def _check_nonzero(f: np.ndarray):
-    if np.any(np.abs(f) < _ZERO_DENSITY_FLOOR):
-        i = int(np.argmin(np.abs(f)))
-        raise NumericsError(f"zero density at data point {i}: |(K alpha)_{i}| < 1e-300")
-
-
-def objective(alpha, K) -> float:
-    """-(1/N) sum_i log((K alpha)_i^2) + alpha^T K alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    K = np.asarray(K, dtype=float)
-    f = K @ alpha
-    _check_nonzero(f)
-    return float(-2.0 * np.mean(np.log(np.abs(f))) + alpha @ f)
-
-
-def grad_standard(alpha, K) -> np.ndarray:
-    """2 * [K alpha - (1/N) K (K alpha)^(-1)], the coefficient-space gradient."""
-    alpha = np.asarray(alpha, dtype=float)
-    K = np.asarray(K, dtype=float)
-    f = K @ alpha
-    _check_nonzero(f)
-    n = alpha.shape[0]
-    return 2.0 * (f - (K @ (1.0 / f)) / n)
-
-
-def grad_natural(alpha, K) -> np.ndarray:
-    """2 * [alpha - (1/N) (K alpha)^(-1)], the function-space gradient."""
-    alpha = np.asarray(alpha, dtype=float)
-    K = np.asarray(K, dtype=float)
-    f = K @ alpha
-    _check_nonzero(f)
-    n = alpha.shape[0]
-    return 2.0 * (alpha - (1.0 / f) / n)
-
-
-def natural_step(alpha, K, lr: float) -> np.ndarray:
-    """One natural-gradient update with learning rate lr."""
-    return np.asarray(alpha, dtype=float) - lr * grad_natural(alpha, K)
 
 
 def rkhs_norm_sq(alpha, K) -> float:
@@ -322,13 +281,11 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBat
     return out
 
 
-def add_jitter(K: np.ndarray) -> np.ndarray:
-    """Diagonal jitter 1e-10 * (trace/N) for finite-T Gram matrices, on a copy."""
-    return _add_jitter_in_place(np.asarray(K, dtype=float).copy())
-
-
 def _add_jitter_in_place(K: np.ndarray) -> np.ndarray:
-    """add_jitter on K itself, for a float Gram temporary that nothing else holds."""
+    """Add the diagonal jitter 1e-10 * (trace/N) of a finite-T Gram matrix to K itself.
+
+    K is a float Gram temporary that nothing else holds.
+    """
     n = K.shape[0]
     K[np.diag_indices(n)] += _JITTER_REL * (np.trace(K) / n)
     return K
@@ -377,17 +334,6 @@ class FittedModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             S = factor * G / f[:, None]
         return S, f
-
-    def laplacian_f(self, Y) -> np.ndarray:
-        """Analytic Laplacian of f at the query rows (for trace oracles)."""
-        U, scale = feature_phases(Y, self.fs, self.kernel_scale_flag)
-        zsq = np.einsum("td,td->t", self.fs.Z, self.fs.Z)
-        return -(np.cos(U) @ (self.feature_weights * zsq)) * scale
-
-
-def evaluate_density(model: FittedModel, Y) -> np.ndarray:
-    """model.density(Y): (sum_i alpha_i k(x_i, y))^2, or the sum itself when unsquared."""
-    return model.density(Y)
 
 
 def fit_model(
@@ -477,6 +423,13 @@ def _record_int(record: dict, key: str) -> int:
     return value
 
 
+def _json_bool(value, key: str) -> bool:
+    """A record's value for key, which must be a JSON boolean, else TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def model_from_json(text: str) -> FittedModel:
     """Rebuild a model from its JSON record, regenerating the frequency sample.
 
@@ -485,7 +438,8 @@ def model_from_json(text: str) -> FittedModel:
     ignored.  The record must be a JSON object whose T and seed are
     integers and whose params hold a real a and integer d and m (no bools);
     alpha and feature_weights must be lists of finite numbers,
-    feature_weights of length T.
+    feature_weights of length T; kernel_scale_flag and squared must be JSON
+    booleans and fit_info, when present, a JSON object.
     """
     try:
         record = _json_record(text)
@@ -493,14 +447,17 @@ def model_from_json(text: str) -> FittedModel:
             raise ValidationError("not a model record")
         p = record["params"]
         params = SdoParams(a=p["a"], d=p["d"], m=p["m"])
+        fit_info = record.get("fit_info", {})
+        if not isinstance(fit_info, dict):
+            raise TypeError(f"fit_info must be a JSON object, got {fit_info!r}")
         fs = sample_frequencies(params, _record_int(record, "T"), _record_int(record, "seed"))
         return FittedModel(
             alpha=_finite_vector(record["alpha"], "alpha"),
             fs=fs,
             feature_weights=_finite_vector(record["feature_weights"], "feature_weights", fs.T),
-            kernel_scale_flag=bool(record["kernel_scale_flag"]),
-            fit_info=record.get("fit_info", {}),
-            squared=bool(record.get("squared", True)),
+            kernel_scale_flag=_json_bool(record["kernel_scale_flag"], "kernel_scale_flag"),
+            fit_info=fit_info,
+            squared=_json_bool(record.get("squared", True), "squared"),
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed model record: {exc}") from exc

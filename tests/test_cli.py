@@ -12,6 +12,7 @@ from sosrep.cli import _parse_ints, _UsageError, build_parser, main
 from sosrep.harness import SdoKdeModel
 from sosrep.score_fd import profile_from_csv
 
+import oracles
 from conftest import make_mixture2d, make_two_clusters, philox
 
 
@@ -144,7 +145,7 @@ class TestScore:
         assert rows.shape[0] == X.shape[0]
         model = sp.model_from_json((tmp_path / "model.json").read_text())
         Phi = sp.feature_map(X, model.fs)
-        K = sp.add_jitter(0.5 * (Phi @ Phi.T + (Phi @ Phi.T).T))
+        K = oracles.add_jitter(0.5 * (Phi @ Phi.T + (Phi @ Phi.T).T))
         f = K @ model.alpha
         np.testing.assert_allclose(rows[:, 0], f * f, atol=1e-10)
         np.testing.assert_array_equal(rows[:, 1], -rows[:, 0])
@@ -173,7 +174,11 @@ class TestScore:
                                               ("alpha", ["x"]),
                                               ("T", "abc"),
                                               ("seed", 1.5),
-                                              (None, [])])
+                                              (None, []),
+                                              ("squared", "false"),
+                                              ("squared", 0),
+                                              ("kernel_scale_flag", "no"),
+                                              ("fit_info", [])])
     def test_malformed_model_vector_is_validation_error(self, tmp_path, gaussian_csv,
                                                         fitted, capsys, field, value):
         # field None replaces the whole record with value

@@ -19,6 +19,7 @@ from sosrep.harness import (
 )
 from sosrep.sdo_kernel import rng_from_seed
 
+import oracles
 from conftest import make_mixture2d, make_two_clusters, philox
 
 
@@ -413,6 +414,20 @@ class TestRunAd:
         with pytest.raises(ValidationError, match="0..2"):
             sp.run_ad(mixture2d, "kde_gaussian", seeds=seeds, config=SMALL_AD_CONFIG)
 
+    @pytest.mark.parametrize("seeds, match", [((), "must not be empty"),
+                                              ([], "must not be empty"),
+                                              ((0, 0), "repeat a value"),
+                                              ((1, np.int64(1)), "repeat a value"),
+                                              ((0, 1, 0), "repeat a value")])
+    def test_empty_or_repeating_seeds_fail_before_any_split(self, mixture2d, monkeypatch,
+                                                            seeds, match):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split reached")
+
+        monkeypatch.setattr(harness, "split", no_split)
+        with pytest.raises(ValidationError, match=match):
+            sp.run_ad(mixture2d, "kde_gaussian", seeds=seeds, config=SMALL_AD_CONFIG)
+
 
 class TestAdConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -515,7 +530,7 @@ class TestNegativeFraction:
     def _serial(ds, T, n_init, n_iters, lr, seed):
         """The per-method results from one fit call per start, in start order."""
         fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=ds.d), T, seed)
-        K = sp.add_jitter(sp.kernel_matrix(ds.X, None, fs))
+        K = oracles.add_jitter(sp.kernel_matrix(ds.X, None, fs))
         inits = [np.abs(rng_from_seed(seed, i + 1).standard_normal(K.shape[0]))
                  for i in range(n_init)]
         methods, warn_list = {}, []

@@ -15,64 +15,66 @@ from sosrep.errors import NumericsError, SolverDivergence, ValidationError
 from sosrep.harness import SdoKdeModel
 from sosrep.solver import _draw_init
 
+import oracles
+
 
 def _psd_gram(n, seed, sigma=1.0, d=2):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     k = sp.ClosedFormKernel(family="gaussian", sigma=sigma, d=d)
-    return sp.add_jitter(sp.kernel_matrix_closed_form(k, X, X))
+    return oracles.add_jitter(sp.kernel_matrix_closed_form(k, X, X))
 
 
 class TestObjective:
     def test_single_point_identity(self):
-        assert sp.objective(np.array([1.0]), np.array([[1.0]])) == 1.0
+        assert oracles.objective(np.array([1.0]), np.array([[1.0]])) == 1.0
 
     def test_single_point_known_value(self):
         # f = 2: -2 log 2 + 4 = 4 - log 4
-        val = sp.objective(np.array([2.0]), np.array([[1.0]]))
+        val = oracles.objective(np.array([2.0]), np.array([[1.0]]))
         np.testing.assert_allclose(val, 4.0 - math.log(4.0), rtol=1e-15)
 
     def test_sign_flip_invariance(self):
         K = _psd_gram(6, seed=0)
         alpha = np.random.default_rng(1).normal(size=6)
-        assert sp.objective(alpha, K) == sp.objective(-alpha, K)
+        assert oracles.objective(alpha, K) == oracles.objective(-alpha, K)
 
     def test_zero_density_raises(self):
         with pytest.raises(NumericsError):
-            sp.objective(np.array([0.0]), np.array([[1.0]]))
+            oracles.objective(np.array([0.0]), np.array([[1.0]]))
 
 
 class TestGradStandard:
     def test_single_point_fixed_point(self):
-        g = sp.grad_standard(np.array([1.0]), np.array([[1.0]]))
+        g = oracles.grad_standard(np.array([1.0]), np.array([[1.0]]))
         np.testing.assert_array_equal(g, [0.0])
 
     def test_identity_gram_two_points(self):
-        g = sp.grad_standard(np.array([1.0, 1.0]), np.eye(2))
+        g = oracles.grad_standard(np.array([1.0, 1.0]), np.eye(2))
         np.testing.assert_allclose(g, [1.0, 1.0], rtol=1e-15)
 
     def test_matches_finite_difference(self):
         K = _psd_gram(8, seed=2)
         alpha = np.abs(np.random.default_rng(3).standard_normal(8))
-        g = sp.grad_standard(alpha, K)
+        g = oracles.grad_standard(alpha, K)
         h = 1e-6
         for i in range(8):
             e = np.zeros(8)
             e[i] = h
-            num = (sp.objective(alpha + e, K) - sp.objective(alpha - e, K)) / (2 * h)
+            num = (oracles.objective(alpha + e, K) - oracles.objective(alpha - e, K)) / (2 * h)
             assert abs(g[i] - num) < 1e-6
 
 
 class TestGradNatural:
     def test_single_point_fixed_point(self):
-        g = sp.grad_natural(np.array([1.0]), np.array([[1.0]]))
+        g = oracles.grad_natural(np.array([1.0]), np.array([[1.0]]))
         np.testing.assert_array_equal(g, [0.0])
 
     def test_kernel_times_natural_equals_standard(self):
         K = _psd_gram(10, seed=4)
         alpha = np.abs(np.random.default_rng(5).standard_normal(10))
         np.testing.assert_allclose(
-            K @ sp.grad_natural(alpha, K), sp.grad_standard(alpha, K), atol=1e-12
+            K @ oracles.grad_natural(alpha, K), oracles.grad_standard(alpha, K), atol=1e-12
         )
 
     def test_equicorrelated_stationary_point(self):
@@ -80,7 +82,7 @@ class TestGradNatural:
         rho = 0.5
         t = 1.0 / math.sqrt(2.0 * (1.0 + rho))
         K = np.array([[1.0, rho], [rho, 1.0]])
-        g = sp.grad_natural(np.array([t, t]), K)
+        g = oracles.grad_natural(np.array([t, t]), K)
         np.testing.assert_allclose(g, [0.0, 0.0], atol=1e-15)
 
 
@@ -100,8 +102,41 @@ def test_natural_step_preserves_positivity(n, lr, seed):
         f = K @ alpha
         if np.any(f == 0.0):  # probability zero, but keep the property honest
             return
-        alpha = sp.natural_step(alpha, K, lr)
+        alpha = oracles.natural_step(alpha, K, lr)
     assert np.all(K @ alpha > 0.0)
+
+
+def _cone_cases(n_trials=300, seed=2027):
+    """Criterion-4-style inputs: (K, alpha, lr) with K = B B^T, B and alpha >= 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_trials):
+        n = int(rng.integers(2, 41))
+        B = rng.uniform(0.0, 1.0, size=(n, n))
+        alpha = rng.uniform(0.0, 2.0, size=n)
+        yield B @ B.T, alpha, float(rng.uniform(1e-6, 0.4999))
+
+
+class TestLoopMatchesFormulas:
+    """The loop fit runs is the paper's objective and gradients, bit for bit."""
+
+    def test_natural_fit_is_five_natural_steps(self):
+        for K, alpha, lr in _cone_cases():
+            res = sp.fit(K, sp.SolverOptions(lr=lr, n_iters=5, grad_tol=0.0), alpha0=alpha)
+            want = alpha
+            for _ in range(5):
+                want = oracles.natural_step(want, K, lr)
+            assert np.array_equal(res.alpha, want)
+
+    def test_standard_fit_step_is_a_standard_gradient_step(self):
+        for K, alpha, lr in _cone_cases():
+            opts = sp.SolverOptions(method="standard", lr=lr, n_iters=1, grad_tol=0.0)
+            res = sp.fit(K, opts, alpha0=alpha)
+            assert np.array_equal(res.alpha, alpha - lr * oracles.grad_standard(alpha, K))
+
+    def test_first_history_entry_is_the_objective(self):
+        for K, alpha, lr in _cone_cases():
+            res = sp.fit(K, sp.SolverOptions(lr=lr, n_iters=1, grad_tol=0.0), alpha0=alpha)
+            assert res.objective_history[0] == oracles.objective(alpha, K)
 
 
 class TestFit:
@@ -561,12 +596,12 @@ class TestFittedModel:
         m, X = model
         rng = np.random.default_rng(19)
         Y = rng.normal(size=(50, 2)) * 3.0
-        assert np.all(sp.evaluate_density(m, Y) >= 0.0)
+        assert np.all(oracles.evaluate_density(m, Y) >= 0.0)
 
     def test_train_density_matches_gram(self, model):
         m, X = model
         Phi = sp.feature_map(X, m.fs)
-        K = sp.add_jitter(0.5 * (Phi @ Phi.T + (Phi @ Phi.T).T))
+        K = oracles.add_jitter(0.5 * (Phi @ Phi.T + (Phi @ Phi.T).T))
         f = K @ m.alpha
         np.testing.assert_allclose(m.density(X), f * f, atol=1e-10)
 
@@ -598,7 +633,7 @@ class TestFittedModel:
                          exact_normalization=exact_normalization)
         Phi = sp.feature_map(X, m.fs, exact_normalization)
         K = Phi @ Phi.T
-        ref = sp.fit(sp.add_jitter(0.5 * (K + K.T)), opts, seed=4)
+        ref = sp.fit(oracles.add_jitter(0.5 * (K + K.T)), opts, seed=4)
         assert np.array_equal(m.alpha, ref.alpha)
 
     def test_f_and_grad_consistent_with_density(self, model):
@@ -731,6 +766,29 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="feature_weights has 7 entries"):
             sp.model_from_json(json.dumps(rec))
 
+    @pytest.mark.parametrize("field", ["squared", "kernel_scale_flag"])
+    @pytest.mark.parametrize("value", ["false", "no", [0], 2, 0, None])
+    def test_non_boolean_flag_rejected_naming_the_field(self, field, value):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        rec[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be a JSON boolean"):
+            sp.model_from_json(json.dumps(rec))
+
+    @pytest.mark.parametrize("value", [[], "x", 1, None])
+    def test_fit_info_must_be_an_object(self, value):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        rec["fit_info"] = value
+        with pytest.raises(ValidationError, match="fit_info must be a JSON object"):
+            sp.model_from_json(json.dumps(rec))
+
+    def test_record_without_fit_info_loads(self):
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        del rec["fit_info"]
+        assert sp.model_from_json(json.dumps(rec)).fit_info == {}
+
     @pytest.mark.parametrize("field", ["alpha", "feature_weights"])
     @pytest.mark.parametrize("value", ["abc", ["x"] * 8, [[1.0]] * 8, [None] * 8, 1.0])
     def test_non_numeric_vector_rejected(self, field, value):
@@ -744,7 +802,7 @@ class TestSerialization:
 class TestHelpers:
     def test_add_jitter_touches_diagonal_only(self):
         K = np.arange(9.0).reshape(3, 3)
-        J = sp.add_jitter(K)
+        J = oracles.add_jitter(K)
         np.testing.assert_allclose(np.diag(J) - np.diag(K), np.full(3, 1e-10 * 4.0))
         off = ~np.eye(3, dtype=bool)
         np.testing.assert_array_equal(J[off], K[off])
@@ -759,4 +817,4 @@ class TestModelQueryDimension:
         with pytest.raises(ValidationError):
             model.f_and_grad(Y)
         with pytest.raises(ValidationError):
-            model.laplacian_f(Y)
+            oracles.laplacian_f(model, Y)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .baseline_kernels import (
     ClosedFormKernel,
-    kernel_and_gradient_closed_form,
+    _check_weights,
+    f_and_grad_closed_form,
     kernel_matrix_closed_form,
 )
 from .errors import DataError, NumericsError, SosrepError, ValidationError
@@ -342,7 +343,7 @@ class ClosedFormRepresenterModel:
 
     def __init__(self, X_train, alpha, kernel: ClosedFormKernel, squared: bool):
         self.X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-        self.alpha = np.asarray(alpha, dtype=float)
+        self.alpha = _check_weights(alpha, self.X_train.shape[0])
         self.kernel = kernel
         self.squared = squared
 
@@ -350,8 +351,7 @@ class ClosedFormRepresenterModel:
         return self.alpha @ kernel_matrix_closed_form(self.kernel, self.X_train, Y)
 
     def f_and_grad(self, Y):
-        vals, grads = kernel_and_gradient_closed_form(self.kernel, self.X_train, Y)
-        return self.alpha @ vals, np.einsum("n,nmd->md", self.alpha, grads)
+        return f_and_grad_closed_form(self.kernel, self.X_train, self.alpha, Y)
 
     # The protocol's density and score, taken from FittedModel rather than
     # inherited so that each class owns its score_batch attribute, which

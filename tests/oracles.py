@@ -5,7 +5,9 @@ the paper's formulas that `solver.fit` runs in its loop; `test_solver.py`
 checks the loop against them bit for bit.  The analytic score-Jacobian
 trace (through the analytic Laplacian of f) checks the Hutchinson
 estimator, and the one-pair kernel value and the diagonal jitter on a copy
-check the matrix builders.
+check the matrix builders.  `assert_within_error_bounds` holds the closed-form
+f and grad f by matrix products to a rounding-error bound around the
+per-pair kernels and gradients.
 """
 
 import numpy as np
@@ -99,3 +101,51 @@ def eval_kernel(k: ClosedFormKernel, x, y) -> float:
     x = np.asarray(x, dtype=float).reshape(1, -1)
     y = np.asarray(y, dtype=float).reshape(1, -1)
     return float(kernel_matrix_closed_form(k, x, y)[0, 0])
+
+
+def assert_within_error_bounds(k: ClosedFormKernel, X, Y, alpha, f, G, f_ref, G_ref):
+    """|f - f_ref| <= ef and each |G - G_ref| <= eg, per query row, shapes equal.
+
+    f_ref = alpha @ K and G_ref = sum_i alpha_i grad k(x_i, .) come from the
+    per-pair kernel values and gradients; (f, G) from
+    baseline_kernels.f_and_grad_closed_form, which gets the same sums from
+    matrix products.  (ef, eg) is a first-order rounding analysis of its
+    formulas, with T = |x_i| + |y_j|, r = |x_i - y_j| and u = machine epsilon:
+      - a squared distance from the augmented-row product has error about
+        u T^2 (about u r^2 where it is recomputed from exact differences);
+      - a Gaussian value then has relative error u (1 + T^2 / sigma^2); a
+        Laplacian distance has error u (r + T^2 / max(r, sqrt(tol))), because
+        entries with r^2 <= tol = 1e-4 (max |x|^2 + max |y|^2) are
+        recomputed, and its value relative error u (1 + that / sigma);
+      - exp's result near the subnormal range is off by up to 2^-1074 before
+        the sigma^-d normalization;
+      - grad f is (W^T X - s y) / sigma^p, a sum of terms of size
+        alpha k T / sigma^2 (Gaussian) or alpha k T / (r sigma) (Laplacian,
+        whose weight k / r adds the distance's relative error u dr / r);
+      - each bound sums the absolute terms times (N + d + 8) u: a length-N sum
+        and a length-(d + 2) product, with a margin of a few roundings.
+    """
+    eps = np.finfo(float).eps
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    xn, yn = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
+    T = xn[:, None] + yn[None, :]
+    diff = X[:, None, :] - Y[None, :, :]
+    r = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    a = np.abs(np.asarray(alpha, dtype=float))[:, None]
+    # a value's error in units of u, with exp's absolute floor
+    dk = kernel_matrix_closed_form(k, X, Y) + k.sigma ** (-k.d) * 2.0**-1074 / eps
+    if k.family == "gaussian":
+        rho = 1.0 + T**2 / k.sigma**2
+        ef = (a * dk * rho).sum(axis=0)
+        eg = (a * dk * rho * T).sum(axis=0) / k.sigma**2
+    else:
+        root_tol = np.sqrt(1e-4 * (np.max(xn, initial=0.0) ** 2 + np.max(yn, initial=0.0) ** 2))
+        dr = r + T**2 / np.maximum(np.maximum(r, root_tol), np.finfo(float).tiny)
+        ef = (a * dk * (1.0 + dr / k.sigma)).sum(axis=0)
+        r_pos = np.where(r > 0.0, r, np.inf)  # no gradient term at r = 0
+        eg = (a * dk * T / (r_pos * k.sigma) * (1.0 + dr / k.sigma + dr / r_pos)).sum(axis=0)
+    scale = (X.shape[0] + k.d + 8) * eps
+    assert f.shape == f_ref.shape and G.shape == G_ref.shape
+    assert np.all(np.abs(f - f_ref) <= scale * ef)
+    assert np.all(np.abs(G - G_ref) <= scale * eg[:, None])

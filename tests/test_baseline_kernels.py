@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sosrep as sp
 from sosrep import baseline_kernels
-from sosrep.baseline_kernels import FAMILIES, kernel_and_gradient_closed_form
+from sosrep.baseline_kernels import FAMILIES, f_and_grad_closed_form
 from sosrep.errors import DataError, ValidationError
 from sosrep.harness import ClosedFormRepresenterModel
 
@@ -220,24 +220,25 @@ def _broadcast_reference(k, X, Y):
     return vals, vals[:, :, None] * unit / k.sigma
 
 
-def _assert_bitwise_the_broadcast(k, X, Y, alpha):
+def _assert_matches_the_broadcast(k, X, Y, alpha):
+    """The kernel matrix, gradient tensor, KDE and f_values bit for bit; the
+    model's f and grad f, which sum by matrix products, within the rounding
+    bound of oracles.assert_within_error_bounds."""
     vals, grads = _broadcast_reference(k, X, Y)
 
     def same(a, b):
         return a.shape == b.shape and np.array_equal(a, b)
 
-    both = kernel_and_gradient_closed_form(k, X, Y)
-    assert same(both[0], vals) and same(both[1], grads)
     assert same(sp.kernel_matrix_closed_form(k, X, Y), vals)
     assert same(sp.kernel_gradient_closed_form(k, X, Y), grads)
     assert same(sp.kde_density(X, Y, k), vals.mean(axis=0))
     model = ClosedFormRepresenterModel(X, alpha, k, squared=True)
     assert same(model.f_values(Y), alpha @ vals)
     f, G = model.f_and_grad(Y)
-    assert same(f, alpha @ vals)
-    assert same(G, np.einsum("n,nmd->md", alpha, grads))
-    if k.family == "laplacian":
-        assert not grads[-1, 0].any()
+    oracles.assert_within_error_bounds(k, X, Y, alpha, f, G, alpha @ vals,
+                                       np.einsum("n,nmd->md", alpha, grads))
+    if k.family == "laplacian":  # zero gradient at coinciding points
+        assert not grads[(X[:, None] == Y[None]).all(axis=2)].any()
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,8 +253,8 @@ def _assert_bitwise_the_broadcast(k, X, Y, alpha):
     block_rows=st.sampled_from([None, 1, 2, 3, 7]),
     extra_cells=st.integers(0, 12),
 )
-def test_closed_form_path_is_bitwise_the_broadcast(family, d, n, m, sigma, spread, seed,
-                                                   block_rows, extra_cells):
+def test_closed_form_path_matches_the_broadcast(family, d, n, m, sigma, spread, seed,
+                                               block_rows, extra_cells):
     # block_rows None keeps the module's budget (one block at these sizes);
     # otherwise the budget holds that many rows of differences plus a few cells
     rng = np.random.default_rng(seed)
@@ -266,19 +267,19 @@ def test_closed_form_path_is_bitwise_the_broadcast(family, d, n, m, sigma, sprea
         if block_rows is not None:
             mp.setattr(baseline_kernels, "_BLOCK_CELLS",
                        block_rows * m * d + min(extra_cells, m * d - 1))
-        _assert_bitwise_the_broadcast(k, X, Y, alpha)
+        _assert_matches_the_broadcast(k, X, Y, alpha)
 
 
 class TestRowBlocks:
     """kernel_matrix_closed_form in blocks of training rows: the same bits as
-    one broadcast over all pairs, whatever the block size."""
+    one broadcast over all pairs, whatever the block size; f_and_grad in
+    blocks: within the rounding bound of that broadcast."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1, 2, 3, 13])
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (7, 1), (10, 6)])
     @pytest.mark.parametrize("cells", [1, 2, 5, 19, 40])
-    def test_tiny_budgets_are_bitwise_the_broadcast(self, monkeypatch, family, d, n, m,
-                                                    cells):
+    def test_tiny_budgets_match_the_broadcast(self, monkeypatch, family, d, n, m, cells):
         # a budget of a few cells gives one-row blocks or, when a few rows
         # fit, a ragged last block
         monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
@@ -287,7 +288,7 @@ class TestRowBlocks:
         Y = rng.normal(size=(m, d))
         Y[0] = X[-1]
         k = sp.ClosedFormKernel(family=family, sigma=0.7, d=d)
-        _assert_bitwise_the_broadcast(k, X, Y, rng.random(n))
+        _assert_matches_the_broadcast(k, X, Y, rng.random(n))
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("cells", [1, 3 * 9 * 4 + 5, 1 << 17])
@@ -314,10 +315,58 @@ class TestRowBlocks:
         assert K.shape == (n, m)
         assert peak < 1.5 * K.nbytes
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_f_and_grad_peak_memory_is_a_few_blocks(self, family, d):
+        # the (N, M, d) gradient tensor alone would be 13 MiB at d = 2
+        rng = np.random.default_rng(1)
+        X, Y = rng.normal(size=(1400, d)), rng.normal(size=(600, d))
+        k = sp.ClosedFormKernel(family, 0.7, d)
+        alpha = rng.random(1400)
+        tracemalloc.start()
+        try:
+            f, G = f_and_grad_closed_form(k, X, alpha, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (600,) and G.shape == (600, d)
+        assert peak < 3 * 2**20
+
+
+class TestFAndGradNearPoints:
+    """Query rows on or near training rows, where the squared distance from
+    the augmented-row product cancels and is recomputed from differences."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 8, 13])
+    @pytest.mark.parametrize("offset", [0.0, 1e-4, 1e-7])
+    def test_matches_the_broadcast(self, family, d, offset):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(30, d))
+        step = rng.normal(size=(5, d))
+        step *= offset / np.linalg.norm(step, axis=1, keepdims=True)
+        Y = np.vstack([X[:5] + step, rng.normal(size=(4, d))])
+        k = sp.ClosedFormKernel(family, 0.5, d)
+        _assert_matches_the_broadcast(k, X, Y, rng.random(30))
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 13])
+    def test_coincident_points_have_zero_distance(self, d):
+        # a query on the one training row: k = sigma^-d, and the Laplacian's
+        # undefined gradient contributes exactly zero
+        x = np.random.default_rng(d).normal(size=(1, d)) * 10.0
+        for family in FAMILIES:
+            k = sp.ClosedFormKernel(family, 0.5, d)
+            f, G = f_and_grad_closed_form(k, x, [2.0], x)
+            assert f[0] == 2.0 * 0.5 ** (-d)
+            if family == "laplacian":
+                assert not G.any()
+
 
 class TestShapesAndErrors:
-    @pytest.mark.parametrize("fn", [sp.kernel_matrix_closed_form, sp.kernel_gradient_closed_form,
-                                    kernel_and_gradient_closed_form])
+    @pytest.mark.parametrize("fn", [
+        sp.kernel_matrix_closed_form, sp.kernel_gradient_closed_form,
+        lambda k, X, Y: f_and_grad_closed_form(k, X, np.ones(len(X)), Y),
+    ])
     def test_dimension_mismatch_messages(self, fn):
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
         with pytest.raises(DataError, match=r"^dimension mismatch: 3 vs 2$"):
@@ -331,8 +380,9 @@ class TestShapesAndErrors:
         k = sp.ClosedFormKernel(family=family, sigma=1.0, d=2)
         X, Y = np.ones((5, 2)), np.zeros((0, 2))
         assert sp.kernel_matrix_closed_form(k, X, Y).shape == (5, 0)
-        vals, grads = kernel_and_gradient_closed_form(k, X, Y)
-        assert vals.shape == (5, 0) and grads.shape == (5, 0, 2)
+        assert sp.kernel_gradient_closed_form(k, X, Y).shape == (5, 0, 2)
+        f, G = f_and_grad_closed_form(k, X, np.ones(5), Y)
+        assert f.shape == (0,) and G.shape == (0, 2)
         assert sp.kde_density(X, Y, k).shape == (0,)
         model = ClosedFormRepresenterModel(X, np.ones(5), k, squared=True)
         assert model.f_values(Y).shape == (0,)
@@ -340,6 +390,24 @@ class TestShapesAndErrors:
     def test_empty_training_set_gives_empty_rows(self):
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
         assert sp.kernel_matrix_closed_form(k, np.zeros((0, 2)), np.ones((3, 2))).shape == (0, 3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_training_set_gives_zero_f_and_grad(self, family):
+        k = sp.ClosedFormKernel(family=family, sigma=1.0, d=2)
+        f, G = f_and_grad_closed_form(k, np.zeros((0, 2)), np.zeros(0), np.ones((3, 2)))
+        assert np.array_equal(f, np.zeros(3)) and np.array_equal(G, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("alpha, match", [
+        (np.ones(4), r"^alpha must be a 1-D array of 5 weights.*shape \(4,\)$"),
+        (np.ones(6), r"^alpha must be a 1-D array of 5 weights.*shape \(6,\)$"),
+        (np.ones((1, 5)), r"^alpha must be a 1-D array of 5 weights.*shape \(1, 5\)$"),
+        ([1.0, 1.0, np.nan, 1.0, 1.0], "^alpha must be finite$"),
+        ([1.0, 1.0, 1.0, np.inf, 1.0], "^alpha must be finite$"),
+    ], ids=["short", "long", "2-d", "nan", "inf"])
+    def test_f_and_grad_rejects_bad_weights(self, alpha, match):
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        with pytest.raises(ValidationError, match=match):
+            f_and_grad_closed_form(k, np.zeros((5, 2)), alpha, np.ones((3, 2)))
 
     def test_single_rows_are_promoted(self):
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)

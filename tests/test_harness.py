@@ -732,6 +732,20 @@ class TestInternalModels:
             num = (np.log(model.density(q + e)) - np.log(model.density(q - e))) / (2 * h)
             np.testing.assert_allclose(S[:, j], num, atol=1e-5)
 
+    @pytest.mark.parametrize("alpha, match", [
+        (np.ones(21), r"^alpha must be a 1-D array of 20 weights.*shape \(21,\)$"),
+        (np.ones(19), r"^alpha must be a 1-D array of 20 weights.*shape \(19,\)$"),
+        (np.ones((20, 1)), r"^alpha must be a 1-D array of 20 weights.*shape \(20, 1\)$"),
+        (np.r_[np.ones(19), np.nan], "^alpha must be finite$"),
+        (np.r_[np.ones(19), -np.inf], "^alpha must be finite$"),
+    ], ids=["long", "short", "2-d", "nan", "inf"])
+    def test_closed_form_representer_rejects_bad_alpha(self, alpha, match):
+        # a longer alpha would be cut to the training rows by the blocked f and grad f
+        X = np.random.default_rng(30).normal(size=(20, 2))
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        with pytest.raises(ValidationError, match=match):
+            ClosedFormRepresenterModel(X, alpha, k, squared=True)
+
     def test_sdo_kde_model_matches_kde_density(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(15, 2))
@@ -752,12 +766,15 @@ class TestRepresenterProtocol:
         alpha = rng.random(25)
         k = sp.ClosedFormKernel(family=family, sigma=0.8, d=2)
         model = ClosedFormRepresenterModel(X, alpha, k, squared=squared)
-        f = alpha @ sp.kernel_matrix_closed_form(k, X, Y)
-        G = np.einsum("n,nmd->md", alpha, sp.kernel_gradient_closed_form(k, X, Y))
+        f_ref = alpha @ sp.kernel_matrix_closed_form(k, X, Y)
+        G_ref = np.einsum("n,nmd->md", alpha, sp.kernel_gradient_closed_form(k, X, Y))
+        # f and grad f by matrix products: within their rounding bound
+        f, G = model.f_and_grad(Y)
+        oracles.assert_within_error_bounds(k, X, Y, alpha, f, G, f_ref, G_ref)
         S, fv = model.score_batch(Y)
         np.testing.assert_array_equal(fv, f)
         np.testing.assert_array_equal(S, (2.0 if squared else 1.0) * G / f[:, None])
-        np.testing.assert_array_equal(model.density(Y), f * f if squared else f)
+        np.testing.assert_array_equal(model.density(Y), f_ref * f_ref if squared else f_ref)
 
     def test_sdo_kde_score_is_grad_over_f(self):
         rng = np.random.default_rng(34)

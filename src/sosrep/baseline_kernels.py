@@ -4,40 +4,35 @@ Both families carry the 1/sigma^d normalization so that evaluation at x = y
 equals (1/sigma)^d.  Bandwidths are tuned with the same Fisher-divergence
 machinery used for the sampled kernel's smoothness parameter.
 
-kernel_matrix_closed_form (hence f_values, density, kde_density and the
-closed-form Gram of the fit) and kernel_gradient_closed_form fill the
-differences x_i - y_j one coordinate at a time, each slice [:, :, j] one
-operation over all pairs.  A broadcast over the short last axis would run
-numpy's inner loop over only d elements, several times slower per element;
-the per-coordinate fill applies the same IEEE operation to every element,
-so its values are those of the broadcast bit for bit.  The squared distance
-stays one einsum over the differences: a per-coordinate sum matches it only
-for d <= 2.  The kernel values are then computed in place, in the order
-norm * exp(-sq / (2 sigma^2)) or norm * exp(-sqrt(sq) / sigma).
-
-kernel_matrix_closed_form builds its N x M matrix in blocks of training rows:
-each block's differences go into one reused buffer of at most _BLOCK_CELLS
-doubles, and its values into its own rows of the output.  So its memory is
-the output plus about 1 MB, whatever the number of pairs.  Every entry
-depends only on its own pair (x_i, y_j), the d-sum of the einsum stays inside
-that entry and the rest is elementwise, so any block size gives the same
-bits.  kernel_gradient_closed_form keeps its (N, M, d) output and is the
-gradient's reference.
-
-f_and_grad_closed_form, the FD statistic's f and grad f, contracts with alpha
-by matrix products and builds no (N, M, d) tensor.  It also works in blocks
-of training rows through one scratch buffer of at most _BLOCK_CELLS doubles.
-Each block's squared distances are one product of augmented rows,
+Every closed-form evaluation takes its squared distances from one private
+iterator, _sq_blocks, which works in blocks of training rows through one
+scratch buffer of at most _BLOCK_CELLS doubles (1 MB).  Each block's squared
+distances are one product of augmented rows,
 [x, |x|^2, 1] . [-2y, 1, |y|^2], clamped at 0; entries at or below
 1e-4 (max |x|^2 + max |y|^2), where that sum cancels, are recomputed from
-exact differences, so coincident points give exactly 0.  With K the block's
-values, f += K^T alpha and, with W = alpha * K (Gaussian) or alpha * K / r
-(Laplacian, 0 where r = 0),
+exact differences, so coincident points give exactly 0.  The iterator
+yields the indices and differences of those entries.  The kernel values are
+then computed in place, in the order norm * exp(-sq / (2 sigma^2)) or
+norm * exp(-sqrt(sq) / sigma).
+
+kernel_matrix_closed_form writes each block's values into its rows of the
+N x M output, so its memory is the output plus about 1 MB.  For a Gram (Y
+the very object X) each block copies its entries left of the diagonal from
+the rows above, so the Gram is exactly symmetric.
+
+f_and_grad_closed_form contracts with alpha block by block and builds no
+N x M matrix; ClosedFormRepresenterModel.f_values (hence density) and
+kde_density (uniform alpha) take its f, so a density and a score read the
+same f bit for bit.  With K a block's values, f accumulates K^T alpha and,
+with W = alpha * K (Gaussian) or alpha * K / r (Laplacian),
     Gaussian:  grad f(y) = (W^T X - f(y) y) / sigma^2,
     Laplacian: grad f(y) = (W^T X - (1^T W) y) / sigma,
 where alpha is folded into the right-hand side [alpha, alpha * X] rather than
-into the block.  Its sums run in another order than alpha @ K, so its values
-differ from the reference in the last digits.
+into the block.  The Laplacian's recomputed pairs, where that difference
+would cancel terms of size alpha k |x| / r, have W = 0 and add
+alpha k (x - y) / r directly.  Sums in this order differ from the per-pair
+reference in the last digits.  kernel_gradient_closed_form keeps its
+(N, M, d) output as the gradient's per-pair reference.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ class ClosedFormKernel:
             raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
 
 
-# Doubles in the difference buffer of one block of training rows (1 MB).
+# Doubles in the scratch buffer of one block of training rows (1 MB).
 _BLOCK_CELLS = 1 << 17
 
 
@@ -88,11 +83,35 @@ def _check_dim(k: ClosedFormKernel, d: int) -> None:
         raise DataError(f"data dimension {d} does not match kernel dimension {k.d}")
 
 
-def _fill_diff(X, Y, out):
-    """out[i, j] = x_i - y_j for an (N, M, d) `out`."""
-    for j in range(X.shape[1]):
-        np.subtract(X[:, j, None], Y[None, :, j], out=out[:, :, j])
-    return out
+def _sq_blocks(X, Y, copies=1):
+    """Squared distances |x_i - y_j|^2 in blocks of rows of X.
+
+    Yields (lo, hi, buf, (i, j), diff) for each block X[lo:hi]: buf is a
+    (copies, hi - lo, M) view of the scratch buffer whose buf[0] holds the
+    block's squared distances (the rest is the caller's), and (i, j) index
+    the entries of buf[0] recomputed from their exact differences
+    diff = x_{lo+i} - y_j (see the module docstring).
+    """
+    n, m = X.shape[0], Y.shape[0]
+    xx = np.einsum("nd,nd->n", X, X)
+    yy = np.einsum("md,md->m", Y, Y)
+    tol = 1e-4 * (xx.max(initial=0.0) + yy.max(initial=0.0))
+    Xa = np.hstack([X, xx[:, None], np.ones((n, 1))])
+    Yb = np.hstack([-2.0 * Y, np.ones((m, 1)), yy[:, None]])
+    step = max(1, _BLOCK_CELLS // (max(m, 1) * copies))
+    scratch = np.empty(min(step, n) * m * copies)
+    low = np.empty(min(step, n) * m, dtype=bool)
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        buf = scratch[:copies * rows * m].reshape(copies, rows, m)
+        sq = buf[0]
+        np.maximum(np.matmul(Xa[lo:lo + rows], Yb.T, out=sq), 0.0, out=sq)
+        # flat indices: np.nonzero on the 2-D mask is several times slower
+        idx = np.flatnonzero(np.less_equal(sq, tol, out=low[:rows * m].reshape(rows, m)))
+        i, j = np.divmod(idx, m)
+        diff = X[lo + i] - Y[j]
+        sq[i, j] = np.einsum("kd,kd->k", diff, diff)
+        yield lo, lo + rows, buf, (i, j), diff
 
 
 def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarray:
@@ -112,17 +131,20 @@ def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarr
 
 
 def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
-    """Dense N x M matrix of kernel values k(x_i, y_j), in blocks of rows of X."""
+    """Dense N x M matrix of kernel values k(x_i, y_j), in blocks of rows of X.
+
+    With Y the very object X the result is exactly symmetric.
+    """
+    symmetric = Y is X
     X, Y = _as_rows(X, Y)
     _check_dim(k, X.shape[1])
-    (n, d), m = X.shape, Y.shape[0]
-    out = np.empty((n, m))
-    step = max(1, _BLOCK_CELLS // max(m * d, 1))
-    buf = np.empty((min(step, n), m, d))
-    for lo in range(0, n, step):
-        rows = out[lo:lo + step]
-        diff = _fill_diff(X[lo:lo + step], Y, buf[:rows.shape[0]])
-        _values_in_place(k, np.einsum("nmd,nmd->nm", diff, diff, out=rows))
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for lo, hi, buf, _, _ in _sq_blocks(X, Y):
+        out[lo:hi] = _values_in_place(k, buf[0])
+        if symmetric:  # entries left of the diagonal, from the rows above
+            out[lo:hi, :lo] = out[:lo, lo:hi].T
+            block, below = out[lo:hi, lo:hi], np.tril_indices(hi - lo, -1)
+            block[below] = block.T[below]
     return out
 
 
@@ -134,8 +156,7 @@ def kernel_gradient_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
     """
     X, Y = _as_rows(X, Y)
     _check_dim(k, X.shape[1])
-    # x_i - y_j, overwritten by the gradient
-    grads = _fill_diff(X, Y, np.empty((X.shape[0], Y.shape[0], k.d)))
+    grads = X[:, None, :] - Y[None, :, :]  # x_i - y_j, overwritten by the gradient
     dist = None if k.family == "gaussian" else np.empty((X.shape[0], Y.shape[0]))
     vals = _values_in_place(k, np.einsum("nmd,nmd->nm", grads, grads), dist)
     for j in range(k.d):
@@ -173,45 +194,28 @@ def f_and_grad_closed_form(k: ClosedFormKernel, X, alpha, Y):
     (n, d), m = X.shape, Y.shape[0]
     alpha = _check_weights(alpha, n)
     laplacian = k.family == "laplacian"
-    xx = np.einsum("nd,nd->n", X, X)
-    yy = np.einsum("md,md->m", Y, Y)
-    tol = 1e-4 * (xx.max(initial=0.0) + yy.max(initial=0.0))
-    Xa = np.hstack([X, xx[:, None], np.ones((n, 1))])
-    Yb = np.hstack([-2.0 * Y, np.ones((m, 1)), yy[:, None]])
     rhs = np.empty((n, d + 1))  # [alpha, alpha * X]
     rhs[:, 0] = alpha
     np.multiply(alpha[:, None], X, out=rhs[:, 1:])
     acc = np.zeros((m, d + 1))  # [f (Gaussian) or 1^T W (Laplacian), W^T X]
     part = np.empty((m, d + 1))
+    near = np.zeros((m, d))  # sum of alpha k (x - y) / r over recomputed Laplacian pairs
     if laplacian:
         f, f_part = np.zeros(m), np.empty(m)
     # a Laplacian block also keeps its distances
-    per_row = max(m, 1) * (2 if laplacian else 1)
-    step = max(1, _BLOCK_CELLS // per_row)
-    scratch = np.empty(min(step, n) * per_row)
-    low = np.empty(min(step, n) * m, dtype=bool)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        cells = (hi - lo) * m
-        sq = scratch[:cells].reshape(hi - lo, m)
-        np.maximum(np.matmul(Xa[lo:hi], Yb.T, out=sq), 0.0, out=sq)
-        idx = np.flatnonzero(np.less_equal(sq, tol, out=low[:cells].reshape(hi - lo, m)))
-        if idx.size:  # cancelled entries, from exact differences
-            i, j = np.divmod(idx, m)
-            diff = X[lo + i] - Y[j]
-            exact = np.einsum("kd,kd->k", diff, diff)
-            sq.flat[idx] = exact
+    for lo, hi, buf, (i, j), diff in _sq_blocks(X, Y, 2 if laplacian else 1):
         if laplacian:
-            r = scratch[cells:2 * cells].reshape(hi - lo, m)
-            K = _values_in_place(k, sq, r)
+            r = buf[1]
+            K = _values_in_place(k, buf[0], r)
             f += np.matmul(alpha[lo:hi], K, out=f_part)
-            if idx.size:
-                r.flat[idx[exact == 0.0]] = np.inf  # W = 0 where r = 0
+            w = alpha[lo + i] * K[i, j] / np.where(r[i, j] > 0.0, r[i, j], np.inf)
+            np.add.at(near, j, w[:, None] * diff)
+            r[i, j] = np.inf  # so their W entries are 0
             np.divide(K, r, out=K)
         else:
-            K = _values_in_place(k, sq)
+            K = _values_in_place(k, buf[0])
         acc += np.matmul(K.T, rhs[lo:hi], out=part)
-    G = acc[:, 1:] - acc[:, :1] * Y
+    G = acc[:, 1:] - acc[:, :1] * Y + near
     G /= k.sigma if laplacian else k.sigma**2
     return (f if laplacian else acc[:, 0].copy()), G
 
@@ -219,14 +223,16 @@ def f_and_grad_closed_form(k: ClosedFormKernel, X, alpha, Y):
 def kde_density(X_train, Y, kernel: ClosedFormKernel) -> np.ndarray:
     """(1/N) * sum_i k(x_i, y_j) for each query row y_j of a closed-form kernel.
 
-    The sampled-kernel KDE is harness.SdoKdeModel, which evaluates the same
-    mean through the mean feature vector without an N x M Gram matrix.
+    The f of f_and_grad_closed_form with uniform weights.  The sampled-kernel
+    KDE is harness.SdoKdeModel, which evaluates the same mean through the
+    mean feature vector without an N x M Gram matrix.
     """
     if not isinstance(kernel, ClosedFormKernel):
         raise ValidationError(
             f"kde_density takes a ClosedFormKernel, got {type(kernel).__name__}"
         )
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    if X_train.shape[0] < 1:
+    n = X_train.shape[0]
+    if n < 1:
         raise DataError("KDE requires a nonempty training set")
-    return kernel_matrix_closed_form(kernel, X_train, Y).mean(axis=0)
+    return f_and_grad_closed_form(kernel, X_train, np.full(n, 1.0 / n), Y)[0]

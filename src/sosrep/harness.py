@@ -348,7 +348,8 @@ class ClosedFormRepresenterModel:
         self.squared = squared
 
     def f_values(self, Y) -> np.ndarray:
-        return self.alpha @ kernel_matrix_closed_form(self.kernel, self.X_train, Y)
+        # f_and_grad's f, so density and score_batch read the same f bit for bit
+        return self.f_and_grad(Y)[0]
 
     def f_and_grad(self, Y):
         return f_and_grad_closed_form(self.kernel, self.X_train, self.alpha, Y)

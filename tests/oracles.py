@@ -6,8 +6,9 @@ checks the loop against them bit for bit.  The analytic score-Jacobian
 trace (through the analytic Laplacian of f) checks the Hutchinson
 estimator, and the one-pair kernel value and the diagonal jitter on a copy
 check the matrix builders.  `assert_within_error_bounds` holds the closed-form
-f and grad f by matrix products to a rounding-error bound around the
-per-pair kernels and gradients.
+f and grad f by matrix products, and `assert_matrix_within_error_bounds` the
+closed-form kernel matrix, to a rounding-error bound around the per-pair
+kernels and gradients.
 """
 
 import numpy as np
@@ -103,6 +104,45 @@ def eval_kernel(k: ClosedFormKernel, x, y) -> float:
     return float(kernel_matrix_closed_form(k, x, y)[0, 0])
 
 
+def _rounding_terms(k: ClosedFormKernel, X, Y):
+    """(value, grad): per-pair first-order error terms, in units of u, of the
+    closed-form kernel values and of their gradient terms (see
+    assert_within_error_bounds)."""
+    eps = np.finfo(float).eps
+    xn, yn = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
+    T = xn[:, None] + yn[None, :]
+    diff = X[:, None, :] - Y[None, :, :]
+    r = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    norm = k.sigma ** (-k.d)
+    if k.family == "gaussian":
+        # a value's size, with exp's absolute floor
+        dk = norm * np.exp(-(r**2) / (2.0 * k.sigma**2)) + norm * 2.0**-1074 / eps
+        value = dk * (1.0 + T**2 / k.sigma**2)
+        return value, value * T / k.sigma**2
+    dk = norm * np.exp(-r / k.sigma) + norm * 2.0**-1074 / eps
+    tol = 1e-4 * (np.max(xn, initial=0.0) ** 2 + np.max(yn, initial=0.0) ** 2)
+    dr = r + T**2 / np.maximum(np.maximum(r, np.sqrt(tol)), np.finfo(float).tiny)
+    r_pos = np.where(r > 0.0, r, np.inf)  # no gradient term at r = 0
+    grad = dk * T / (r_pos * k.sigma) * (1.0 + dr / k.sigma + dr / r_pos)
+    # recomputed pairs add alpha k (x - y) / r directly; those with
+    # r^2 <= tol / 2 are recomputed whatever the product's rounding
+    direct = dk / k.sigma * (3.0 + r / k.sigma)
+    grad = np.where(r**2 <= tol / 2.0, direct, np.maximum(grad, direct))
+    return dk * (1.0 + dr / k.sigma), grad
+
+
+def assert_matrix_within_error_bounds(k: ClosedFormKernel, X, Y, K, K_ref):
+    """Each |K - K_ref| <= (d + 8) u times that pair's value term, shapes equal.
+
+    K is kernel_matrix_closed_form's, K_ref the per-pair broadcast's; the
+    value terms are those of assert_within_error_bounds, and (d + 8) u covers
+    a length-(d + 2) product and a few roundings on each side.
+    """
+    value, _ = _rounding_terms(k, np.atleast_2d(X), np.atleast_2d(Y))
+    assert K.shape == K_ref.shape
+    assert np.all(np.abs(K - K_ref) <= (k.d + 8) * np.finfo(float).eps * value)
+
+
 def assert_within_error_bounds(k: ClosedFormKernel, X, Y, alpha, f, G, f_ref, G_ref):
     """|f - f_ref| <= ef and each |G - G_ref| <= eg, per query row, shapes equal.
 
@@ -122,30 +162,20 @@ def assert_within_error_bounds(k: ClosedFormKernel, X, Y, alpha, f, G, f_ref, G_
       - grad f is (W^T X - s y) / sigma^p, a sum of terms of size
         alpha k T / sigma^2 (Gaussian) or alpha k T / (r sigma) (Laplacian,
         whose weight k / r adds the distance's relative error u dr / r);
+      - a recomputed Laplacian pair adds alpha k (x - y) / (r sigma) directly,
+        a term of size alpha k / sigma with relative error about
+        u (3 + r / sigma) per unit of the scale below; a pair with
+        r^2 <= tol / 2 is always recomputed, and one nearer tol may go
+        either way, so it takes the larger term;
       - each bound sums the absolute terms times (N + d + 8) u: a length-N sum
         and a length-(d + 2) product, with a margin of a few roundings.
     """
     eps = np.finfo(float).eps
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    xn, yn = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
-    T = xn[:, None] + yn[None, :]
-    diff = X[:, None, :] - Y[None, :, :]
-    r = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    value, grad = _rounding_terms(k, X, Y)
     a = np.abs(np.asarray(alpha, dtype=float))[:, None]
-    # a value's error in units of u, with exp's absolute floor
-    dk = kernel_matrix_closed_form(k, X, Y) + k.sigma ** (-k.d) * 2.0**-1074 / eps
-    if k.family == "gaussian":
-        rho = 1.0 + T**2 / k.sigma**2
-        ef = (a * dk * rho).sum(axis=0)
-        eg = (a * dk * rho * T).sum(axis=0) / k.sigma**2
-    else:
-        root_tol = np.sqrt(1e-4 * (np.max(xn, initial=0.0) ** 2 + np.max(yn, initial=0.0) ** 2))
-        dr = r + T**2 / np.maximum(np.maximum(r, root_tol), np.finfo(float).tiny)
-        ef = (a * dk * (1.0 + dr / k.sigma)).sum(axis=0)
-        r_pos = np.where(r > 0.0, r, np.inf)  # no gradient term at r = 0
-        eg = (a * dk * T / (r_pos * k.sigma) * (1.0 + dr / k.sigma + dr / r_pos)).sum(axis=0)
     scale = (X.shape[0] + k.d + 8) * eps
     assert f.shape == f_ref.shape and G.shape == G_ref.shape
-    assert np.all(np.abs(f - f_ref) <= scale * ef)
-    assert np.all(np.abs(G - G_ref) <= scale * eg[:, None])
+    assert np.all(np.abs(f - f_ref) <= scale * (a * value).sum(axis=0))
+    assert np.all(np.abs(G - G_ref) <= scale * (a * grad).sum(axis=0)[:, None])

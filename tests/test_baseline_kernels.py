@@ -204,8 +204,8 @@ def test_gram_psd_property(family, sigma, seed):
 
 
 def _broadcast_reference(k, X, Y):
-    """(values, gradients) by the length-d broadcasts the per-coordinate
-    construction replaced, kept verbatim as its bitwise oracle."""
+    """(values, gradients) by length-d broadcasts over all pairs, the per-pair
+    oracle of the closed-form path."""
     diff = X[:, None, :] - Y[None, :, :]  # (N, M, d)
     norm = k.sigma ** (-k.d)
     if k.family == "gaussian":
@@ -221,22 +221,24 @@ def _broadcast_reference(k, X, Y):
 
 
 def _assert_matches_the_broadcast(k, X, Y, alpha):
-    """The kernel matrix, gradient tensor, KDE and f_values bit for bit; the
-    model's f and grad f, which sum by matrix products, within the rounding
-    bound of oracles.assert_within_error_bounds."""
+    """The gradient tensor bit for bit; the kernel matrix and f and grad f
+    (for alpha and for the KDE's uniform weights) within the rounding bounds
+    of tests/oracles.py; f_values and kde_density are f_and_grad's f."""
     vals, grads = _broadcast_reference(k, X, Y)
 
     def same(a, b):
         return a.shape == b.shape and np.array_equal(a, b)
 
-    assert same(sp.kernel_matrix_closed_form(k, X, Y), vals)
     assert same(sp.kernel_gradient_closed_form(k, X, Y), grads)
-    assert same(sp.kde_density(X, Y, k), vals.mean(axis=0))
+    oracles.assert_matrix_within_error_bounds(k, X, Y, sp.kernel_matrix_closed_form(k, X, Y), vals)
+    uniform = np.full(len(X), 1.0 / len(X))
+    for weights in (alpha, uniform):
+        f, G = f_and_grad_closed_form(k, X, weights, Y)
+        oracles.assert_within_error_bounds(k, X, Y, weights, f, G, weights @ vals,
+                                           np.einsum("n,nmd->md", weights, grads))
+    assert same(sp.kde_density(X, Y, k), f)  # f of the uniform weights, the loop's last
     model = ClosedFormRepresenterModel(X, alpha, k, squared=True)
-    assert same(model.f_values(Y), alpha @ vals)
-    f, G = model.f_and_grad(Y)
-    oracles.assert_within_error_bounds(k, X, Y, alpha, f, G, alpha @ vals,
-                                       np.einsum("n,nmd->md", alpha, grads))
+    assert same(model.f_values(Y), model.f_and_grad(Y)[0])
     if k.family == "laplacian":  # zero gradient at coinciding points
         assert not grads[(X[:, None] == Y[None]).all(axis=2)].any()
 
@@ -256,7 +258,8 @@ def _assert_matches_the_broadcast(k, X, Y, alpha):
 def test_closed_form_path_matches_the_broadcast(family, d, n, m, sigma, spread, seed,
                                                block_rows, extra_cells):
     # block_rows None keeps the module's budget (one block at these sizes);
-    # otherwise the budget holds that many rows of differences plus a few cells
+    # otherwise the budget holds that many rows of squared distances plus a
+    # few cells (half as many rows for the Laplacian f and grad f)
     rng = np.random.default_rng(seed)
     X = spread * rng.normal(size=(n, d))
     Y = spread * rng.normal(size=(m, d))
@@ -266,14 +269,13 @@ def test_closed_form_path_matches_the_broadcast(family, d, n, m, sigma, spread, 
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(baseline_kernels, "_BLOCK_CELLS",
-                       block_rows * m * d + min(extra_cells, m * d - 1))
+                       block_rows * m + min(extra_cells, m - 1))
         _assert_matches_the_broadcast(k, X, Y, alpha)
 
 
 class TestRowBlocks:
-    """kernel_matrix_closed_form in blocks of training rows: the same bits as
-    one broadcast over all pairs, whatever the block size; f_and_grad in
-    blocks: within the rounding bound of that broadcast."""
+    """The closed-form path in blocks of training rows, whatever the block
+    size: within the rounding bounds of one broadcast over all pairs."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1, 2, 3, 13])
@@ -301,7 +303,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n, m", [(1400, 600), (1400, 1400)], ids=["query", "gram"])
     def test_peak_memory_is_the_output_and_one_block(self, family, n, m):
-        # d = 2: the (N, M, d) difference tensor alone would be twice the output
+        # d = 2: an (N, M, d) difference tensor alone would be twice the output
         rng = np.random.default_rng(0)
         X = rng.normal(size=(n, 2))
         Y = X if m == n else rng.normal(size=(m, 2))
@@ -333,6 +335,25 @@ class TestRowBlocks:
         assert peak < 3 * 2**20
 
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_density_peak_memory_is_a_few_blocks(self, family):
+        # the 1400 x 600 kernel matrix alone would be 6.7 MB
+        rng = np.random.default_rng(2)
+        X, Y = rng.normal(size=(1400, 2)), rng.normal(size=(600, 2))
+        model = ClosedFormRepresenterModel(X, rng.random(1400), sp.ClosedFormKernel(family, 0.7, 2),
+                                           squared=True)
+        tracemalloc.start()
+        try:
+            dens = model.density(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dens.shape == (600,)
+        assert peak < 3 * 2**20
+        f = model.score_batch(Y)[1]
+        assert np.array_equal(dens, f * f)
+
+
 class TestFAndGradNearPoints:
     """Query rows on or near training rows, where the squared distance from
     the augmented-row product cancels and is recomputed from differences."""
@@ -348,6 +369,23 @@ class TestFAndGradNearPoints:
         Y = np.vstack([X[:5] + step, rng.normal(size=(4, d))])
         k = sp.ClosedFormKernel(family, 0.5, d)
         _assert_matches_the_broadcast(k, X, Y, rng.random(30))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_laplacian_gradient_near_a_training_row(self, seed):
+        # d = 13, spread 10, offset 1e-7: W^T X - (1^T W) y would cancel terms
+        # of size alpha k |x| / r, about 1e8 times the pair's alpha k, where the
+        # pair's own term alpha k (x - y) / r keeps the bound at a few u
+        rng = np.random.default_rng(seed)
+        X = 10.0 * rng.normal(size=(40, 13))
+        step = rng.normal(size=(5, 13))
+        step *= 1e-7 / np.linalg.norm(step, axis=1, keepdims=True)
+        Y = np.vstack([X[:5] + step, 10.0 * rng.normal(size=(4, 13))])
+        k = sp.ClosedFormKernel("laplacian", 5.0, 13)
+        alpha = rng.random(40)
+        vals, grads = _broadcast_reference(k, X, Y)
+        f, G = f_and_grad_closed_form(k, X, alpha, Y)
+        oracles.assert_within_error_bounds(k, X, Y, alpha, f, G, alpha @ vals,
+                                           np.einsum("n,nmd->md", alpha, grads))
 
     @pytest.mark.parametrize("d", [1, 2, 8, 13])
     def test_coincident_points_have_zero_distance(self, d):

@@ -774,7 +774,8 @@ class TestRepresenterProtocol:
         S, fv = model.score_batch(Y)
         np.testing.assert_array_equal(fv, f)
         np.testing.assert_array_equal(S, (2.0 if squared else 1.0) * G / f[:, None])
-        np.testing.assert_array_equal(model.density(Y), f_ref * f_ref if squared else f_ref)
+        # density reads the same f as the score
+        np.testing.assert_array_equal(model.density(Y), f * f if squared else f)
 
     def test_sdo_kde_score_is_grad_over_f(self):
         rng = np.random.default_rng(34)

@@ -5,25 +5,29 @@ equals (1/sigma)^d.  Bandwidths are tuned with the same Fisher-divergence
 machinery used for the sampled kernel's smoothness parameter.
 
 Every closed-form evaluation takes its squared distances from one private
-iterator, _sq_blocks, which works in blocks of training rows through one
-scratch buffer of at most _BLOCK_CELLS doubles (1 MB).  Each block's squared
-distances are one product of augmented rows,
+iterator, _sq_blocks, which works in blocks of training rows of at most
+_BLOCK_CELLS entries (1 MB), in one scratch buffer or in the caller's output
+rows.  Each block's squared distances are one product of augmented rows,
 [x, |x|^2, 1] . [-2y, 1, |y|^2], clamped at 0; entries at or below
-1e-4 (max |x|^2 + max |y|^2), where that sum cancels, are recomputed from
-exact differences, so coincident points give exactly 0.  The iterator
-yields the indices and differences of those entries.  The kernel values are
-then computed in place, in the order norm * exp(-sq / (2 sigma^2)) or
-norm * exp(-sqrt(sq) / sigma).
+1e-4 (max |x|^2 + max |y|^2), the maxima over the rows it is given, where
+that sum cancels, are recomputed from exact differences, so coincident
+points give exactly 0.  The iterator yields the indices and differences of
+those entries.  The kernel values are then computed in place, in the order
+norm * exp(-sq / (2 sigma^2)) or norm * exp(-sqrt(sq) / sigma).
 
-kernel_matrix_closed_form writes each block's values into its rows of the
-N x M output, so its memory is the output plus about 1 MB.  For a Gram (Y
-the very object X) each block copies its entries left of the diagonal from
-the rows above, so the Gram is exactly symmetric.
+kernel_matrix_closed_form has each block computed in its rows of the N x M
+output, so its memory is the output plus a boolean mask of one block.  For a
+Gram (Y the very object X) each block copies its entries left of the
+diagonal from the rows above, so the Gram is exactly symmetric.
 
 f_and_grad_closed_form contracts with alpha block by block and builds no
-N x M matrix; ClosedFormRepresenterModel.f_values (hence density) and
-kde_density (uniform alpha) take its f, so a density and a score read the
-same f bit for bit.  With K a block's values, f accumulates K^T alpha and,
+N x M matrix.  A Gaussian block needs only its kernel values, which are
+kernel_matrix_closed_form of that block of training rows; a Laplacian block
+also needs its distances and recomputed pairs, so it reads the iterator
+directly, with a second scratch copy for the distances.
+ClosedFormRepresenterModel.f_values (hence density) and kde_density
+(uniform alpha) take its f, so a density and a score read the same f bit for
+bit.  With K a block's values, f accumulates K^T alpha and,
 with W = alpha * K (Gaussian) or alpha * K / r (Laplacian),
     Gaussian:  grad f(y) = (W^T X - f(y) y) / sigma^2,
     Laplacian: grad f(y) = (W^T X - (1^T W) y) / sigma,
@@ -83,14 +87,15 @@ def _check_dim(k: ClosedFormKernel, d: int) -> None:
         raise DataError(f"data dimension {d} does not match kernel dimension {k.d}")
 
 
-def _sq_blocks(X, Y, copies=1):
+def _sq_blocks(X, Y, copies=1, out=None):
     """Squared distances |x_i - y_j|^2 in blocks of rows of X.
 
     Yields (lo, hi, buf, (i, j), diff) for each block X[lo:hi]: buf is a
-    (copies, hi - lo, M) view of the scratch buffer whose buf[0] holds the
-    block's squared distances (the rest is the caller's), and (i, j) index
-    the entries of buf[0] recomputed from their exact differences
-    diff = x_{lo+i} - y_j (see the module docstring).
+    (copies, hi - lo, M) view of the scratch buffer, or of the rows lo:hi of
+    an N x M `out` (copies 1), whose buf[0] holds the block's squared
+    distances (the rest is the caller's), and (i, j) index the entries of
+    buf[0] recomputed from their exact differences diff = x_{lo+i} - y_j
+    (see the module docstring).
     """
     n, m = X.shape[0], Y.shape[0]
     xx = np.einsum("nd,nd->n", X, X)
@@ -99,11 +104,12 @@ def _sq_blocks(X, Y, copies=1):
     Xa = np.hstack([X, xx[:, None], np.ones((n, 1))])
     Yb = np.hstack([-2.0 * Y, np.ones((m, 1)), yy[:, None]])
     step = max(1, _BLOCK_CELLS // (max(m, 1) * copies))
-    scratch = np.empty(min(step, n) * m * copies)
+    scratch = np.empty(0 if out is not None else min(step, n) * m * copies)
     low = np.empty(min(step, n) * m, dtype=bool)
     for lo in range(0, n, step):
         rows = min(step, n - lo)
-        buf = scratch[:copies * rows * m].reshape(copies, rows, m)
+        buf = (scratch[:copies * rows * m] if out is None
+               else out[lo:lo + rows]).reshape(copies, rows, m)
         sq = buf[0]
         np.maximum(np.matmul(Xa[lo:lo + rows], Yb.T, out=sq), 0.0, out=sq)
         # flat indices: np.nonzero on the 2-D mask is several times slower
@@ -139,8 +145,8 @@ def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
     X, Y = _as_rows(X, Y)
     _check_dim(k, X.shape[1])
     out = np.empty((X.shape[0], Y.shape[0]))
-    for lo, hi, buf, _, _ in _sq_blocks(X, Y):
-        out[lo:hi] = _values_in_place(k, buf[0])
+    for lo, hi, buf, _, _ in _sq_blocks(X, Y, out=out):
+        _values_in_place(k, buf[0])
         if symmetric:  # entries left of the diagonal, from the rows above
             out[lo:hi, :lo] = out[:lo, lo:hi].T
             block, below = out[lo:hi, lo:hi], np.tril_indices(hi - lo, -1)
@@ -187,37 +193,36 @@ def f_and_grad_closed_form(k: ClosedFormKernel, X, alpha, Y):
     """f(y_j) = sum_i alpha_i k(x_i, y_j) and grad f(y_j) for each query row y_j.
 
     Returns (f, G) of shapes (M,) and (M, d), computed in blocks of training
-    rows through one scratch buffer (see the module docstring).
+    rows of at most _BLOCK_CELLS kernel values (see the module docstring).
     """
     X, Y = _as_rows(X, Y)
     _check_dim(k, X.shape[1])
     (n, d), m = X.shape, Y.shape[0]
     alpha = _check_weights(alpha, n)
-    laplacian = k.family == "laplacian"
     rhs = np.empty((n, d + 1))  # [alpha, alpha * X]
     rhs[:, 0] = alpha
     np.multiply(alpha[:, None], X, out=rhs[:, 1:])
     acc = np.zeros((m, d + 1))  # [f (Gaussian) or 1^T W (Laplacian), W^T X]
     part = np.empty((m, d + 1))
-    near = np.zeros((m, d))  # sum of alpha k (x - y) / r over recomputed Laplacian pairs
-    if laplacian:
-        f, f_part = np.zeros(m), np.empty(m)
-    # a Laplacian block also keeps its distances
-    for lo, hi, buf, (i, j), diff in _sq_blocks(X, Y, 2 if laplacian else 1):
-        if laplacian:
-            r = buf[1]
-            K = _values_in_place(k, buf[0], r)
-            f += np.matmul(alpha[lo:hi], K, out=f_part)
-            w = alpha[lo + i] * K[i, j] / np.where(r[i, j] > 0.0, r[i, j], np.inf)
-            np.add.at(near, j, w[:, None] * diff)
-            r[i, j] = np.inf  # so their W entries are 0
-            np.divide(K, r, out=K)
-        else:
-            K = _values_in_place(k, buf[0])
+    if k.family == "gaussian":  # a block's kernel values are all it needs
+        step = max(1, _BLOCK_CELLS // max(m, 1))
+        for lo in range(0, n, step):
+            # the block's matrix is freed before the next one is built
+            acc += np.matmul(kernel_matrix_closed_form(k, X[lo:lo + step], Y).T,
+                             rhs[lo:lo + step], out=part)
+        return acc[:, 0].copy(), (acc[:, 1:] - acc[:, :1] * Y) / k.sigma**2
+    near = np.zeros((m, d))  # sum of alpha k (x - y) / r over the recomputed pairs
+    f, f_part = np.zeros(m), np.empty(m)
+    for lo, hi, buf, (i, j), diff in _sq_blocks(X, Y, 2):  # a block also keeps its distances
+        r = buf[1]
+        K = _values_in_place(k, buf[0], r)
+        f += np.matmul(alpha[lo:hi], K, out=f_part)
+        w = alpha[lo + i] * K[i, j] / np.where(r[i, j] > 0.0, r[i, j], np.inf)
+        np.add.at(near, j, w[:, None] * diff)
+        r[i, j] = np.inf  # so their W entries are 0
+        np.divide(K, r, out=K)
         acc += np.matmul(K.T, rhs[lo:hi], out=part)
-    G = acc[:, 1:] - acc[:, :1] * Y + near
-    G /= k.sigma if laplacian else k.sigma**2
-    return (f if laplacian else acc[:, 0].copy()), G
+    return f, (acc[:, 1:] - acc[:, :1] * Y + near) / k.sigma
 
 
 def kde_density(X_train, Y, kernel: ClosedFormKernel) -> np.ndarray:

@@ -132,11 +132,10 @@ def _parse_a_grid(text: str, what: str) -> tuple:
 def _load_dataset(path, label_column, require_labels=False):
     """Load a CSV; label_column=None auto-detects a column named 'label'."""
     if label_column is None:
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise DataError(f"{path}: empty file, expected a header row")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next((row for row in csv.reader(fh) if row), None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
         if "label" in [h.strip() for h in header]:
             label_column = "label"
     ds = load_csv(path, label_column=label_column)

@@ -107,14 +107,16 @@ class Dataset:
 def load_csv(path, label_column: str | None = None, name: str | None = None) -> Dataset:
     """Parse a headered CSV of numeric features, splitting off the label column.
 
+    A leading byte-order mark is dropped and fully blank lines are skipped.
     Rows with missing values are rejected with their row indices; cells that
     fail to parse report the file line; labels must be 0/1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DataError(f"{path}: empty file, expected a header row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     label_idx = None
     if label_column is not None:
         if label_column not in header:
@@ -128,7 +130,7 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
     X = np.empty((len(data), len(feat_idx)))
     y = np.empty(len(data), dtype=int) if label_idx is not None else None
     missing: list[int] = []
-    for i, row in enumerate(data):
+    for i, (line, row) in enumerate(data):
         if len(row) != len(header) or any(row[j].strip() == "" for j in range(len(header))):
             missing.append(i)
             continue
@@ -138,7 +140,7 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
                 v = float(cell)
             except ValueError as exc:
                 raise DataError(
-                    f"{path}: line {i + 2}: could not parse {cell!r} as a number"
+                    f"{path}: line {line}: could not parse {cell!r} as a number"
                 ) from exc
             if not math.isfinite(v):
                 raise DataError(f"{path}: row {i} has non-finite value {cell!r}")
@@ -149,7 +151,7 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
                 lv = float(cell)
             except ValueError as exc:
                 raise DataError(
-                    f"{path}: line {i + 2}: could not parse label {cell!r}"
+                    f"{path}: line {line}: could not parse label {cell!r}"
                 ) from exc
             if lv not in (0.0, 1.0):
                 raise DataError(f"{path}: row {i} has non-binary label {cell!r}")

@@ -27,6 +27,7 @@ point is certified.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -139,31 +140,6 @@ def score(model, x) -> np.ndarray:
     if abs(f[0]) < _DENSITY_FLOOR:
         raise VanishingDensity(f"vanishing density at query (|f| = {abs(f[0]):.3e})")
     return S[0]
-
-
-def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:
-    """Finite-difference Hutchinson estimate of trace(Jacobian of score_fn).
-
-    Averages (1/h) * (score_fn(x + h*eps) - score_fn(x)) . eps over
-    opts.n_fd_iters probe vectors.  Rademacher probes have identity
-    covariance; the three-point probe (coordinates uniform on {-1,0,1}) has
-    covariance (2/3) I and the average is corrected by 3/2.  Probe draws are
-    keyed by (opts.seed, row_index) so results do not depend on evaluation
-    order.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = x.shape[0]
-    rng = rng_from_seed(opts.seed, row_index)
-    eps = _draw_probes(rng, opts.n_fd_iters, d, opts.probe)
-    s0 = np.asarray(score_fn(x), dtype=float)
-    total = 0.0
-    for j in range(opts.n_fd_iters):
-        s1 = np.asarray(score_fn(x + opts.h * eps[j]), dtype=float)
-        total += float((s1 - s0) @ eps[j]) / opts.h
-    est = total / opts.n_fd_iters
-    if opts.probe == "paper_three_point":
-        est *= _THREE_POINT_CORRECTION
-    return est
 
 
 def _distinct_probes(eps: np.ndarray):
@@ -359,11 +335,19 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
 
 
 def write_atomic(path, text: str) -> None:
-    """Write text through a temp file named per process, then rename over path."""
+    """Write text through a temp file named per process, then rename over path.
+
+    On failure the temp file is removed and the error re-raised.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def profile_to_csv(profile: FdProfile, path=None) -> str:

@@ -24,17 +24,12 @@ reparametrizations of one another.  The a=1 radial law is tabulated once per
 (m, d), its trapezoid CDF on 200 000 uniform nodes, and inverted by linear
 interpolation.  A sample is kept by reference, as (params, T, seed), since
 sample_frequencies redraws the same rows bit for bit.
-
-The module needs numpy alone: the radial CDF comes from a numpy copy of
-scipy's cumulative trapezoid rule, and scipy is imported only inside
-numeric_kernel_1d, the quadrature oracle that the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -297,56 +292,3 @@ def kernel_matrix(X, Y, fs: FrequencySample, exact_normalization: bool = False) 
         return _gram(Phi_x)
     Phi_y = feature_map(Y, fs, exact_normalization)
     return Phi_x @ Phi_y.T
-
-
-def closed_form_kernel_1d(x, y, a: float):
-    """Exact kernel for d=1, m=1: exp(-|x-y|/sqrt(a)) / (2*sqrt(a)).
-
-    Accepts scalars or arrays (broadcast on x - y); scalar in, scalar out.
-    """
-    if a <= 0:
-        raise ValidationError("a must be positive")
-    sa = math.sqrt(a)
-    out = np.exp(-np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / sa)
-    out /= 2.0 * sa
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(out)
-    return out
-
-
-def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:
-    """Adaptive quadrature of the 1-D kernel integral; the exact test oracle.
-
-    Uses a semi-infinite Fourier (cosine-weight) rule for x != y and a plain
-    adaptive rule at x == y.  The package's one use of scipy, imported here
-    so that no other path loads it.
-    """
-    from scipy import integrate
-
-    if params.d != 1:
-        raise ValidationError("the quadrature oracle is defined for d=1 only")
-    delta = abs(float(x) - float(y))
-    c = params.a * (2.0 * np.pi) ** (2 * params.m)
-    two_m = 2 * params.m
-
-    def w(z):
-        return 1.0 / (1.0 + c * z**two_m)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            if delta == 0.0:
-                val, err = integrate.quad(w, 0.0, np.inf, limit=200)
-            else:
-                val, err = integrate.quad(
-                    w, 0.0, np.inf, weight="cos", wvar=2.0 * np.pi * delta, limit=200
-                )
-        except integrate.IntegrationWarning as exc:
-            raise NumericsError(f"kernel quadrature did not converge: {exc}") from exc
-    val *= 2.0
-    err *= 2.0
-    if not np.isfinite(val) or err > 1e-8 + 1e-6 * abs(val):
-        raise NumericsError(
-            f"kernel quadrature error estimate too large ({err:.3e} for value {val:.6e})"
-        )
-    return float(val)

@@ -9,14 +9,23 @@ check the matrix builders.  `assert_within_error_bounds` holds the closed-form
 f and grad f by matrix products, and `assert_matrix_within_error_bounds` the
 closed-form kernel matrix, to a rounding-error bound around the per-pair
 kernels and gradients.
+
+The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
+integral check the sampled kernel, and the one-point Hutchinson estimate
+checks the batched Fisher-divergence statistic.  The quadrature needs scipy,
+a test dependency; the package itself needs numpy alone.
 """
 
+import math
+import warnings
+
 import numpy as np
+from scipy import integrate
 
 from sosrep.baseline_kernels import ClosedFormKernel, kernel_matrix_closed_form
-from sosrep.errors import NumericsError, VanishingDensity
-from sosrep.score_fd import _DENSITY_FLOOR
-from sosrep.sdo_kernel import feature_phases
+from sosrep.errors import NumericsError, ValidationError, VanishingDensity
+from sosrep.score_fd import _DENSITY_FLOOR, _THREE_POINT_CORRECTION, FdOptions, _draw_probes
+from sosrep.sdo_kernel import SdoParams, feature_phases, rng_from_seed
 from sosrep.solver import FittedModel, _add_jitter_in_place
 
 _ZERO_DENSITY_FLOOR = 1e-300
@@ -95,6 +104,81 @@ def score_jacobian_trace(model: FittedModel, x) -> float:
     g2 = float(G[0] @ G[0])
     factor = 2.0 if model.squared else 1.0
     return factor * (lap / f[0] - g2 / f[0] ** 2)
+
+
+def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:
+    """Finite-difference Hutchinson estimate of trace(Jacobian of score_fn).
+
+    Averages (1/h) * (score_fn(x + h*eps) - score_fn(x)) . eps over
+    opts.n_fd_iters probe vectors.  Rademacher probes have identity
+    covariance; the three-point probe (coordinates uniform on {-1,0,1}) has
+    covariance (2/3) I and the average is corrected by 3/2.  Probe draws are
+    keyed by (opts.seed, row_index) so results do not depend on evaluation
+    order.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d = x.shape[0]
+    rng = rng_from_seed(opts.seed, row_index)
+    eps = _draw_probes(rng, opts.n_fd_iters, d, opts.probe)
+    s0 = np.asarray(score_fn(x), dtype=float)
+    total = 0.0
+    for j in range(opts.n_fd_iters):
+        s1 = np.asarray(score_fn(x + opts.h * eps[j]), dtype=float)
+        total += float((s1 - s0) @ eps[j]) / opts.h
+    est = total / opts.n_fd_iters
+    if opts.probe == "paper_three_point":
+        est *= _THREE_POINT_CORRECTION
+    return est
+
+
+def closed_form_kernel_1d(x, y, a: float):
+    """Exact kernel for d=1, m=1: exp(-|x-y|/sqrt(a)) / (2*sqrt(a)).
+
+    Accepts scalars or arrays (broadcast on x - y); scalar in, scalar out.
+    """
+    if a <= 0:
+        raise ValidationError("a must be positive")
+    sa = math.sqrt(a)
+    out = np.exp(-np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / sa)
+    out /= 2.0 * sa
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return float(out)
+    return out
+
+
+def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:
+    """Adaptive quadrature of the 1-D kernel integral; the exact test oracle.
+
+    Uses a semi-infinite Fourier (cosine-weight) rule for x != y and a plain
+    adaptive rule at x == y.
+    """
+    if params.d != 1:
+        raise ValidationError("the quadrature oracle is defined for d=1 only")
+    delta = abs(float(x) - float(y))
+    c = params.a * (2.0 * np.pi) ** (2 * params.m)
+    two_m = 2 * params.m
+
+    def w(z):
+        return 1.0 / (1.0 + c * z**two_m)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            if delta == 0.0:
+                val, err = integrate.quad(w, 0.0, np.inf, limit=200)
+            else:
+                val, err = integrate.quad(
+                    w, 0.0, np.inf, weight="cos", wvar=2.0 * np.pi * delta, limit=200
+                )
+        except integrate.IntegrationWarning as exc:
+            raise NumericsError(f"kernel quadrature did not converge: {exc}") from exc
+    val *= 2.0
+    err *= 2.0
+    if not np.isfinite(val) or err > 1e-8 + 1e-6 * abs(val):
+        raise NumericsError(
+            f"kernel quadrature error estimate too large ({err:.3e} for value {val:.6e})"
+        )
+    return float(val)
 
 
 def eval_kernel(k: ClosedFormKernel, x, y) -> float:

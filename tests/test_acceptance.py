@@ -38,13 +38,13 @@ def test_criterion_01_sampled_kernel_matches_1d_closed_form():
             deltas = np.linspace(0.0, 3.0 * math.sqrt(a), 50)
             K = sp.kernel_matrix(np.zeros((1, 1)), deltas[:, None], fs,
                                  exact_normalization=True)
-            exact = sp.closed_form_kernel_1d(0.0, deltas, a)
+            exact = oracles.closed_form_kernel_1d(0.0, deltas, a)
             rel = np.abs(K[0] - exact) / exact
             assert float(rel.max()) < 0.03  # observed max 0.0175 at seed 0
             for delta in deltas:
                 np.testing.assert_allclose(
-                    sp.closed_form_kernel_1d(0.0, float(delta), a),
-                    sp.numeric_kernel_1d(0.0, float(delta), params),
+                    oracles.closed_form_kernel_1d(0.0, float(delta), a),
+                    oracles.numeric_kernel_1d(0.0, float(delta), params),
                     rtol=1e-8)
 
 
@@ -148,12 +148,12 @@ def test_criterion_06_hutchinson_trace_accuracy():
                 return A @ y
 
             x = np.zeros(A.shape[0])
-            est = sp.hutchinson_trace(
+            est = oracles.hutchinson_trace(
                 x=x, score_fn=score_fn,
                 opts=sp.FdOptions(n_fd_iters=200, h=1e-4,
                                   probe="rademacher", seed=4))
             assert abs(est - trace) / trace <= 0.02
-            est3 = sp.hutchinson_trace(
+            est3 = oracles.hutchinson_trace(
                 x=x, score_fn=score_fn,
                 opts=sp.FdOptions(n_fd_iters=200, h=1e-4,
                                   probe="paper_three_point", seed=4))

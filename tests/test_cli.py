@@ -96,6 +96,26 @@ class TestFit:
         record = json.loads(model_p.read_text())
         assert record["params"]["d"] == 2  # the label column was split off
 
+    def test_label_column_auto_detected_after_byte_order_mark(self, tmp_path):
+        ds = make_mixture2d(n=40, seed=0)
+        data_p = tmp_path / "bom.csv"
+        lines = ["label,f0,f1", *(f"{c},{x0:.17g},{x1:.17g}" for (x0, x1), c in zip(ds.X, ds.y))]
+        data_p.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        model_p = tmp_path / "model.json"
+        rc = main(["fit", "--data", str(data_p), "--a", "1.0", "--n-z", "128",
+                   "--n-iters", "100", "--out", str(model_p)])
+        assert rc == 0
+        assert json.loads(model_p.read_text())["params"]["d"] == 2
+
+    def test_out_directory_is_io_error_leaving_no_temp_file(self, tmp_path, gaussian_csv,
+                                                              capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        rc = main(["fit", "--data", gaussian_csv, *FIT_FLAGS, "--out", str(out)])
+        assert rc == 2
+        assert _stderr_error(capsys)["kind"] == "io"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gauss.csv", "outdir"]
+
     def test_header_only_file_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"
         p.write_text("f0,f1\n")

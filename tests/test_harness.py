@@ -106,6 +106,31 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             sp.load_csv(str(p), label_column="target")
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("label,f0,f1\n0,0.5,1.0\n1,-1.5,2.0\n", encoding="utf-8-sig")
+        ds = sp.load_csv(str(p), label_column="label")
+        assert ds.X.shape == (2, 2)
+        np.testing.assert_array_equal(ds.y, [0, 1])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("a,b\n1,2\n\n3,4\n\n")
+        ds = sp.load_csv(str(p))
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_blank_lines_keep_file_lines_in_errors(self, tmp_path):
+        p = tmp_path / "blank_junk.csv"
+        p.write_text("a,b\n1,2\n\nx,4\n")
+        with pytest.raises(DataError, match="line 4"):
+            sp.load_csv(str(p))
+
+    def test_row_of_empty_cells_is_still_missing_values(self, tmp_path):
+        p = tmp_path / "blank_cells.csv"
+        p.write_text("a,b\n1,2\n,\n3,4\n\n")
+        with pytest.raises(DataError, match=r"rows with missing values: \[1\]"):
+            sp.load_csv(str(p))
+
 
 class TestSplit:
     def test_deterministic(self, mixture2d):

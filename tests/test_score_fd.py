@@ -23,6 +23,7 @@ from sosrep.score_fd import (
     profile_from_csv,
     profile_to_csv,
     selection_kind,
+    write_atomic,
 )
 from sosrep.sdo_kernel import rng_from_seed
 
@@ -84,33 +85,33 @@ class TestHutchinsonTrace:
     def test_linear_isotropic_score_is_exact(self):
         # s(x) = -x has Jacobian -I; Rademacher probes are exact for diagonals
         opts = sp.FdOptions(n_fd_iters=200, h=1e-4, seed=4)
-        est = sp.hutchinson_trace(lambda x: -x, np.zeros(3), opts)
+        est = oracles.hutchinson_trace(lambda x: -x, np.zeros(3), opts)
         np.testing.assert_allclose(est, -3.0, rtol=1e-10)
 
     def test_linear_diagonal_score_is_exact(self):
         A = np.diag([1.0, 2.0, 3.0])
         opts = sp.FdOptions(n_fd_iters=50, h=1e-4, seed=4)
-        est = sp.hutchinson_trace(lambda x: A @ x, np.zeros(3), opts)
+        est = oracles.hutchinson_trace(lambda x: A @ x, np.zeros(3), opts)
         np.testing.assert_allclose(est, 6.0, rtol=1e-10)
 
     def test_three_point_probe_unbiased_after_correction(self):
         A = np.diag([1.0, 2.0, 3.0])
         opts = sp.FdOptions(n_fd_iters=200, h=1e-4, seed=4, probe="paper_three_point")
-        est = sp.hutchinson_trace(lambda x: A @ x, np.zeros(3), opts)
+        est = oracles.hutchinson_trace(lambda x: A @ x, np.zeros(3), opts)
         np.testing.assert_allclose(est, 6.0, rtol=0.03)
 
     def test_single_probe_deterministic(self):
         opts = sp.FdOptions(n_fd_iters=1, h=1e-4, seed=9)
         f = lambda x: np.sin(x)
-        e1 = sp.hutchinson_trace(f, np.array([0.2, 0.4]), opts)
-        e2 = sp.hutchinson_trace(f, np.array([0.2, 0.4]), opts)
+        e1 = oracles.hutchinson_trace(f, np.array([0.2, 0.4]), opts)
+        e2 = oracles.hutchinson_trace(f, np.array([0.2, 0.4]), opts)
         assert e1 == e2
 
     def test_row_index_changes_probes(self):
         opts = sp.FdOptions(n_fd_iters=3, h=1e-4, seed=9, probe="paper_three_point")
         f = lambda x: np.sin(3 * x) * x
-        e1 = sp.hutchinson_trace(f, np.array([0.2, 0.4]), opts, row_index=0)
-        e2 = sp.hutchinson_trace(f, np.array([0.2, 0.4]), opts, row_index=1)
+        e1 = oracles.hutchinson_trace(f, np.array([0.2, 0.4]), opts, row_index=0)
+        e2 = oracles.hutchinson_trace(f, np.array([0.2, 0.4]), opts, row_index=1)
         assert e1 != e2
 
     def test_matches_analytic_jacobian_trace(self):
@@ -118,7 +119,7 @@ class TestHutchinsonTrace:
         x = np.array([0.1, 0.6])
         analytic = oracles.score_jacobian_trace(model, x)
         opts = sp.FdOptions(n_fd_iters=400, h=1e-5, seed=0)
-        est = sp.hutchinson_trace(lambda y: sp.score(model, y), x, opts)
+        est = oracles.hutchinson_trace(lambda y: sp.score(model, y), x, opts)
         np.testing.assert_allclose(est, analytic, rtol=0.05)
 
     def test_matches_analytic_jacobian_trace_unsquared(self):
@@ -128,7 +129,7 @@ class TestHutchinsonTrace:
         x = np.array([0.3, -0.2])
         analytic = oracles.score_jacobian_trace(model, x)
         opts = sp.FdOptions(n_fd_iters=2000, h=1e-5, seed=0)
-        est = sp.hutchinson_trace(lambda y: sp.score(model, y), x, opts)
+        est = oracles.hutchinson_trace(lambda y: sp.score(model, y), x, opts)
         np.testing.assert_allclose(est, analytic, rtol=0.05)
 
     def test_options_validation(self):
@@ -631,3 +632,11 @@ class TestAtomicWrite:
         profile_to_csv(profile, path=str(path))
         assert profile_from_csv(path.read_text(encoding="utf-8")) == profile
         assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "profile.csv.tmp"]
+
+    def test_failed_write_removes_the_temp_file(self, tmp_path):
+        # a lone surrogate cannot be encoded as UTF-8, so the write itself
+        # fails; the error surfaces and no "<path>.tmp.<pid>" is left behind
+        path = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(str(path), "ok\ud800")
+        assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,8 @@
-"""scipy stays off the import path: the package, the CLI and every protocol.
+"""The package needs numpy alone: the CLI and every protocol run with scipy
+unimportable.
 
-scipy is loaded only by numeric_kernel_1d, the quadrature oracle.  The numpy
-replacements of cumulative_trapezoid and rankdata are pinned bit for bit
-against scipy here.
+scipy is a test dependency only.  Here it pins the package's numpy
+replacements of cumulative_trapezoid and rankdata bit for bit.
 """
 
 import os
@@ -31,10 +31,11 @@ def _run_python(code: str, tmp_path) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-# Tiny data files and one run of each CLI command; stdout ends with the
-# scipy modules loaded at that point.
+# Tiny data files and one run of each CLI command, with any import of scipy
+# raising ImportError; stdout ends with the scipy modules loaded at that point.
 _CLI_RUNS = """
     import sys
+    sys.modules["scipy"] = None
     import numpy as np
     import sosrep
     from sosrep.cli import main
@@ -68,17 +69,13 @@ _CLI_RUNS = """
     ]
     for argv in runs:
         assert main(argv) == 0, argv
-    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    print(sorted(m for m, mod in sys.modules.items()
+                 if mod is not None and m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_and_protocols_leave_scipy_unloaded(tmp_path):
-    code = _CLI_RUNS + """
-    k = sosrep.numeric_kernel_1d(0.0, 0.5, sosrep.SdoParams(a=1.0, d=1, m=1))
-    assert abs(k - sosrep.closed_form_kernel_1d(0.0, 0.5, 1.0)) < 1e-8
-    assert "scipy" in sys.modules
-    """
-    proc = _run_python(code, tmp_path)
+def test_cli_and_protocols_run_with_scipy_unimportable(tmp_path):
+    proc = _run_python(_CLI_RUNS, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -99,14 +96,10 @@ def test_run_ad_works_with_scipy_unimportable(tmp_path):
     for method in sp.AD_METHODS:
         report = sp.run_ad(ds, method, seeds=(0,), config=config)
         assert report.aucs and not report.warnings, (method, report.warnings)
-    try:
-        sp.numeric_kernel_1d(0.0, 0.5, sp.SdoParams(a=1.0, d=1, m=1))
-    except ImportError:
-        print("oracle needs scipy")
     """
     proc = _run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["oracle needs scipy"]
+    assert proc.stdout == ""
 
 
 _values = st.one_of(

@@ -25,7 +25,6 @@ identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -130,14 +129,7 @@ def _parse_a_grid(text: str, what: str) -> tuple:
 
 
 def _load_dataset(path, label_column, require_labels=False):
-    """Load a CSV; label_column=None auto-detects a column named 'label'."""
-    if label_column is None:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next((row for row in csv.reader(fh) if row), None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        if "label" in [h.strip() for h in header]:
-            label_column = "label"
+    """Load a CSV; label_column=None takes a column headed 'label' when there is one."""
     ds = load_csv(path, label_column=label_column)
     if require_labels and ds.y is None:
         raise DataError(

@@ -107,7 +107,10 @@ class Dataset:
 def load_csv(path, label_column: str | None = None, name: str | None = None) -> Dataset:
     """Parse a headered CSV of numeric features, splitting off the label column.
 
-    A leading byte-order mark is dropped and fully blank lines are skipped.
+    label_column=None takes a column headed 'label' as the labels when there
+    is one and reads every column as a feature otherwise; a name that is not
+    in the header is an error.  A leading byte-order mark is dropped and
+    fully blank lines are skipped, before the header is read.
     Rows with missing values are rejected with their row indices; cells that
     fail to parse report the file line; labels must be 0/1.
     """
@@ -117,6 +120,8 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
     if not rows:
         raise DataError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in rows[0][1]]
+    if label_column is None and "label" in header:
+        label_column = "label"
     label_idx = None
     if label_column is not None:
         if label_column not in header:

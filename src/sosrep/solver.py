@@ -43,6 +43,7 @@ from .errors import NumericsError, SolverDivergence, ValidationError
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
+    _cos_sin,
     _gram,
     _is_int,
     _is_real,
@@ -317,11 +318,18 @@ class FittedModel:
         return f * f if self.squared else f
 
     def f_and_grad(self, Y):
-        """(f values, gradient rows) of f at the query rows; both analytic."""
+        """(f values, gradient rows) of f at the query rows; both analytic.
+
+        cos and sin of the phases come from sdo_kernel._cos_sin's one tan
+        pass, in place, so a call holds two N x T arrays; f_values keeps
+        feature_map's np.cos, which every Gram and fit shares.
+        """
         U, scale = feature_phases(Y, self.fs, self.kernel_scale_flag)
         w = self.feature_weights
-        f = (np.cos(U) @ w) * scale
-        G = -(np.sin(U) * w) @ self.fs.Z * scale
+        C, S = _cos_sin(U)
+        f = (C @ w) * scale
+        S *= w
+        G = -(S @ self.fs.Z) * scale
         return f, G
 
     def score_batch(self, Y):

@@ -5,10 +5,11 @@ the paper's formulas that `solver.fit` runs in its loop; `test_solver.py`
 checks the loop against them bit for bit.  The analytic score-Jacobian
 trace (through the analytic Laplacian of f) checks the Hutchinson
 estimator, and the one-pair kernel value and the diagonal jitter on a copy
-check the matrix builders.  `assert_within_error_bounds` holds the closed-form
-f and grad f by matrix products, and `assert_matrix_within_error_bounds` the
-closed-form kernel matrix, to a rounding-error bound around the per-pair
-kernels and gradients.
+check the matrix builders.  f and grad f from np.cos and np.sin hold the
+sampled model's half-angle evaluation to a rounding bound, as
+`assert_within_error_bounds` holds the closed-form f and grad f by matrix
+products, and `assert_matrix_within_error_bounds` the closed-form kernel
+matrix, to a rounding-error bound around the per-pair kernels and gradients.
 
 The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
 integral check the sampled kernel, and the one-point Hutchinson estimate
@@ -79,6 +80,39 @@ def add_jitter(K: np.ndarray) -> np.ndarray:
 def evaluate_density(model: FittedModel, Y) -> np.ndarray:
     """model.density(Y): (sum_i alpha_i k(x_i, y))^2, or the sum itself when unsquared."""
     return model.density(Y)
+
+
+def f_and_grad(model: FittedModel, Y):
+    """(f, grad f) of a sampled-feature model from np.cos and np.sin of its phases.
+
+    FittedModel.f_and_grad gets cos and sin from one tan pass instead; see
+    assert_f_and_grad_within_rounding for the bound between the two.
+    """
+    U, scale = feature_phases(Y, model.fs, model.kernel_scale_flag)
+    w = model.feature_weights
+    return (np.cos(U) @ w) * scale, -((np.sin(U) * w) @ model.fs.Z) * scale
+
+
+def assert_f_and_grad_within_rounding(model: FittedModel, Y):
+    """model.f_and_grad(Y) agrees with f_and_grad(model, Y) to rounding, shapes equal.
+
+    With u = machine epsilon, w the feature weights and s the feature scale,
+    a term of f is s w_t cos U_t, with cos U_t within 4u of the exact value
+    on the half-angle path and within u on np.cos's; a length-T product then
+    adds up to about u sum_t |term| each side, since these sums mix signs.
+    So |f - f_ref| <= 8 u s sum_t |w_t|, one u of margin.  A component of
+    grad f sums s w_t sin U_t Z_tj, whose product sin * w rounds once more
+    on each side, so each |G - G_ref| <= 10 u s sum_t |w_t| |Z_t|.
+    """
+    eps = np.finfo(float).eps
+    f, G = model.f_and_grad(Y)
+    f_ref, G_ref = f_and_grad(model, Y)
+    _, scale = feature_phases(Y, model.fs, model.kernel_scale_flag)
+    w = np.abs(model.feature_weights)
+    assert f.shape == f_ref.shape and G.shape == G_ref.shape
+    assert np.all(np.abs(f - f_ref) <= 8 * eps * scale * np.sum(w))
+    z_norms = np.linalg.norm(model.fs.Z, axis=1)
+    assert np.all(np.abs(G - G_ref) <= 10 * eps * scale * np.sum(w * z_norms))
 
 
 def laplacian_f(model: FittedModel, Y) -> np.ndarray:

@@ -72,6 +72,20 @@ class TestLoadCsv:
         ds = sp.load_csv(str(p))
         assert ds.y is None and ds.X.shape == (2, 2)
 
+    def test_label_header_detected_without_label_column(self, tmp_path):
+        p = tmp_path / "auto.csv"
+        p.write_text("f0,label,f1\n0.5,1,1.0\n-1.5,0,2.0\n")
+        ds = sp.load_csv(str(p))
+        np.testing.assert_array_equal(ds.X, [[0.5, 1.0], [-1.5, 2.0]])
+        np.testing.assert_array_equal(ds.y, [1, 0])
+
+    def test_label_detection_reads_the_header_after_bom_and_blank_lines(self, tmp_path):
+        p = tmp_path / "auto_bom.csv"
+        p.write_text("\n\n label ,f0\n\n1,0.5\n0,-1.5\n", encoding="utf-8-sig")
+        ds = sp.load_csv(str(p))
+        np.testing.assert_array_equal(ds.X, [[0.5], [-1.5]])
+        np.testing.assert_array_equal(ds.y, [1, 0])
+
     def test_nan_cell_reports_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3,NaN\n5,6\n")

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import sosrep as sp
 from sosrep.errors import ValidationError
-from sosrep.sdo_kernel import _radial_table, rng_from_seed
+from sosrep.sdo_kernel import _cos_sin, _radial_table, rng_from_seed
 
 import oracles
 
@@ -222,6 +222,56 @@ class TestFeatureMap:
         fs = sp.sample_frequencies(sp.SdoParams(a=1.0, d=2, m=2), 16, seed=0)
         with pytest.raises(ValidationError):
             sp.feature_map(np.zeros((3, 3)), fs)
+
+
+class TestCosSin:
+    """sdo_kernel._cos_sin's half-angle identities against np.cos and np.sin."""
+
+    @staticmethod
+    def _phases():
+        """|U| from 0 to 1e6 with both signs: uniform and log-uniform draws,
+        0, multiples of pi/2 and pi, and the neighbours of odd multiples of
+        pi, where tan(U/2) blows up."""
+        rng = np.random.default_rng(2101)
+        k = np.arange(1.0, 318_000.0, 70.0)  # odd k, k pi up to 1e6
+        odd = k * np.pi
+        near_odd = [np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)]
+        near_odd += [odd + s * j * np.spacing(odd) for s in (-1, 1) for j in (2, 5, 50)]
+        U = np.concatenate([
+            rng.uniform(0.0, 1e6, 50_000),
+            10.0 ** rng.uniform(-300.0, 6.0, 50_000),
+            [0.0, np.pi / 2, np.pi, 1e6],
+            k * np.pi / 2, (k + 1.0) * np.pi, odd, *near_odd,
+        ])
+        return np.concatenate([U, -U])
+
+    def test_within_4_eps_of_cos_and_sin(self):
+        U = self._phases()
+        C, S = _cos_sin(U.copy())
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(C - np.cos(U))) <= 4 * eps
+        assert np.max(np.abs(S - np.sin(U))) <= 4 * eps
+
+    def test_values_stay_in_unit_interval(self):
+        # tan(U/2) is near +-1 by pi/2 and near its poles by odd multiples of pi
+        ulps = np.arange(-50_000, 50_001)
+        U = np.concatenate([self._phases()] + [
+            b + ulps * np.spacing(b) for b in (np.pi / 2, 3 * np.pi / 2, np.pi, 1e5 * np.pi + np.pi / 2)
+        ])
+        C, S = _cos_sin(U)
+        assert np.max(np.abs(C)) <= 1.0 and np.max(np.abs(S)) <= 1.0
+
+    def test_non_finite_phases_give_nan(self):
+        U = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            C, S = _cos_sin(U.copy())
+            assert np.all(np.isnan(np.cos(U)))
+        assert np.all(np.isnan(C)) and np.all(np.isnan(S))
+
+    def test_sin_overwrites_the_phases(self):
+        U = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        C, S = _cos_sin(U)
+        assert S is U and C.shape == U.shape and C is not U
 
 
 class TestKernelMatrix:

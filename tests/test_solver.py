@@ -644,6 +644,39 @@ class TestFittedModel:
         np.testing.assert_allclose(f, m.f_values(Y), rtol=1e-12)
         np.testing.assert_allclose(f * f, m.density(Y), rtol=1e-12)
 
+    @pytest.mark.parametrize("a, T, d, exact_normalization, spread", [
+        (0.5, 256, 2, False, 1.0),
+        (1e-4, 2048, 2, False, 1.0),  # large frequencies, phases up to about 1e3
+        (1e-4, 2048, 2, True, 30.0),
+        (1.0, 512, 3, False, 100.0),
+    ])
+    def test_f_and_grad_within_rounding_of_cos_and_sin(self, a, T, d, exact_normalization,
+                                                        spread):
+        rng = np.random.default_rng(2102)
+        X = rng.normal(size=(40, d))
+        m = sp.fit_model(X, sp.SdoParams(a=a, d=d), T=T, seed=3,
+                         opts=sp.SolverOptions(n_iters=100),
+                         exact_normalization=exact_normalization)
+        oracles.assert_f_and_grad_within_rounding(m, rng.normal(size=(64, d)) * spread)
+
+
+class TestFAndGradMemory:
+    def test_peak_holds_two_phase_arrays(self):
+        # the phases U and one second array: the cosines in the second, the
+        # sines and then sin * w in U itself; three arrays read 3.0 n T 8 bytes
+        n, T = 192, 2048
+        rng = np.random.default_rng(2103)
+        m = sp.fit_model(rng.normal(size=(20, 2)), sp.SdoParams(a=0.5, d=2), T=T, seed=7,
+                         opts=sp.SolverOptions(n_iters=5))
+        Y = rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            m.f_and_grad(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * T * 8
+
 
 class TestFitModelInputs:
     @pytest.mark.parametrize("T", [2.5, True])

@@ -11,7 +11,6 @@ divergence estimated with Hutchinson probes.
 
 from .baseline_kernels import (
     ClosedFormKernel,
-    kde_density,
     kernel_gradient_closed_form,
     kernel_matrix_closed_form,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "feature_map",
     "fit",
     "fit_model",
-    "kde_density",
     "kde_ratio",
     "kernel_gradient_closed_form",
     "kernel_matrix",

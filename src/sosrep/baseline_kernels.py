@@ -1,4 +1,4 @@
-"""Closed-form Gaussian and Laplacian kernels and their plain KDE estimator.
+"""Closed-form Gaussian and Laplacian kernels: matrices, f and grad f.
 
 Both families carry the 1/sigma^d normalization so that evaluation at x = y
 equals (1/sigma)^d.  Bandwidths are tuned with the same Fisher-divergence
@@ -8,15 +8,30 @@ Every closed-form evaluation takes its squared distances from one private
 iterator, _sq_blocks, which works in blocks of training rows of at most
 _BLOCK_CELLS entries (1 MB), in one scratch buffer or in the caller's output
 rows.  Each block's squared distances are one product of augmented rows,
-[x, |x|^2, 1] . [-2y, 1, |y|^2], clamped at 0; entries at or below
-1e-4 (max |x|^2 + max |y|^2), the maxima over the rows it is given, where
+[x, |x|^2, 1] . [-2y, 1, |y|^2]; entries at or below tol = 1e-4 (max |x|^2 +
+max |y|^2), the maxima over the rows it is given (NaN rows skipped), where
 that sum cancels, are recomputed from exact differences, so coincident
-points give exactly 0.  The iterator yields the indices and differences of
-those entries.  The kernel values are then computed in place, in the order
-norm * exp(-sq / (2 sigma^2)) or norm * exp(-sqrt(sq) / sigma).
+points give exactly 0 and, tol being >= 0, no entry stays negative.  The
+iterator yields the indices and differences of those entries.  The kernel
+values are then computed in place, in the order
+norm * exp(sq / (-2 sigma^2)) or norm * exp(sqrt(sq) / -sigma), which are
+the bits of norm * exp(-sq / (2 sigma^2)) and norm * exp(-sqrt(sq) / sigma).
+
+numpy's float64 exp (AVX-512) costs about 1.4 ns per element down to about
+-707.7 and 20-205 ns below, where its result is subnormal or 0, so a block
+in which at least 1/16 of the arguments are below -746 is split: those give
++0.0 (as np.exp does) and never reach np.exp, those in [-746, -700) go
+through np.exp on a gathered copy, and the rest through np.exp in place
+after a clamp at -700.  np.exp works lane by lane, so the values are bit for
+bit those of one np.exp over the block.  The split's masks cost more than
+the slow path of a few underflowing arguments, so other blocks take one
+np.exp; one reduction, the block's smallest argument, passes most blocks
+with no mask.  The subnormal results, which the split cannot avoid, stay as
+they are: flushing them to 0 would be faster again, but would err by up to
+2^-1022 where the rounding bounds of tests/oracles.py allow a few 2^-1074.
 
 kernel_matrix_closed_form has each block computed in its rows of the N x M
-output, so its memory is the output plus a boolean mask of one block.  For a
+output, so its memory is the output plus boolean masks of one block.  For a
 Gram (Y the very object X) each block copies its entries left of the
 diagonal from the rows above, so the Gram is exactly symmetric.
 
@@ -25,10 +40,10 @@ N x M matrix.  A Gaussian block needs only its kernel values, which are
 kernel_matrix_closed_form of that block of training rows; a Laplacian block
 also needs its distances and recomputed pairs, so it reads the iterator
 directly, with a second scratch copy for the distances.
-ClosedFormRepresenterModel.f_values (hence density) and kde_density
-(uniform alpha) take its f, so a density and a score read the same f bit for
-bit.  With K a block's values, f accumulates K^T alpha and,
-with W = alpha * K (Gaussian) or alpha * K / r (Laplacian),
+ClosedFormRepresenterModel.f_values (hence density, a KDE's with uniform
+alpha) takes its f, so a density and a score read the same f bit for bit.
+With K a block's values, f accumulates K^T alpha and, with W = alpha * K
+(Gaussian) or alpha * K / r (Laplacian),
     Gaussian:  grad f(y) = (W^T X - f(y) y) / sigma^2,
     Laplacian: grad f(y) = (W^T X - (1^T W) y) / sigma,
 where alpha is folded into the right-hand side [alpha, alpha * X] rather than
@@ -71,6 +86,10 @@ class ClosedFormKernel:
 
 # Doubles in the scratch buffer of one block of training rows (1 MB).
 _BLOCK_CELLS = 1 << 17
+# np.exp's float64 loop takes its slow path below about -707.7; at or below
+# _EXP_ZERO its result is exactly +0.0 (see the module docstring).
+_EXP_SLOW = -700.0
+_EXP_ZERO = -746.0
 
 
 def _as_rows(X, Y):
@@ -100,7 +119,9 @@ def _sq_blocks(X, Y, copies=1, out=None):
     n, m = X.shape[0], Y.shape[0]
     xx = np.einsum("nd,nd->n", X, X)
     yy = np.einsum("md,md->m", Y, Y)
-    tol = 1e-4 * (xx.max(initial=0.0) + yy.max(initial=0.0))
+    # fmax skips a NaN row's norm, so the other rows' cancelled entries are
+    # still recomputed and none of them stays negative
+    tol = 1e-4 * (np.fmax.reduce(xx, initial=0.0) + np.fmax.reduce(yy, initial=0.0))
     Xa = np.hstack([X, xx[:, None], np.ones((n, 1))])
     Yb = np.hstack([-2.0 * Y, np.ones((m, 1)), yy[:, None]])
     step = max(1, _BLOCK_CELLS // (max(m, 1) * copies))
@@ -110,14 +131,29 @@ def _sq_blocks(X, Y, copies=1, out=None):
         rows = min(step, n - lo)
         buf = (scratch[:copies * rows * m] if out is None
                else out[lo:lo + rows]).reshape(copies, rows, m)
-        sq = buf[0]
-        np.maximum(np.matmul(Xa[lo:lo + rows], Yb.T, out=sq), 0.0, out=sq)
+        sq = np.matmul(Xa[lo:lo + rows], Yb.T, out=buf[0])
         # flat indices: np.nonzero on the 2-D mask is several times slower
         idx = np.flatnonzero(np.less_equal(sq, tol, out=low[:rows * m].reshape(rows, m)))
         i, j = np.divmod(idx, m)
         diff = X[lo + i] - Y[j]
         sq[i, j] = np.einsum("kd,kd->k", diff, diff)
         yield lo, lo + rows, buf, (i, j), diff
+
+
+def _exp_in_place(z: np.ndarray) -> np.ndarray:
+    """np.exp(z) into z, bit for bit, with its underflowing arguments kept out
+    of np.exp's slow path (see the module docstring)."""
+    if not z.size or z.min() >= _EXP_ZERO:
+        return np.exp(z, out=z)
+    keep = z >= _EXP_ZERO
+    if np.count_nonzero(keep) > z.size - z.size // 16:  # the split would cost more
+        return np.exp(z, out=z)
+    band = np.flatnonzero(np.less(z, _EXP_SLOW) & keep)
+    tail = np.exp(np.take(z, band))
+    np.exp(np.maximum(z, _EXP_SLOW, out=z), out=z)
+    np.multiply(z, keep, out=z)  # +0.0 below _EXP_ZERO
+    np.put(z, band, tail)
+    return z
 
 
 def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarray:
@@ -127,12 +163,10 @@ def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarr
     distances; otherwise sq holds them on the way.
     """
     if k.family == "gaussian":
-        np.negative(sq, out=sq)
-        np.divide(sq, 2.0 * k.sigma**2, out=sq)
+        np.divide(sq, -2.0 * k.sigma**2, out=sq)
     else:
-        np.negative(np.sqrt(sq, out=sq if dist is None else dist), out=sq)
-        np.divide(sq, k.sigma, out=sq)
-    np.exp(sq, out=sq)
+        np.divide(np.sqrt(sq, out=sq if dist is None else dist), -k.sigma, out=sq)
+    _exp_in_place(sq)
     return np.multiply(sq, k.sigma ** (-k.d), out=sq)
 
 
@@ -223,21 +257,3 @@ def f_and_grad_closed_form(k: ClosedFormKernel, X, alpha, Y):
         np.divide(K, r, out=K)
         acc += np.matmul(K.T, rhs[lo:hi], out=part)
     return f, (acc[:, 1:] - acc[:, :1] * Y + near) / k.sigma
-
-
-def kde_density(X_train, Y, kernel: ClosedFormKernel) -> np.ndarray:
-    """(1/N) * sum_i k(x_i, y_j) for each query row y_j of a closed-form kernel.
-
-    The f of f_and_grad_closed_form with uniform weights.  The sampled-kernel
-    KDE is harness.SdoKdeModel, which evaluates the same mean through the
-    mean feature vector without an N x M Gram matrix.
-    """
-    if not isinstance(kernel, ClosedFormKernel):
-        raise ValidationError(
-            f"kde_density takes a ClosedFormKernel, got {type(kernel).__name__}"
-        )
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    n = X_train.shape[0]
-    if n < 1:
-        raise DataError("KDE requires a nonempty training set")
-    return f_and_grad_closed_form(kernel, X_train, np.full(n, 1.0 / n), Y)[0]

@@ -5,11 +5,13 @@ the paper's formulas that `solver.fit` runs in its loop; `test_solver.py`
 checks the loop against them bit for bit.  The analytic score-Jacobian
 trace (through the analytic Laplacian of f) checks the Hutchinson
 estimator, and the one-pair kernel value and the diagonal jitter on a copy
-check the matrix builders.  f and grad f from np.cos and np.sin hold the
-sampled model's half-angle evaluation to a rounding bound, as
-`assert_within_error_bounds` holds the closed-form f and grad f by matrix
-products, and `assert_matrix_within_error_bounds` the closed-form kernel
-matrix, to a rounding-error bound around the per-pair kernels and gradients.
+check the matrix builders.  The plain closed-form KDE is the uniform-weight
+f of the closed-form path, which the KDE baseline's model must equal.  f
+and grad f from np.cos and np.sin hold the sampled model's half-angle
+evaluation to a rounding bound, as `assert_within_error_bounds` holds the
+closed-form f and grad f by matrix products, and
+`assert_matrix_within_error_bounds` the closed-form kernel matrix, to a
+rounding-error bound around the per-pair kernels and gradients.
 
 The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
 integral check the sampled kernel, and the one-point Hutchinson estimate
@@ -23,8 +25,12 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from sosrep.baseline_kernels import ClosedFormKernel, kernel_matrix_closed_form
-from sosrep.errors import NumericsError, ValidationError, VanishingDensity
+from sosrep.baseline_kernels import (
+    ClosedFormKernel,
+    f_and_grad_closed_form,
+    kernel_matrix_closed_form,
+)
+from sosrep.errors import DataError, NumericsError, ValidationError, VanishingDensity
 from sosrep.score_fd import _DENSITY_FLOOR, _THREE_POINT_CORRECTION, FdOptions, _draw_probes
 from sosrep.sdo_kernel import SdoParams, feature_phases, rng_from_seed
 from sosrep.solver import FittedModel, _add_jitter_in_place
@@ -220,6 +226,25 @@ def eval_kernel(k: ClosedFormKernel, x, y) -> float:
     x = np.asarray(x, dtype=float).reshape(1, -1)
     y = np.asarray(y, dtype=float).reshape(1, -1)
     return float(kernel_matrix_closed_form(k, x, y)[0, 0])
+
+
+def kde_density(X_train, Y, kernel: ClosedFormKernel) -> np.ndarray:
+    """(1/N) * sum_i k(x_i, y_j) for each query row y_j of a closed-form kernel.
+
+    The f of f_and_grad_closed_form with uniform weights, hence the density
+    of ClosedFormRepresenterModel(X_train, uniform, kernel, squared=False).
+    The sampled-kernel KDE is harness.SdoKdeModel, which evaluates the same
+    mean through the mean feature vector without an N x M Gram matrix.
+    """
+    if not isinstance(kernel, ClosedFormKernel):
+        raise ValidationError(
+            f"kde_density takes a ClosedFormKernel, got {type(kernel).__name__}"
+        )
+    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    n = X_train.shape[0]
+    if n < 1:
+        raise DataError("KDE requires a nonempty training set")
+    return f_and_grad_closed_form(kernel, X_train, np.full(n, 1.0 / n), Y)[0]
 
 
 def _rounding_terms(k: ClosedFormKernel, X, Y):

@@ -261,6 +261,26 @@ def test_criterion_10_ad_auc_and_duplicate_robustness():
         assert drop_sos <= drop_kde  # observed 0.034 vs 0.120
 
 
+def test_control_closed_form_gaussian_fd_selects_stable_minimum():
+    # ROADMAP item 1(a)'s first control: on criterion 10's data and config
+    # the FD sweep certifies a stable minimum of sigma on every seed with the
+    # positive closed-form Gaussian kernel, so the statistic and the
+    # stable-minimum rule can certify one on this data.  Each sweep runs down
+    # to sigma = 0.079, where the kernel blocks of outlying rows underflow
+    # enough for baseline_kernels._exp_in_place to split them (14 blocks on
+    # seed 0).
+    with _budget(120.0):
+        ds = make_mixture2d(n=2000, outlier_frac=0.05, seed=0)
+        config = sp.AdConfig(T=2048, n_iters=500, n_fd_iters=25,
+                             fd_max_rows=192,
+                             a_grid=tuple(np.geomspace(1e2, 1e-4, 11)),
+                             sigma_grid=tuple(np.geomspace(5.0, 0.05, 11)))
+        report = sp.run_ad(ds, "sosrep_gaussian", seeds=(0, 1, 2, 3), config=config)
+        selection = report.to_dict()["selection"]
+        assert selection == {str(s): "stable" for s in (0, 1, 2, 3)}
+        assert report.mean_auc >= 0.95  # observed 0.9725
+
+
 def test_criterion_11_negative_fraction_ordering():
     # Two-cluster data, sampled SDO kernel, 50 random initializations: the
     # worst-5 mean negative fraction under plain gradient descent exceeds

@@ -146,13 +146,13 @@ class TestKde:
     def test_single_training_point_peak(self):
         X = np.array([[0.0, 0.0]])
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
-        np.testing.assert_allclose(sp.kde_density(X, X, k), [1.0])
+        np.testing.assert_allclose(oracles.kde_density(X, X, k), [1.0])
 
     def test_reflection_symmetry(self):
         # density at +c of a mass at 0 equals density at 0 of a mass at +c
         k = sp.ClosedFormKernel(family="gaussian", sigma=0.7, d=1)
-        v1 = sp.kde_density(np.array([[0.0]]), np.array([[1.5]]), k)
-        v2 = sp.kde_density(np.array([[1.5]]), np.array([[0.0]]), k)
+        v1 = oracles.kde_density(np.array([[0.0]]), np.array([[1.5]]), k)
+        v2 = oracles.kde_density(np.array([[1.5]]), np.array([[0.0]]), k)
         np.testing.assert_allclose(v1, v2, rtol=1e-15)
 
     def test_mixture_linearity(self):
@@ -160,9 +160,9 @@ class TestKde:
         A, B = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
         q = rng.normal(size=(6, 2))
         k = sp.ClosedFormKernel(family="laplacian", sigma=1.2, d=2)
-        both = sp.kde_density(np.vstack([A, B]), q, k)
-        va = sp.kde_density(A, q, k)
-        vb = sp.kde_density(B, q, k)
+        both = oracles.kde_density(np.vstack([A, B]), q, k)
+        va = oracles.kde_density(A, q, k)
+        vb = oracles.kde_density(B, q, k)
         np.testing.assert_allclose(both, (3 * va + 5 * vb) / 8.0, rtol=1e-12)
 
     def test_gaussian_total_mass(self):
@@ -171,20 +171,20 @@ class TestKde:
         X = rng.normal(size=(20, 1))
         grid = np.linspace(-12.0, 12.0, 4001).reshape(-1, 1)
         k = sp.ClosedFormKernel(family="gaussian", sigma=0.5, d=1)
-        dens = sp.kde_density(X, grid, k)
+        dens = oracles.kde_density(X, grid, k)
         total = np.trapezoid(dens, grid[:, 0])
         np.testing.assert_allclose(total, math.sqrt(2.0 * np.pi), rtol=1e-6)
 
     def test_empty_training_set_rejected(self):
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=1)
         with pytest.raises(DataError):
-            sp.kde_density(np.zeros((0, 1)), np.zeros((1, 1)), k)
+            oracles.kde_density(np.zeros((0, 1)), np.zeros((1, 1)), k)
 
     def test_sampled_kernel_rejected(self):
         # the sampled-kernel KDE is SdoKdeModel; kde_density is closed-form only
         fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 256, seed=11)
         with pytest.raises(ValidationError, match="ClosedFormKernel"):
-            sp.kde_density(np.zeros((3, 2)), np.zeros((1, 2)), fs)
+            oracles.kde_density(np.zeros((3, 2)), np.zeros((1, 2)), fs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,7 +223,8 @@ def _broadcast_reference(k, X, Y):
 def _assert_matches_the_broadcast(k, X, Y, alpha):
     """The gradient tensor bit for bit; the kernel matrix and f and grad f
     (for alpha and for the KDE's uniform weights) within the rounding bounds
-    of tests/oracles.py; f_values and kde_density are f_and_grad's f."""
+    of tests/oracles.py; f_values, kde_density and the KDE model's density
+    are f_and_grad's f."""
     vals, grads = _broadcast_reference(k, X, Y)
 
     def same(a, b):
@@ -236,7 +237,9 @@ def _assert_matches_the_broadcast(k, X, Y, alpha):
         f, G = f_and_grad_closed_form(k, X, weights, Y)
         oracles.assert_within_error_bounds(k, X, Y, weights, f, G, weights @ vals,
                                            np.einsum("n,nmd->md", weights, grads))
-    assert same(sp.kde_density(X, Y, k), f)  # f of the uniform weights, the loop's last
+    kde = oracles.kde_density(X, Y, k)
+    assert same(kde, f)  # f of the uniform weights, the loop's last
+    assert same(ClosedFormRepresenterModel(X, uniform, k, squared=False).density(Y), kde)
     model = ClosedFormRepresenterModel(X, alpha, k, squared=True)
     assert same(model.f_values(Y), model.f_and_grad(Y)[0])
     if k.family == "laplacian":  # zero gradient at coinciding points
@@ -421,7 +424,7 @@ class TestShapesAndErrors:
         assert sp.kernel_gradient_closed_form(k, X, Y).shape == (5, 0, 2)
         f, G = f_and_grad_closed_form(k, X, np.ones(5), Y)
         assert f.shape == (0,) and G.shape == (0, 2)
-        assert sp.kde_density(X, Y, k).shape == (0,)
+        assert oracles.kde_density(X, Y, k).shape == (0,)
         model = ClosedFormRepresenterModel(X, np.ones(5), k, squared=True)
         assert model.f_values(Y).shape == (0,)
 
@@ -451,3 +454,119 @@ class TestShapesAndErrors:
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
         K = sp.kernel_matrix_closed_form(k, [0.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
         np.testing.assert_array_equal(K, [[math.exp(-1.0), 1.0]])
+
+
+def _exp_arguments():
+    """exp arguments across its fast range, the split's two thresholds and
+    their neighbours, its slow path's edge, the subnormal band and far below."""
+    edges = []
+    for t in (baseline_kernels._EXP_SLOW, baseline_kernels._EXP_ZERO):
+        edges += [t, np.nextafter(t, 0.0), np.nextafter(t, -np.inf)]
+    fast = [-0.0, -1e-150, -0.5, -1.0, -37.0, -699.9]
+    slow_edge = [-707.7, -708.3964185322641, -708.4]  # log of the smallest normal
+    subnormal = [-709.0, -720.0, -740.0, -744.4, -745.1, -745.13, -745.14, -745.9]
+    below = [-746.5, -800.0, -1e3, -1e5, -1e150]
+    return np.array(fast + edges + slow_edge + subnormal + below)
+
+
+def _plain_values(k, sq):
+    """The kernel values by their formulas, in one np.exp over the array."""
+    norm = k.sigma ** (-k.d)
+    if k.family == "gaussian":
+        return norm * np.exp(-sq / (2.0 * k.sigma**2))
+    return norm * np.exp(-np.sqrt(sq) / k.sigma)
+
+
+def _squared_distances(family, z, sigma=0.5):
+    """Squared distances whose exp arguments are about z, and exactly z at
+    sigma = 0.5: then -sq / (2 sigma^2) = -2 sq, and sqrt(r * r) = r."""
+    return -2.0 * sigma**2 * z if family == "gaussian" else (sigma * z) ** 2
+
+
+class TestValuesInPlace:
+    """_values_in_place, whose exp keeps underflowing arguments out of
+    np.exp's slow path, gives the plain formulas' values bit for bit."""
+
+    @staticmethod
+    def _assert_same_bits(k, sq):
+        got = baseline_kernels._values_in_place(k, sq.copy())
+        assert got.tobytes() == _plain_values(k, sq).tobytes()
+        if k.family == "laplacian":  # and the distances, when asked for them
+            dist = np.empty_like(sq)
+            baseline_kernels._values_in_place(k, sq.copy(), dist)
+            assert dist.tobytes() == np.sqrt(sq).tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_every_lane_and_length_matches_the_formula(self, family, d):
+        # every argument in every lane of arrays of 1-17 entries, whether or
+        # not its array holds one below the split's threshold
+        k = sp.ClosedFormKernel(family, 0.5, d)
+        z = _exp_arguments()
+        sq = _squared_distances(family, z)
+        assert np.array_equal(-2.0 * (sq if family == "gaussian" else np.sqrt(sq)), z)
+        for length in range(1, 18):
+            for start in range(len(sq)):
+                self._assert_same_bits(k, np.take(sq, range(start, start + length), mode="wrap"))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 3.0])
+    @pytest.mark.parametrize("low", [600.0, 2000.0], ids=["sparse", "split"])
+    def test_a_full_block_matches_the_formula(self, family, d, sigma, low):
+        # one block of _BLOCK_CELLS entries, with arguments from 0 to -low
+        # and the listed ones among them: 0.2% of them below -746 takes one
+        # np.exp, 39% the split
+        rng = np.random.default_rng(d)
+        rows, m = 256, baseline_kernels._BLOCK_CELLS // 256
+        z = -low * rng.uniform(0.0, 1.0, (rows, m)) ** 2
+        z.flat[rng.choice(z.size, 50 * len(_exp_arguments()), replace=False)] = np.repeat(
+            _exp_arguments(), 50)
+        sq = _squared_distances(family, z, sigma)
+        k = sp.ClosedFormKernel(family, sigma, d)
+        self._assert_same_bits(k, sq)
+
+    def test_exp_is_plus_zero_at_and_below_the_zero_threshold(self):
+        # the split sets these results to +0.0 instead of calling np.exp
+        t = baseline_kernels._EXP_ZERO
+        rng = np.random.default_rng(0)
+        z = np.concatenate([
+            [t, np.nextafter(t, -np.inf), -np.finfo(float).max, -np.inf],
+            -np.geomspace(-t, 1e308, 4000),
+            rng.uniform(t - 60.0, t, 20000),
+        ])
+        assert (z <= t).all()
+        for length in (1, 7, 8, 9, 16, 17, z.size):  # whole vectors and tails
+            for start in range(0, z.size - length + 1, max(1, length * 97)):
+                assert not np.exp(z[start:start + length]).view(np.uint64).any()
+
+
+class TestSquaredDistanceBlocks:
+    @pytest.mark.parametrize("nan_row", [False, True])
+    @pytest.mark.parametrize("cells", [7, 1 << 17])
+    def test_no_negative_entry_where_the_product_rounds_below_zero(self, monkeypatch, cells,
+                                                                    nan_row):
+        # near-coincident points of norm about 1e3: |x|^2 - 2 x.y + |y|^2
+        # rounds to about +-1e-10 where the distance is about 1e-9 squared;
+        # with a NaN training row the other rows' entries are still recomputed
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(4)
+        X = 1e3 * rng.normal(size=(40, 3))
+        Y = X[:30] + 1e-9 * rng.normal(size=(30, 3))
+        xx, yy = (X * X).sum(axis=1), (Y * Y).sum(axis=1)
+        product = (np.hstack([X, xx[:, None], np.ones((40, 1))])
+                   @ np.hstack([-2.0 * Y, np.ones((30, 1)), yy[:, None]]).T)
+        assert (product[:30] < 0.0).any()
+        if nan_row:
+            X[35] = np.nan
+        exact = np.einsum("nmd,nmd->nm", X[:, None] - Y[None], X[:, None] - Y[None])
+        rows = 0
+        with np.errstate(invalid="ignore"):
+            for lo, hi, buf, _, _ in baseline_kernels._sq_blocks(X, Y):
+                sq, ref = buf[0], exact[lo:hi]
+                assert np.array_equal(np.isnan(sq), np.isnan(ref))
+                assert not (sq < 0.0).any()
+                near = ref < 1e-12
+                assert np.array_equal(sq[near], ref[near])
+                rows += hi - lo
+        assert rows == 40

@@ -26,9 +26,13 @@ after a clamp at -700.  np.exp works lane by lane, so the values are bit for
 bit those of one np.exp over the block.  The split's masks cost more than
 the slow path of a few underflowing arguments, so other blocks take one
 np.exp; one reduction, the block's smallest argument, passes most blocks
-with no mask.  The subnormal results, which the split cannot avoid, stay as
-they are: flushing them to 0 would be faster again, but would err by up to
-2^-1022 where the rounding bounds of tests/oracles.py allow a few 2^-1074.
+with no mask.  A call whose row norms keep every argument above -745 (with
+R = max |x| + max |y|, R^2 / (2 sigma^2) <= 745 for the Gaussian and
+R / sigma <= 745 for the Laplacian, most of a sweep's grid on standardized
+data) skips that reduction as well.  The subnormal results, which the split
+cannot avoid, stay as they are: flushing them to 0 would be faster again,
+but would err by up to 2^-1022 where the rounding bounds of tests/oracles.py
+allow a few 2^-1074.
 
 kernel_matrix_closed_form has each block computed in its rows of the N x M
 output, so its memory is the output plus boolean masks of one block.  For a
@@ -102,6 +106,8 @@ def _as_rows(X, Y):
 
 
 def _check_dim(k: ClosedFormKernel, d: int) -> None:
+    if not isinstance(k, ClosedFormKernel):
+        raise ValidationError(f"closed-form kernels take a ClosedFormKernel, got {type(k).__name__}")
     if d != k.d:
         raise DataError(f"data dimension {d} does not match kernel dimension {k.d}")
 
@@ -109,19 +115,22 @@ def _check_dim(k: ClosedFormKernel, d: int) -> None:
 def _sq_blocks(X, Y, copies=1, out=None):
     """Squared distances |x_i - y_j|^2 in blocks of rows of X.
 
-    Yields (lo, hi, buf, (i, j), diff) for each block X[lo:hi]: buf is a
-    (copies, hi - lo, M) view of the scratch buffer, or of the rows lo:hi of
-    an N x M `out` (copies 1), whose buf[0] holds the block's squared
-    distances (the rest is the caller's), and (i, j) index the entries of
-    buf[0] recomputed from their exact differences diff = x_{lo+i} - y_j
-    (see the module docstring).
+    Yields (lo, hi, buf, (i, j), diff, sq_max) for each block X[lo:hi]: buf
+    is a (copies, hi - lo, M) view of the scratch buffer, or of the rows
+    lo:hi of an N x M `out` (copies 1), whose buf[0] holds the block's
+    squared distances (the rest is the caller's), (i, j) index the entries
+    of buf[0] recomputed from their exact differences diff = x_{lo+i} - y_j
+    (see the module docstring), and sq_max = (max |x| + max |y|)^2 bounds
+    every squared distance of the call up to rounding.
     """
     n, m = X.shape[0], Y.shape[0]
     xx = np.einsum("nd,nd->n", X, X)
     yy = np.einsum("md,md->m", Y, Y)
     # fmax skips a NaN row's norm, so the other rows' cancelled entries are
     # still recomputed and none of them stays negative
-    tol = 1e-4 * (np.fmax.reduce(xx, initial=0.0) + np.fmax.reduce(yy, initial=0.0))
+    xx_max, yy_max = np.fmax.reduce(xx, initial=0.0), np.fmax.reduce(yy, initial=0.0)
+    tol = 1e-4 * (xx_max + yy_max)
+    sq_max = (math.sqrt(xx_max) + math.sqrt(yy_max)) ** 2
     Xa = np.hstack([X, xx[:, None], np.ones((n, 1))])
     Yb = np.hstack([-2.0 * Y, np.ones((m, 1)), yy[:, None]])
     step = max(1, _BLOCK_CELLS // (max(m, 1) * copies))
@@ -137,13 +146,26 @@ def _sq_blocks(X, Y, copies=1, out=None):
         i, j = np.divmod(idx, m)
         diff = X[lo + i] - Y[j]
         sq[i, j] = np.einsum("kd,kd->k", diff, diff)
-        yield lo, lo + rows, buf, (i, j), diff
+        yield lo, lo + rows, buf, (i, j), diff, sq_max
 
 
-def _exp_in_place(z: np.ndarray) -> np.ndarray:
+def _may_underflow(k: ClosedFormKernel, sq_max: float) -> bool:
+    """Whether a squared distance of at most sq_max, up to rounding, can give
+    k an exp argument below _EXP_ZERO; False proves that it cannot.
+
+    The bound's margin of 1 is about 1e-3 of the argument, far above the
+    relative rounding of the distances (a few (d + 2) u); a NaN bound is True.
+    """
+    far = sq_max / (2.0 * k.sigma**2) if k.family == "gaussian" else math.sqrt(sq_max) / k.sigma
+    return not far <= -_EXP_ZERO - 1.0
+
+
+def _exp_in_place(z: np.ndarray, gate: bool) -> np.ndarray:
     """np.exp(z) into z, bit for bit, with its underflowing arguments kept out
-    of np.exp's slow path (see the module docstring)."""
-    if not z.size or z.min() >= _EXP_ZERO:
+    of np.exp's slow path (see the module docstring).  gate False, where
+    _may_underflow has ruled out arguments below _EXP_ZERO, skips the check
+    for them; it picks the path only, and both paths give the same bits."""
+    if not z.size or not gate or z.min() >= _EXP_ZERO:
         return np.exp(z, out=z)
     keep = z >= _EXP_ZERO
     if np.count_nonzero(keep) > z.size - z.size // 16:  # the split would cost more
@@ -156,17 +178,19 @@ def _exp_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarray:
+def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None,
+                     sq_max: float = math.inf) -> np.ndarray:
     """Overwrite the squared distances `sq` with the kernel values.
 
     A Laplacian call may pass a `dist` array of sq's shape to keep the
-    distances; otherwise sq holds them on the way.
+    distances; otherwise sq holds them on the way.  sq_max, a bound on the
+    entries of sq up to rounding, lets the exp skip its underflow check.
     """
     if k.family == "gaussian":
         np.divide(sq, -2.0 * k.sigma**2, out=sq)
     else:
         np.divide(np.sqrt(sq, out=sq if dist is None else dist), -k.sigma, out=sq)
-    _exp_in_place(sq)
+    _exp_in_place(sq, _may_underflow(k, sq_max))
     return np.multiply(sq, k.sigma ** (-k.d), out=sq)
 
 
@@ -179,8 +203,8 @@ def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y) -> np.ndarray:
     X, Y = _as_rows(X, Y)
     _check_dim(k, X.shape[1])
     out = np.empty((X.shape[0], Y.shape[0]))
-    for lo, hi, buf, _, _ in _sq_blocks(X, Y, out=out):
-        _values_in_place(k, buf[0])
+    for lo, hi, buf, _, _, sq_max in _sq_blocks(X, Y, out=out):
+        _values_in_place(k, buf[0], sq_max=sq_max)
         if symmetric:  # entries left of the diagonal, from the rows above
             out[lo:hi, :lo] = out[:lo, lo:hi].T
             block, below = out[lo:hi, lo:hi], np.tril_indices(hi - lo, -1)
@@ -247,9 +271,9 @@ def f_and_grad_closed_form(k: ClosedFormKernel, X, alpha, Y):
         return acc[:, 0].copy(), (acc[:, 1:] - acc[:, :1] * Y) / k.sigma**2
     near = np.zeros((m, d))  # sum of alpha k (x - y) / r over the recomputed pairs
     f, f_part = np.zeros(m), np.empty(m)
-    for lo, hi, buf, (i, j), diff in _sq_blocks(X, Y, 2):  # a block also keeps its distances
+    for lo, hi, buf, (i, j), diff, sq_max in _sq_blocks(X, Y, 2):  # a block also keeps its distances
         r = buf[1]
-        K = _values_in_place(k, buf[0], r)
+        K = _values_in_place(k, buf[0], r, sq_max)
         f += np.matmul(alpha[lo:hi], K, out=f_part)
         w = alpha[lo + i] * K[i, j] / np.where(r[i, j] > 0.0, r[i, j], np.inf)
         np.add.at(near, j, w[:, None] * diff)

@@ -341,6 +341,14 @@ def auc_roc(scores, labels) -> float:
 # density models used by the baselines
 
 
+def _training_rows(X_train) -> np.ndarray:
+    """X_train as a 2-D float array, checked to hold at least one row."""
+    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    if X_train.shape[0] < 1:
+        raise DataError("a kernel model requires a nonempty training set")
+    return X_train
+
+
 class ClosedFormRepresenterModel:
     """f = sum_i alpha_i k(x_i, .) with a closed-form kernel.
 
@@ -349,7 +357,7 @@ class ClosedFormRepresenterModel:
     """
 
     def __init__(self, X_train, alpha, kernel: ClosedFormKernel, squared: bool):
-        self.X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+        self.X_train = _training_rows(X_train)
         self.alpha = _check_weights(alpha, self.X_train.shape[0])
         self.kernel = kernel
         self.squared = squared
@@ -376,7 +384,7 @@ class SdoKdeModel(FittedModel):
     """
 
     def __init__(self, X_train, fs: FrequencySample):
-        X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+        X_train = _training_rows(X_train)
         n = X_train.shape[0]
         alpha = np.full(n, 1.0 / n)
         Phi = feature_map(X_train, fs)

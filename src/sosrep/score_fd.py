@@ -16,7 +16,11 @@ The probes depend only on the options, the number of rows and d, never on
 the model.  tune draws one probe plan -- the probes, stored as int8, and
 their numbering into distinct probes per row -- for its sweep and passes it
 to every candidate's statistic; fd_statistic called alone draws its own.
-No probe state is kept between calls.
+No probe state is kept between calls.  The numbering is one stable sort of
+all probes by (row, coordinates), and the Hutchinson sum gathers every
+probe's score in one np.take, so neither runs a Python loop over rows or
+probes; both give the bits of the per-row and per-probe loops they replaced
+(tests/oracles.py keeps those loops as the reference).
 
 Hyperparameter selection follows a stable-local-minimum rule on the profile
 of FD values over a descending grid of smoothness candidates: the chosen
@@ -128,9 +132,10 @@ class FdStat:
 
 
 def _draw_probes(rng: np.random.Generator, n: int, d: int, probe: str) -> np.ndarray:
+    """n probes of dimension d as an integer array of -1, 0 and 1 entries."""
     if probe == "paper_three_point":
-        return rng.integers(-1, 2, size=(n, d)).astype(float)
-    return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+        return rng.integers(-1, 2, size=(n, d))
+    return rng.integers(0, 2, size=(n, d)) * 2 - 1
 
 
 def score(model, x) -> np.ndarray:
@@ -149,19 +154,30 @@ def _distinct_probes(eps: np.ndarray):
     distinct probes, and first[i, r] the index of the first probe of row i
     with number r (0, the row's first probe, where the row has fewer than
     r + 1 distinct probes).
+
+    One stable sort by (row, coordinates) brings equal probes of a row
+    together with the first of them in front; a probe that starts its run is
+    a first appearance, and counting first appearances along the row numbers
+    them.  np.lexsort is stable on every SIMD dispatch, where np.sort's and
+    np.argsort's default kind may break ties in any order.
     """
-    n_rows, n_probes, _ = eps.shape
-    slot = np.empty((n_rows, n_probes), dtype=np.intp)
-    first = np.zeros((n_rows, n_probes), dtype=np.intp)
-    for i in range(n_rows):
-        seen: dict[bytes, int] = {}
-        for j in range(n_probes):
-            key = eps[i, j].tobytes()
-            if key not in seen:
-                first[i, len(seen)] = j
-                seen[key] = len(seen)
-            slot[i, j] = seen[key]
-    return slot, first[:, : slot.max() + 1]
+    n_rows, n_probes, d = eps.shape
+    size = n_rows * n_probes
+    keys = eps.reshape(size, d).T
+    order = np.lexsort((*keys, np.arange(size) // n_probes))  # the last key sorts first
+    run = keys[:, order]
+    starts = np.ones(size, dtype=bool)  # a probe unlike the one sorted before it
+    np.any(run[:, 1:] != run[:, :-1], axis=0, out=starts[1:])
+    starts[::n_probes] = True  # and each row's first
+    is_first = np.empty(size, dtype=bool)
+    is_first[order] = starts
+    number = np.cumsum(is_first.reshape(n_rows, n_probes), axis=1) - 1
+    slot = np.empty(size, dtype=np.intp)
+    slot[order] = number.reshape(size)[order[starts]][np.cumsum(starts) - 1]
+    first = np.zeros((n_rows, int(number[:, -1].max()) + 1), dtype=np.intp)
+    rows, cols = np.divmod(np.flatnonzero(is_first), n_probes)
+    first[rows, number[rows, cols]] = cols
+    return slot.reshape(n_rows, n_probes), first
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +217,10 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions(),
     Probes take few values (2^d Rademacher, 3^d three-point), so a row's
     probes repeat.  Each distinct probe point is evaluated once: round r
     scores row i's r-th distinct displacement, in one model call of len(Y)
-    rows with row i at position i, and the Hutchinson sum then gathers the
-    scores probe by probe.  The values equal those of one call per probe,
+    rows with row i at position i.  The Hutchinson sum then gathers all
+    n_fd_iters probes' scores at once, by the plan's numbering, tests every
+    probe's f against the density floor in one pass, and adds each row's
+    terms in probe order.  The values equal those of one call per probe,
     bit for bit.  The probes and their numbering come from plan, a
     _probe_plan(opts, len(Y), d), which is drawn here when not given; a plan
     drawn for other options or another shape of Y is a ValidationError.
@@ -221,18 +239,18 @@ def fd_statistic(model, Y, opts: FdOptions = FdOptions(),
     rows = np.arange(n_rows)
     S_round = np.empty((first.shape[1], n_rows, d))
     f_round = np.empty((first.shape[1], n_rows))
-    for r in range(first.shape[1]):
-        E = eps[rows, first[:, r]].astype(float)
-        S_round[r], f_round[r] = model.score_batch(Y + opts.h * E)
+    for r, Y_r in enumerate(Y + opts.h * eps[rows, first.T].astype(float)):
+        S_round[r], f_round[r] = model.score_batch(Y_r)
 
-    trace_acc = np.zeros(n_rows)
-    for j in range(opts.n_fd_iters):
-        E = eps[:, j, :].astype(float)
-        Sj, fj = S_round[slot[:, j], rows], f_round[slot[:, j], rows]
-        ok &= np.abs(fj) >= _DENSITY_FLOOR
-        with np.errstate(invalid="ignore"):
-            trace_acc += np.einsum("md,md->m", Sj - S0, E)
-    trace = trace_acc / (opts.n_fd_iters * opts.h)
+    # probe j of row i was scored at entry at[i, j] of the rounds, flattened
+    at = slot * n_rows + rows[:, None]
+    ok &= np.take(np.abs(f_round) >= _DENSITY_FLOOR, at).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        diffs = np.take((S_round - S0).reshape(-1, d), at, axis=0)
+        terms = np.einsum("mjd,mjd->mj", diffs, eps.astype(float))
+    # a sequential sum in probe order: the bits of 0 + t_0 + t_1 + ..., but
+    # for the sign of a zero sum, which adding 0.5 ||S0||^2 >= +0 erases
+    trace = np.cumsum(terms, axis=1)[:, -1] / (opts.n_fd_iters * opts.h)
     if opts.probe == "paper_three_point":
         trace *= _THREE_POINT_CORRECTION
 

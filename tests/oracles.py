@@ -15,8 +15,11 @@ rounding-error bound around the per-pair kernels and gradients.
 
 The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
 integral check the sampled kernel, and the one-point Hutchinson estimate
-checks the batched Fisher-divergence statistic.  The quadrature needs scipy,
-a test dependency; the package itself needs numpy alone.
+checks the batched Fisher-divergence statistic.  The probe numbering as a
+loop over rows and probes, and the statistic that gathers its scores probe
+by probe, are the references for the sort-based numbering and the one-pass
+gather of `score_fd`, which must equal them bit for bit.  The quadrature
+needs scipy, a test dependency; the package itself needs numpy alone.
 """
 
 import math
@@ -30,8 +33,15 @@ from sosrep.baseline_kernels import (
     f_and_grad_closed_form,
     kernel_matrix_closed_form,
 )
-from sosrep.errors import DataError, NumericsError, ValidationError, VanishingDensity
-from sosrep.score_fd import _DENSITY_FLOOR, _THREE_POINT_CORRECTION, FdOptions, _draw_probes
+from sosrep.errors import NumericsError, ValidationError, VanishingDensity
+from sosrep.score_fd import (
+    _DENSITY_FLOOR,
+    _THREE_POINT_CORRECTION,
+    FdOptions,
+    FdStat,
+    _draw_probes,
+    _test_rows,
+)
 from sosrep.sdo_kernel import SdoParams, feature_phases, rng_from_seed
 from sosrep.solver import FittedModel, _add_jitter_in_place
 
@@ -171,6 +181,76 @@ def hutchinson_trace(score_fn, x, opts: FdOptions, row_index: int = 0) -> float:
     return est
 
 
+def distinct_probes(eps: np.ndarray):
+    """score_fd._distinct_probes as a loop over rows and probes.
+
+    Returns (slot, first): slot[i, j] is the number of probe j among row i's
+    distinct probes, in order of first appearance, and first[i, r] the index
+    of the first probe of row i with number r (0 where the row has fewer than
+    r + 1 distinct probes).
+    """
+    n_rows, n_probes, _ = eps.shape
+    slot = np.empty((n_rows, n_probes), dtype=np.intp)
+    first = np.zeros((n_rows, n_probes), dtype=np.intp)
+    for i in range(n_rows):
+        seen: dict[bytes, int] = {}
+        for j in range(n_probes):
+            key = eps[i, j].tobytes()
+            if key not in seen:
+                first[i, len(seen)] = j
+                seen[key] = len(seen)
+            slot[i, j] = seen[key]
+    return slot, first[:, : slot.max() + 1]
+
+
+def fd_statistic_probe_by_probe(model, Y, opts: FdOptions) -> FdStat:
+    """score_fd.fd_statistic with the Hutchinson sum gathered probe by probe.
+
+    Row i's probes are drawn from rng_from_seed(opts.seed, i) and numbered
+    by distinct_probes; round r scores each row's r-th distinct probe point
+    in one call, as fd_statistic does, and the loop over probes then gathers
+    probe j's scores, tests its f against the density floor and adds its
+    term to the row's running sum.
+    """
+    Y = _test_rows(Y)
+    n_rows, d = Y.shape
+    eps = np.stack([_draw_probes(rng_from_seed(opts.seed, i), opts.n_fd_iters, d, opts.probe)
+                    for i in range(n_rows)]).astype(np.int8)
+    slot, first = distinct_probes(eps)
+    S0, f0 = model.score_batch(Y)
+    ok = np.abs(f0) >= _DENSITY_FLOOR
+
+    rows = np.arange(n_rows)
+    S_round = np.empty((first.shape[1], n_rows, d))
+    f_round = np.empty((first.shape[1], n_rows))
+    for r in range(first.shape[1]):
+        E = eps[rows, first[:, r]].astype(float)
+        S_round[r], f_round[r] = model.score_batch(Y + opts.h * E)
+
+    trace_acc = np.zeros(n_rows)
+    for j in range(opts.n_fd_iters):
+        E = eps[:, j, :].astype(float)
+        Sj, fj = S_round[slot[:, j], rows], f_round[slot[:, j], rows]
+        ok &= np.abs(fj) >= _DENSITY_FLOOR
+        with np.errstate(invalid="ignore"):
+            trace_acc += np.einsum("md,md->m", Sj - S0, E)
+    trace = trace_acc / (opts.n_fd_iters * opts.h)
+    if opts.probe == "paper_three_point":
+        trace *= _THREE_POINT_CORRECTION
+
+    with np.errstate(invalid="ignore"):
+        vals = trace + 0.5 * np.einsum("md,md->m", S0, S0)
+    ok &= np.isfinite(vals)
+    retained = int(ok.sum())
+    if retained == 0:
+        raise NumericsError("all rows skipped: the density vanishes at every test row")
+    return FdStat(
+        value=float(np.mean(vals[ok])),
+        retained_rows=retained,
+        skipped_rows=int(n_rows - retained),
+    )
+
+
 def closed_form_kernel_1d(x, y, a: float):
     """Exact kernel for d=1, m=1: exp(-|x-y|/sqrt(a)) / (2*sqrt(a)).
 
@@ -236,14 +316,8 @@ def kde_density(X_train, Y, kernel: ClosedFormKernel) -> np.ndarray:
     The sampled-kernel KDE is harness.SdoKdeModel, which evaluates the same
     mean through the mean feature vector without an N x M Gram matrix.
     """
-    if not isinstance(kernel, ClosedFormKernel):
-        raise ValidationError(
-            f"kde_density takes a ClosedFormKernel, got {type(kernel).__name__}"
-        )
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     n = X_train.shape[0]
-    if n < 1:
-        raise DataError("KDE requires a nonempty training set")
     return f_and_grad_closed_form(kernel, X_train, np.full(n, 1.0 / n), Y)[0]
 
 

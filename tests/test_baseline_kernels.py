@@ -12,7 +12,7 @@ import sosrep as sp
 from sosrep import baseline_kernels
 from sosrep.baseline_kernels import FAMILIES, f_and_grad_closed_form
 from sosrep.errors import DataError, ValidationError
-from sosrep.harness import ClosedFormRepresenterModel
+from sosrep.harness import ClosedFormRepresenterModel, SdoKdeModel
 
 import oracles
 
@@ -176,15 +176,27 @@ class TestKde:
         np.testing.assert_allclose(total, math.sqrt(2.0 * np.pi), rtol=1e-6)
 
     def test_empty_training_set_rejected(self):
-        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=1)
-        with pytest.raises(DataError):
-            oracles.kde_density(np.zeros((0, 1)), np.zeros((1, 1)), k)
+        # neither KDE model has a density without training rows
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 64, seed=11)
+        with pytest.raises(DataError, match="nonempty training set"):
+            ClosedFormRepresenterModel(np.zeros((0, 2)), np.zeros(0), k, squared=False)
+        with pytest.raises(DataError, match="nonempty training set"):
+            SdoKdeModel(np.zeros((0, 2)), fs)
 
     def test_sampled_kernel_rejected(self):
-        # the sampled-kernel KDE is SdoKdeModel; kde_density is closed-form only
+        # the sampled-kernel KDE is SdoKdeModel; the closed-form functions,
+        # and the model that evaluates through them, name the kernel they take
         fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 256, seed=11)
-        with pytest.raises(ValidationError, match="ClosedFormKernel"):
-            oracles.kde_density(np.zeros((3, 2)), np.zeros((1, 2)), fs)
+        X, Y = np.zeros((3, 2)), np.zeros((1, 2))
+        model = ClosedFormRepresenterModel(X, np.full(3, 1.0 / 3.0), fs, squared=False)
+        for call in (lambda: sp.kernel_matrix_closed_form(fs, X, Y),
+                     lambda: sp.kernel_gradient_closed_form(fs, X, Y),
+                     lambda: f_and_grad_closed_form(fs, X, np.ones(3), Y),
+                     lambda: model.density(Y),
+                     lambda: model.score_batch(Y)):
+            with pytest.raises(ValidationError, match="take a ClosedFormKernel, got FrequencySample"):
+                call()
 
 
 @settings(max_examples=30, deadline=None)
@@ -541,6 +553,87 @@ class TestValuesInPlace:
                 assert not np.exp(z[start:start + length]).view(np.uint64).any()
 
 
+def _squared_blocks(X, Y):
+    """The squared distances _sq_blocks gives for X and Y, and its sq_max."""
+    blocks = [(buf[0].copy(), sq_max) for _, _, buf, _, _, sq_max in baseline_kernels._sq_blocks(X, Y)]
+    return np.vstack([sq for sq, _ in blocks]), blocks[0][1]
+
+
+def _standardized_rows(n, seed):
+    """n standardized 2-D rows: three Gaussian blobs and 5% uniform outliers."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[-4.0, 0.0], [0.0, 4.0], [4.0, -1.0]])
+    X = np.vstack([centers[rng.integers(0, 3, n - n // 20)] + rng.normal(size=(n - n // 20, 2)),
+                   rng.uniform(-10.0, 10.0, (n // 20, 2))])
+    return (X - X.mean(axis=0)) / X.std(axis=0)
+
+
+class TestExpGate:
+    """A call whose row norms bound every exp argument above _EXP_ZERO skips
+    _exp_in_place's check for underflowing arguments; the values stay those
+    of one np.exp either way."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_values_equal_one_exp_across_the_sigma_grid(self, family):
+        # the bench's sigma grid, on standardized rows and on rows 40 times
+        # as far apart, where the Laplacian's arguments fall below -746 too
+        skips = set()
+        for scale in (1.0, 40.0):
+            X, Y = scale * _standardized_rows(300, 70), scale * _standardized_rows(120, 71)
+            sq, sq_max = _squared_blocks(X, Y)
+            for sigma in np.geomspace(5.0, 0.05, 11):
+                k = sp.ClosedFormKernel(family, sigma, 2)
+                skips.add(not baseline_kernels._may_underflow(k, sq_max))
+                got = sp.kernel_matrix_closed_form(k, X, Y)
+                assert got.tobytes() == _plain_values(k, sq).tobytes()
+        assert skips == {True, False}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_nan_row_keeps_the_bound_and_the_values(self, family):
+        # fmax skips the NaN row's norm, as it does for tol, so the bound
+        # still skips the check at the large sigmas
+        X, Y = _standardized_rows(300, 72), _standardized_rows(120, 73)
+        _, sq_max = _squared_blocks(X, Y)
+        X[17] = np.nan
+        with np.errstate(invalid="ignore"):
+            sq, nan_sq_max = _squared_blocks(X, Y)
+        assert nan_sq_max == sq_max and np.isnan(sq[17]).all()
+        assert not baseline_kernels._may_underflow(sp.ClosedFormKernel(family, 5.0, 2), sq_max)
+        for sigma in np.geomspace(5.0, 0.05, 11):
+            k = sp.ClosedFormKernel(family, sigma, 2)
+            with np.errstate(invalid="ignore"):
+                got = sp.kernel_matrix_closed_form(k, X, Y)
+                want = _plain_values(k, sq)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 8, 13])
+    def test_bound_never_skips_where_an_argument_is_below_the_zero_threshold(self, family, d):
+        # an antipodal pair at the largest norms makes the bound tight; sigma
+        # sweeps the farthest argument across -744..-748
+        rng = np.random.default_rng(74 + d)
+        X, Y = rng.normal(size=(40, d)), 3.0 * rng.normal(size=(30, d))
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        X[0] = np.linalg.norm(X, axis=1).max() * u
+        Y[0] = -np.linalg.norm(Y, axis=1).max() * u
+        sq, sq_max = _squared_blocks(X, Y)
+        outcomes = set()
+        for far in np.linspace(744.0, 748.0, 401):
+            if family == "gaussian":
+                sigma = math.sqrt(sq_max / (2.0 * far))
+                z = sq / (-2.0 * sigma**2)
+            else:
+                sigma = math.sqrt(sq_max) / far
+                z = np.sqrt(sq) / -sigma
+            below = bool(z.min() < baseline_kernels._EXP_ZERO)
+            skip = not baseline_kernels._may_underflow(sp.ClosedFormKernel(family, sigma, d), sq_max)
+            assert not (skip and below)
+            outcomes.add((skip, below))
+        assert {(True, False), (False, True)} <= outcomes
+
+
 class TestSquaredDistanceBlocks:
     @pytest.mark.parametrize("nan_row", [False, True])
     @pytest.mark.parametrize("cells", [7, 1 << 17])
@@ -562,7 +655,7 @@ class TestSquaredDistanceBlocks:
         exact = np.einsum("nmd,nmd->nm", X[:, None] - Y[None], X[:, None] - Y[None])
         rows = 0
         with np.errstate(invalid="ignore"):
-            for lo, hi, buf, _, _ in baseline_kernels._sq_blocks(X, Y):
+            for lo, hi, buf, *_ in baseline_kernels._sq_blocks(X, Y):
                 sq, ref = buf[0], exact[lo:hi]
                 assert np.array_equal(np.isnan(sq), np.isnan(ref))
                 assert not (sq < 0.0).any()

@@ -374,6 +374,77 @@ class TestProbePlan:
         assert fits == []
 
 
+class _HoleModel:
+    """s(y) = -2 y and f = 1, except f = 1e-13, below the density floor, where
+    y_0 > 1, and a NaN score where y_1 > 2 or an infinite one where y_1 < -2."""
+
+    def score_batch(self, Y):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        S, f = -2.0 * Y, np.ones(len(Y))
+        f[Y[:, 0] > 1.0] = 1e-13
+        S[Y[:, 1] > 2.0] = np.nan
+        S[Y[:, 1] < -2.0, 0] = np.inf
+        return S, f
+
+
+class TestLoopOracles:
+    """The sort-numbered plan and the one-pass gather equal the loops they
+    replaced (tests/oracles.py) bit for bit."""
+
+    @pytest.mark.parametrize("n_fd_iters", [1, 3, 25, 100])
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13])
+    def test_plan_equals_the_loops(self, d, probe, n_fd_iters):
+        opts = sp.FdOptions(n_fd_iters=n_fd_iters, probe=probe, seed=5)
+        plan = _probe_plan(opts, 23, d)
+        drawn = [_draw_probes(rng_from_seed(opts.seed, i), n_fd_iters, d, probe)
+                 for i in range(23)]
+        assert plan.eps.dtype == np.int8 and np.array_equal(plan.eps, np.stack(drawn))
+        slot, first = oracles.distinct_probes(plan.eps)
+        for got, want in ((plan.slot, slot), (plan.first, first)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_fd_iters", [1, 3, 25, 100])
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13])
+    def test_statistic_equals_the_probe_by_probe_gather(self, d, probe, n_fd_iters):
+        model = _backend_model("gaussian", d)
+        Y = np.random.default_rng(60 + d).normal(size=(11, d))
+        opts = sp.FdOptions(n_fd_iters=n_fd_iters, h=1e-4, probe=probe, seed=3)
+        assert sp.fd_statistic(model, Y, opts) == oracles.fd_statistic_probe_by_probe(
+            model, Y, opts)
+
+    def test_rows_with_a_single_distinct_probe(self):
+        # row 0 repeats one probe, row 1 two, row 2 starts with a repeat, and
+        # row 3 holds all 27 three-point probes of d = 3 twice
+        grid = np.array(np.meshgrid(*[[-1, 0, 1]] * 3, indexing="ij")).reshape(3, -1).T
+        eps = np.zeros((4, 54, 3), dtype=np.int8)
+        eps[0] = [1, -1, 0]
+        eps[1, ::2], eps[1, 1::2] = [0, 0, 1], [-1, -1, -1]
+        eps[2] = grid[np.random.default_rng(61).integers(0, 27, 54)]
+        eps[2, :3] = eps[2, 0]
+        eps[3] = np.vstack([grid[::-1], grid])
+        slot, first = sp.score_fd._distinct_probes(eps)
+        want_slot, want_first = oracles.distinct_probes(eps)
+        assert np.array_equal(slot, want_slot) and np.array_equal(first, want_first)
+        assert (slot[0] == 0).all() and first.shape == (4, 27)
+        assert (first[0] == 0).all() and first[1, :2].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("n_fd_iters", [1, 3, 25])
+    @pytest.mark.parametrize("probe", ["rademacher", "paper_three_point"])
+    def test_rows_with_non_finite_scores_or_f_below_the_floor(self, probe, n_fd_iters):
+        # row 1 falls below f's floor at a probe with a positive first
+        # coordinate, row 2 lies below it, row 3 scores NaN and row 4 inf;
+        # rows 0 and 5 are retained
+        Y = np.array([[0.0, 0.0], [1.0 - 0.5e-4, 0.0], [2.0, 0.5], [0.0, 2.5],
+                      [0.0, -2.5], [0.3, -0.1]])
+        opts = sp.FdOptions(n_fd_iters=n_fd_iters, h=1e-4, probe=probe, seed=2)
+        stat = sp.fd_statistic(_HoleModel(), Y, opts)
+        assert stat == oracles.fd_statistic_probe_by_probe(_HoleModel(), Y, opts)
+        assert stat == _fd_statistic_reference(_HoleModel(), Y, opts)
+        assert stat.retained_rows + stat.skipped_rows == 6 and stat.skipped_rows >= 3
+
+
 class _RecordingModel:
     """Passes score_batch through and records the row count of each call."""
 

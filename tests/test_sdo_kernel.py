@@ -121,6 +121,18 @@ class TestRngFromSeed:
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             rng_from_seed(seed, stream)
 
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (3, 191), (2**64 - 1, 2**64 - 1)])
+    def test_stream_is_philox_keyed_by_seed_and_stream(self, seed, stream):
+        # the key reaches Philox through its seed sequence, not key=; the
+        # state and every kind of draw are those of Philox(key=...)
+        key = np.array([seed, stream], dtype=np.uint64)
+        got, want = rng_from_seed(seed, stream), np.random.Generator(np.random.Philox(key=key))
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        for draw in (lambda g: g.integers(0, 2, size=(25, 3)), lambda g: g.integers(-1, 2, 7),
+                     lambda g: g.random(5), lambda g: g.standard_normal(9),
+                     lambda g: g.permutation(600)):
+            np.testing.assert_array_equal(draw(got), draw(want))
+
     def test_numpy_integer_key_accepted(self):
         want = rng_from_seed(7, 3).random(4)
         for seed, stream in [(np.int64(7), np.uint32(3)), (np.uint64(7), np.int8(3))]:

@@ -42,6 +42,8 @@ _MAX_DOUBLINGS = 60
 # Nodes of the radial table: fine enough that linear inverse-CDF
 # interpolation contributes negligible bias to kernel estimates.
 _RADIAL_NODES = 200_000
+# Trapezoids per chunk of the radial table build.
+_RADIAL_CHUNK = 2**14
 
 
 def _is_int(value) -> bool:
@@ -153,15 +155,32 @@ def _radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     r_max is doubled from 1 until the analytic bound on the tail mass beyond
     r_max falls below 1e-4 of the total; the CDF is normalized to end at 1.
     Both arrays are cached and read-only.
+
+    Each pass writes its trapezoid areas into one table-sized buffer, a
+    chunk of nodes at a time, and the last pass turns that buffer into the
+    CDF in place, so no table-sized temporary is alive beside the two
+    tables.  The chunks' nodes are np.linspace's bit for bit (arange times
+    step, plus 0.0, and r_max exactly at the end), and np.add.reduce over
+    the areas is np.trapezoid's pairwise sum: every stopping decision and
+    every entry is that of a build from whole np.linspace, np.trapezoid and
+    cumulative-trapezoid arrays.
     """
     params = SdoParams(a=1.0, d=d, m=m)
     c = (2.0 * np.pi) ** (2 * m)
     p = 2 * m - d  # tail decay exponent, positive by 2m > d
+    n = _RADIAL_NODES
+    cdf = np.empty(n)  # cdf[i], i >= 1: area of the trapezoid ending at node i
     r_max = 1.0
     for _ in range(_MAX_DOUBLINGS):
-        r = np.linspace(0.0, r_max, _RADIAL_NODES)
-        dens = radial_density(r, params)
-        total = float(np.trapezoid(dens, r))
+        step = r_max / (n - 1)
+        for lo in range(1, n, _RADIAL_CHUNK):
+            hi = min(lo + _RADIAL_CHUNK, n)
+            r = np.arange(lo - 1, hi, dtype=float) * step + 0.0  # nodes lo-1 .. hi-1
+            if hi == n:
+                r[-1] = r_max
+            dens = radial_density(r, params)
+            cdf[lo:hi] = (r[1:] - r[:-1]) * (dens[1:] + dens[:-1]) / 2.0
+        total = float(np.add.reduce(cdf[1:]))
         # zeta(r) <= r^(d-1-2m)/c for r >= r_max, integrated exactly
         tail = r_max ** (-p) / (c * p)
         if total > 0 and tail <= _TAIL_FRACTION * total:
@@ -172,9 +191,11 @@ def _radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
             "radial table tail mass did not drop below 1e-4 of the total "
             f"within {_MAX_DOUBLINGS} doublings (m={m}, d={d})"
         )
-    cdf = _cumulative_trapezoid(dens, r)
-    cdf = cdf / cdf[-1]
+    cdf[0] = 0.0
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
     cdf[-1] = 1.0
+    r = np.linspace(0.0, r_max, n)
     r.flags.writeable = cdf.flags.writeable = False
     return r, cdf
 

@@ -142,11 +142,17 @@ def _matvecs(K: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.matmul(K, A[:, :, None])[:, :, 0]
 
 
-def _draw_init(n: int, seed: int, K: np.ndarray) -> np.ndarray:
+def _draw_init(n: int, seed: int, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The seeded start alpha = |g|, redrawn while some (K alpha)_i is exactly zero.
+
+    K @ alpha, which that check forms, is left in `out` when one is given.
+    """
     rng = rng_from_seed(seed)
+    f = np.empty(n) if out is None else out
     for _ in range(_MAX_INIT_REDRAWS):
         alpha = np.abs(rng.standard_normal(n))
-        if np.all(K @ alpha != 0.0):
+        np.matmul(K, alpha, out=f)
+        if np.all(f != 0.0):
             return alpha
     raise NumericsError(
         f"initialization produced an exactly zero (K alpha)_i in {_MAX_INIT_REDRAWS} redraws"
@@ -176,8 +182,10 @@ def fit(K, opts: SolverOptions = SolverOptions(), *, seed: int = 0,
     """
     K = _square_gram(K)
     n = K.shape[0]
+    f0 = None
     if alpha0 is None:
-        alpha = _draw_init(n, seed, K)
+        f0 = np.empty((1, n))
+        alpha = _draw_init(n, seed, K, out=f0[0])
     else:
         alpha = np.asarray(alpha0, dtype=float)
         if alpha.ndim == 2 and alpha.shape[0] >= 1 and alpha.shape[1] == n:
@@ -185,13 +193,14 @@ def fit(K, opts: SolverOptions = SolverOptions(), *, seed: int = 0,
         if alpha.shape != (n,):
             raise ValidationError(
                 f"alpha0 must have shape ({n},) or (B, {n}) with B >= 1, got {alpha.shape}")
-    res = _fit_starts(K, alpha[None], opts)[0]
+    res = _fit_starts(K, alpha[None], opts, f0)[0]
     if isinstance(res, SolverDivergence):
         raise res
     return res
 
 
-def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBatch:
+def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions,
+                f0: np.ndarray | None = None) -> FitBatch:
     """Run the gradient iteration from each row of the B x N start array alpha at once.
 
     Returns a FitBatch with one entry per start: its FitResult, or the
@@ -200,7 +209,8 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBat
     iterates until n_iters steps are done or the chosen gradient's sup-norm
     drops below grad_tol; a non-finite objective ends it with the iteration
     index.  Near-zero (K alpha)_i have their inverses clamped to +-1e12 and
-    counted in clamp_warnings.
+    counted in clamp_warnings.  f0, when given, holds the starts' products
+    K @ alpha[j], which iteration 0 then takes instead of forming them.
     """
     n = K.shape[1]
 
@@ -234,7 +244,7 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBat
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(opts.n_iters + 1):
             if it == 0:
-                f = _matvecs(K, alpha)
+                f = _matvecs(K, alpha) if f0 is None else f0
             else:
                 small = absf < _CLAMP_THRESHOLD
                 if np.count_nonzero(small):

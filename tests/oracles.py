@@ -14,7 +14,8 @@ closed-form f and grad f by matrix products, and
 rounding-error bound around the per-pair kernels and gradients.
 
 The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
-integral check the sampled kernel, and the one-point Hutchinson estimate
+integral check the sampled kernel, the whole-array radial table checks the
+sampler's chunked one bit for bit, and the one-point Hutchinson estimate
 checks the batched Fisher-divergence statistic.  The probe numbering as a
 loop over rows and probes, and the statistic that gathers its scores probe
 by probe, are the references for the sort-based numbering and the one-pass
@@ -42,7 +43,16 @@ from sosrep.score_fd import (
     _draw_probes,
     _test_rows,
 )
-from sosrep.sdo_kernel import SdoParams, feature_phases, rng_from_seed
+from sosrep.sdo_kernel import (
+    _MAX_DOUBLINGS,
+    _RADIAL_NODES,
+    _TAIL_FRACTION,
+    SdoParams,
+    _cumulative_trapezoid,
+    feature_phases,
+    radial_density,
+    rng_from_seed,
+)
 from sosrep.solver import FittedModel, _add_jitter_in_place
 
 _ZERO_DENSITY_FLOOR = 1e-300
@@ -299,6 +309,37 @@ def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:
             f"kernel quadrature error estimate too large ({err:.3e} for value {val:.6e})"
         )
     return float(val)
+
+
+def radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, cdf) of the a=1 radial law from whole-table arrays, one pass per r_max.
+
+    The doubling loop over np.linspace nodes, np.trapezoid totals and the
+    cumulative trapezoid of the whole density, which
+    `sdo_kernel._radial_table` must reproduce bit for bit.
+    """
+    params = SdoParams(a=1.0, d=d, m=m)
+    c = (2.0 * np.pi) ** (2 * m)
+    p = 2 * m - d  # tail decay exponent, positive by 2m > d
+    r_max = 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        r = np.linspace(0.0, r_max, _RADIAL_NODES)
+        dens = radial_density(r, params)
+        total = float(np.trapezoid(dens, r))
+        # zeta(r) <= r^(d-1-2m)/c for r >= r_max, integrated exactly
+        tail = r_max ** (-p) / (c * p)
+        if total > 0 and tail <= _TAIL_FRACTION * total:
+            break
+        r_max *= 2.0
+    else:
+        raise NumericsError(
+            "radial table tail mass did not drop below 1e-4 of the total "
+            f"within {_MAX_DOUBLINGS} doublings (m={m}, d={d})"
+        )
+    cdf = _cumulative_trapezoid(dens, r)
+    cdf = cdf / cdf[-1]
+    cdf[-1] = 1.0
+    return r, cdf
 
 
 def eval_kernel(k: ClosedFormKernel, x, y) -> float:

@@ -1,6 +1,7 @@
 """Tests for the sampled-frequency kernel: radial law, sampler, oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,26 @@ class TestRadialGrid:
         total, _ = quad(lambda x: 1.0 / (1.0 + c * x * x), 0.0, np.inf)
         tabulated = np.trapezoid(sp.radial_density(r, sp.SdoParams(a=1.0, d=1, m=1)), r)
         np.testing.assert_allclose(tabulated, total, rtol=2e-4)
+
+
+    # Both dispatches of numpy's SIMD loops give other table bits (np.power
+    # differs), so the chunked build is held to the oracle within one process.
+    @pytest.mark.parametrize("m, d", [(m, d) for d in (1, 2, 3, 5, 8, 16)
+                                      for m in range(d // 2 + 1, 10)])
+    def test_table_matches_whole_array_oracle(self, m, d):
+        r, cdf = _radial_table.__wrapped__(m, d)
+        r_ref, cdf_ref = oracles.radial_table(m, d)
+        assert np.array_equal(r, r_ref) and np.array_equal(cdf, cdf_ref)
+
+    def test_build_peak_memory_near_the_table(self):
+        # uncached build: no table-sized temporary beside r and cdf
+        tracemalloc.start()
+        try:
+            r, cdf = _radial_table.__wrapped__(2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (r.nbytes + cdf.nbytes)
 
 
 class TestRngFromSeed:

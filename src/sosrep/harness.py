@@ -35,6 +35,8 @@ import numpy as np
 
 from .baseline_kernels import (
     ClosedFormKernel,
+    DistanceReuse,
+    _check_dim,
     _check_weights,
     f_and_grad_closed_form,
     kernel_matrix_closed_form,
@@ -353,21 +355,30 @@ class ClosedFormRepresenterModel:
     """f = sum_i alpha_i k(x_i, .) with a closed-form kernel.
 
     With squared=True the density is f^2 (pre-density estimator); otherwise
-    the density is f itself (KDE when alpha is uniform).
+    the density is f itself (KDE when alpha is uniform).  squared must be a
+    boolean and kernel a ClosedFormKernel of the rows' dimension, else
+    ValidationError (DataError for the dimension).  A sweep passes its
+    `reuse` scope (baseline_kernels.DistanceReuse), which every evaluation
+    hands on to the kernel; the values do not depend on it.
     """
 
-    def __init__(self, X_train, alpha, kernel: ClosedFormKernel, squared: bool):
+    def __init__(self, X_train, alpha, kernel: ClosedFormKernel, squared: bool, *,
+                 reuse: DistanceReuse | None = None):
+        if not isinstance(squared, (bool, np.bool_)):
+            raise ValidationError(f"squared must be a boolean, got {squared!r}")
         self.X_train = _training_rows(X_train)
+        _check_dim(kernel, self.X_train.shape[1])
         self.alpha = _check_weights(alpha, self.X_train.shape[0])
         self.kernel = kernel
-        self.squared = squared
+        self.squared = bool(squared)
+        self.reuse = reuse
 
     def f_values(self, Y) -> np.ndarray:
         # f_and_grad's f, so density and score_batch read the same f bit for bit
         return self.f_and_grad(Y)[0]
 
     def f_and_grad(self, Y):
-        return f_and_grad_closed_form(self.kernel, self.X_train, self.alpha, Y)
+        return f_and_grad_closed_form(self.kernel, self.X_train, self.alpha, Y, reuse=self.reuse)
 
     # The protocol's density and score, taken from FittedModel rather than
     # inherited so that each class owns its score_batch attribute, which
@@ -453,6 +464,10 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
     the closed-form ones `config.sigma_grid`.  Each candidate is fitted on
     `train_X` at most once and scored on `Y_fd` by `tune`.  Returns
     (a_star, profile, model) with `model` the fit at a_star.
+
+    A closed-form sweep opens one DistanceReuse scope: every candidate's
+    Gram and model share the squared-distance work that does not depend on
+    sigma.  The scope ends here, and the returned model holds none.
     """
     d = train_X.shape[1]
     kind, backend = method.split("_")
@@ -460,6 +475,7 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
     candidates = config.a_grid if backend == "sdo" else config.sigma_grid
     opts, fd_opts = config.options(seed)
     cache: dict[float, object] = {}
+    reuse = None if backend == "sdo" else DistanceReuse()
 
     def build(value: float):
         if backend == "sdo":
@@ -469,11 +485,11 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
             return SdoKdeModel(train_X, sample_frequencies(params, config.T, seed))
         kernel = ClosedFormKernel(family=backend, sigma=value, d=d)
         if squared:
-            alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X), opts,
+            alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X, reuse=reuse), opts,
                         seed=seed).alpha
         else:
             alpha = np.full(train_X.shape[0], 1.0 / train_X.shape[0])
-        return ClosedFormRepresenterModel(train_X, alpha, kernel, squared)
+        return ClosedFormRepresenterModel(train_X, alpha, kernel, squared, reuse=reuse)
 
     def fit_fn(value: float):
         if value not in cache:
@@ -481,7 +497,10 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
         return cache[value]
 
     a_star, profile = tune(candidates, fit_fn, Y_fd, fd_opts)
-    return a_star, profile, cache[a_star]
+    model = cache[a_star]
+    if reuse is not None:
+        model = ClosedFormRepresenterModel(model.X_train, model.alpha, model.kernel, squared)
+    return a_star, profile, model
 
 
 def run_ad(

@@ -49,6 +49,18 @@ class TestClosedFormKernel:
     def test_accepts_numpy_integer_dimension(self):
         assert sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=np.int64(2)).d == 2
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_numpy_sigma_and_dimension_are_stored_as_python_numbers(self, family):
+        # a float32 sigma kept as given made -2 sigma^2, sigma^-d and the exp
+        # bound float32: values off by up to 4e-6 relative for one bandwidth
+        k32 = sp.ClosedFormKernel(family, np.float32(0.3), np.int64(2))
+        k = sp.ClosedFormKernel(family, float(np.float32(0.3)), 2)
+        assert type(k32.sigma) is float and type(k32.d) is int
+        assert k32 == k
+        X = _standardized_rows(60, 5)
+        assert sp.kernel_matrix_closed_form(k32, X, X[:9]).tobytes() == \
+            sp.kernel_matrix_closed_form(k, X, X[:9]).tobytes()
+
 
 class TestGaussianKernel:
     def test_diagonal_value(self):
@@ -189,12 +201,11 @@ class TestKde:
         # and the model that evaluates through them, name the kernel they take
         fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2, m=2), 256, seed=11)
         X, Y = np.zeros((3, 2)), np.zeros((1, 2))
-        model = ClosedFormRepresenterModel(X, np.full(3, 1.0 / 3.0), fs, squared=False)
         for call in (lambda: sp.kernel_matrix_closed_form(fs, X, Y),
                      lambda: sp.kernel_gradient_closed_form(fs, X, Y),
                      lambda: f_and_grad_closed_form(fs, X, np.ones(3), Y),
-                     lambda: model.density(Y),
-                     lambda: model.score_batch(Y)):
+                     lambda: ClosedFormRepresenterModel(X, np.full(3, 1.0 / 3.0), fs,
+                                                        squared=False)):
             with pytest.raises(ValidationError, match="take a ClosedFormKernel, got FrequencySample"):
                 call()
 
@@ -462,6 +473,18 @@ class TestShapesAndErrors:
         with pytest.raises(ValidationError, match=match):
             f_and_grad_closed_form(k, np.zeros((5, 2)), alpha, np.ones((3, 2)))
 
+    @pytest.mark.parametrize("squared", ["yes", 1, None, np.array([True])])
+    def test_model_rejects_a_non_boolean_squared(self, squared):
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
+        with pytest.raises(ValidationError, match="squared must be a boolean"):
+            ClosedFormRepresenterModel(np.zeros((5, 2)), np.ones(5), k, squared)
+        assert ClosedFormRepresenterModel(np.zeros((5, 2)), np.ones(5), k, np.True_).squared is True
+
+    def test_model_rejects_a_kernel_of_another_dimension(self):
+        k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=3)
+        with pytest.raises(DataError, match="^data dimension 2 does not match kernel dimension 3$"):
+            ClosedFormRepresenterModel(np.zeros((5, 2)), np.ones(5), k, squared=True)
+
     def test_single_rows_are_promoted(self):
         k = sp.ClosedFormKernel(family="gaussian", sigma=1.0, d=2)
         K = sp.kernel_matrix_closed_form(k, [0.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
@@ -555,7 +578,7 @@ class TestValuesInPlace:
 
 def _squared_blocks(X, Y):
     """The squared distances _sq_blocks gives for X and Y, and its sq_max."""
-    blocks = [(buf[0].copy(), sq_max) for _, _, buf, _, _, sq_max in baseline_kernels._sq_blocks(X, Y)]
+    blocks = [(buf[0].copy(), sq_max) for _, _, buf, _, sq_max in baseline_kernels._sq_blocks(X, Y)]
     return np.vstack([sq for sq, _ in blocks]), blocks[0][1]
 
 
@@ -663,3 +686,102 @@ class TestSquaredDistanceBlocks:
                 assert np.array_equal(sq[near], ref[near])
                 rows += hi - lo
         assert rows == 40
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDistanceReuse:
+    """A DistanceReuse scope records the sigma-independent squared-distance
+    work of the first call on some rows; later calls on rows of the same
+    content, in other arrays, give the values of a fresh call bit for bit."""
+
+    SIGMAS = np.geomspace(5.0, 0.05, 11)  # the bench's grid
+
+    @staticmethod
+    def _rows(scale=1.0):
+        # standardized training rows with a NaN row; query rows on, near and
+        # off the training rows, so some entries cancel and are recomputed
+        X = scale * _standardized_rows(300, 90)
+        X[17] = np.nan
+        rng = np.random.default_rng(91)
+        Y = np.vstack([X[:40], X[40:80] + 1e-7 * scale * rng.normal(size=(40, 2)),
+                       scale * _standardized_rows(100, 92)])
+        Y[-3] = np.nan
+        return X, Y
+
+    def _assert_reuse_is_bit_for_bit(self, family, call):
+        """call(k, reuse) over the grid, without and with one scope; on rows
+        40 times as far apart as well, where the Laplacian's exp splits too."""
+        splits = 0
+        for scale in (1.0, 40.0):
+            X, Y = self._rows(scale)
+            sq, _ = _squared_blocks(X, Y)
+            reuse = baseline_kernels.DistanceReuse()
+            for sigma in self.SIGMAS:
+                k = sp.ClosedFormKernel(family, sigma, 2)
+                with np.errstate(invalid="ignore"):
+                    fresh, reused = call(k, X, Y, None), call(k, X, Y, reuse)
+                    z = sq / (-2.0 * sigma**2) if family == "gaussian" else np.sqrt(sq) / -sigma
+                for a, b in zip(fresh, reused):
+                    assert _same_bits(a, b)
+                splits += np.mean(z < baseline_kernels._EXP_ZERO) > 1 / 16
+            assert reuse._pairs  # recorded by the first call, read by the others
+        assert splits  # some calls run _exp_in_place's split
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cells", [1000, 1 << 17])  # several blocks, one block
+    def test_kernel_matrix(self, monkeypatch, family, cells):
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
+
+        def matrix(k, X, Y, reuse):  # new arrays each call: records are found by content
+            return (sp.kernel_matrix_closed_form(k, X.copy(), Y.copy(), reuse=reuse),)
+
+        self._assert_reuse_is_bit_for_bit(family, matrix)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cells", [1000, 1 << 17])
+    def test_gram_stays_exactly_symmetric(self, monkeypatch, family, cells):
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
+
+        def gram(k, X, Y, reuse):
+            Xc = X.copy()
+            K = sp.kernel_matrix_closed_form(k, Xc, Xc, reuse=reuse)
+            assert np.array_equal(K, K.T, equal_nan=True)
+            return (K,)
+
+        self._assert_reuse_is_bit_for_bit(family, gram)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cells", [1000, 1 << 17])
+    def test_f_and_grad(self, monkeypatch, family, cells):
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", cells)
+
+        def f_and_grad(k, X, Y, reuse):
+            X = X[np.isfinite(X).all(axis=1)]  # a NaN training row would make every f NaN
+            alpha = np.random.default_rng(93).random(len(X))
+            return f_and_grad_closed_form(k, X, alpha, Y.copy(), reuse=reuse)
+
+        self._assert_reuse_is_bit_for_bit(family, f_and_grad)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_record_per_content(self, monkeypatch, family):
+        # 45 training rows and two query sets, each evaluated at every sigma
+        # from arrays made anew
+        X, Y = self._rows()
+        X = X[np.isfinite(X).all(axis=1)][:45]
+        alpha = np.ones(len(X))
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", 10 * len(Y) * 2)
+        reuse = baseline_kernels.DistanceReuse()
+        for sigma in self.SIGMAS:
+            k = sp.ClosedFormKernel(family, sigma, 2)
+            for Q in (Y, Y + 1e-4):
+                with np.errstate(invalid="ignore"):
+                    f_and_grad_closed_form(k, X.copy(), alpha, Q.copy(), reuse=reuse)
+        # the Gaussian calls kernel_matrix_closed_form on each block of 20
+        # training rows, the Laplacian reads one call's blocks of 10 rows
+        blocks = 3 if family == "gaussian" else 1
+        queries = 2
+        assert len(reuse._rows) == blocks + queries
+        assert len(reuse._pairs) == blocks * queries

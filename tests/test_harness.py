@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosrep as sp
-from sosrep import harness
+from sosrep import harness, score_fd
 from sosrep.errors import DataError, NumericsError, ValidationError
 from sosrep.harness import (
     ClosedFormRepresenterModel,
@@ -23,6 +23,7 @@ import oracles
 from conftest import make_mixture2d, make_two_clusters, philox
 
 
+CLOSED_FORM_METHODS = [m for m in sp.AD_METHODS if not m.endswith("_sdo")]
 SMALL_AD_CONFIG = sp.AdConfig(
     T=256,
     n_iters=150,
@@ -544,6 +545,45 @@ class TestSelect:
         fitted_at = model.fs.base_params.a if method.endswith("_sdo") else model.kernel.sigma
         assert fitted_at == a_star
         assert model.squared == method.startswith("sosrep_")
+        assert getattr(model, "reuse", None) is None  # the sweep's scope ends with it
+
+    @pytest.mark.parametrize("method", CLOSED_FORM_METHODS)
+    def test_results_do_not_depend_on_the_reuse_scope(self, mixture2d, monkeypatch, method):
+        # profile, pick and the model's outputs, bit for bit, with the sweep's
+        # DistanceReuse scope and with every call computed afresh
+        train, test = sp.split(mixture2d, 0)
+        runs = [select(method, train.X, test.X[:32], 0, SMALL_AD_CONFIG)]
+        monkeypatch.setattr(harness, "DistanceReuse", lambda: None)
+        runs.append(select(method, train.X, test.X[:32], 0, SMALL_AD_CONFIG))
+        (a_star, profile, model), (a_fresh, profile_fresh, model_fresh) = runs
+        assert a_star == a_fresh and profile == profile_fresh
+        assert model.alpha.tobytes() == model_fresh.alpha.tobytes()
+        assert model.density(test.X).tobytes() == model_fresh.density(test.X).tobytes()
+        for got, want in zip(model.score_batch(test.X), model_fresh.score_batch(test.X)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", CLOSED_FORM_METHODS)
+    def test_the_scope_holds_one_record_per_content(self, mixture2d, monkeypatch, method):
+        # the FD statistic makes its displaced rows anew for every candidate;
+        # their content finds the first candidate's records
+        scopes = []
+
+        class Spy(harness.DistanceReuse):
+            def __init__(self):
+                super().__init__()
+                scopes.append(self)
+
+        monkeypatch.setattr(harness, "DistanceReuse", Spy)
+        train, test = sp.split(mixture2d, 0)
+        _, profile, _ = select(method, train.X, test.X[:32], 0, SMALL_AD_CONFIG)
+        assert len(scopes) == 1 and len(profile) > 1
+        # one block of training rows; the test rows and one displaced copy
+        # per round of distinct probes; a sosrep fit adds its Gram's rows
+        fd_opts = SMALL_AD_CONFIG.options(0)[1]
+        queries = 1 + score_fd._probe_plan(fd_opts, 32, 2).first.shape[1]
+        gram = method.startswith("sosrep_")
+        assert len(scopes[0]._rows) == 1 + queries + gram
+        assert len(scopes[0]._pairs) == queries + gram
 
 
 class TestNegativeFraction:

@@ -46,7 +46,7 @@ from .harness import (
     select,
     split,
 )
-from .score_fd import _PROBES, profile_to_csv, write_atomic
+from .score_fd import _PROBES, profile_to_csv, selection_kind, write_atomic
 from .sdo_kernel import SdoParams
 from .solver import SolverOptions, fit_model, model_from_json, model_to_json
 from .two_block import VERIFY_OPTIONS, BlockSpec, verify_against_solver
@@ -281,6 +281,7 @@ def cmd_tune(args) -> int:
         "n_candidates": len(config.a_grid),
         "run_config": run_config,
         "seed": args.seed,
+        "selection": selection_kind(profile, a_star),
     }
     write_atomic(args.out, json.dumps(selection, sort_keys=True, indent=1) + "\n")
     if args.profile_out:

@@ -106,7 +106,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-def load_csv(path, label_column: str | None = None, name: str | None = None) -> Dataset:
+def load_csv(path, label_column: str | None = None) -> Dataset:
     """Parse a headered CSV of numeric features, splitting off the label column.
 
     label_column=None takes a column headed 'label' as the labels when there
@@ -114,7 +114,8 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
     in the header is an error.  A leading byte-order mark is dropped and
     fully blank lines are skipped, before the header is read.
     Rows with missing values are rejected with their row indices; cells that
-    fail to parse report the file line; labels must be 0/1.
+    fail to parse report the file line; labels must be 0/1.  The dataset is
+    named after the file's stem.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -165,9 +166,7 @@ def load_csv(path, label_column: str | None = None, name: str | None = None) -> 
             y[i] = int(lv)
     if missing:
         raise DataError(f"{path}: rows with missing values: {missing}")
-    if name is None:
-        name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(X=X, y=y, name=name)
+    return Dataset(X=X, y=y, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 
 def _default_a_grid() -> tuple:
@@ -465,39 +464,37 @@ def select(method: str, train_X: np.ndarray, Y_fd: np.ndarray, seed: int,
     `train_X` at most once and scored on `Y_fd` by `tune`.  Returns
     (a_star, profile, model) with `model` the fit at a_star.
 
-    A closed-form sweep opens one DistanceReuse scope: every candidate's
-    Gram and model share the squared-distance work that does not depend on
-    sigma.  The scope ends here, and the returned model holds none.
+    A closed-form sweep opens one DistanceReuse scope for every candidate's
+    Gram and model; the returned model holds none.
     """
     d = train_X.shape[1]
     kind, backend = method.split("_")
     squared = kind == "sosrep"
     candidates = config.a_grid if backend == "sdo" else config.sigma_grid
     opts, fd_opts = config.options(seed)
-    cache: dict[float, object] = {}
+    models: dict[float, object] = {}  # tune fits each candidate once
     reuse = None if backend == "sdo" else DistanceReuse()
 
-    def build(value: float):
+    def fit_fn(value: float):
         if backend == "sdo":
             params = SdoParams(a=value, d=d, m=config.m)
             if squared:
-                return fit_model(train_X, params, config.T, seed=seed, opts=opts)
-            return SdoKdeModel(train_X, sample_frequencies(params, config.T, seed))
-        kernel = ClosedFormKernel(family=backend, sigma=value, d=d)
-        if squared:
-            alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X, reuse=reuse), opts,
-                        seed=seed).alpha
+                model = fit_model(train_X, params, config.T, seed=seed, opts=opts)
+            else:
+                model = SdoKdeModel(train_X, sample_frequencies(params, config.T, seed))
         else:
-            alpha = np.full(train_X.shape[0], 1.0 / train_X.shape[0])
-        return ClosedFormRepresenterModel(train_X, alpha, kernel, squared, reuse=reuse)
-
-    def fit_fn(value: float):
-        if value not in cache:
-            cache[value] = build(value)
-        return cache[value]
+            kernel = ClosedFormKernel(family=backend, sigma=value, d=d)
+            if squared:
+                alpha = fit(kernel_matrix_closed_form(kernel, train_X, train_X, reuse=reuse),
+                            opts, seed=seed).alpha
+            else:
+                alpha = np.full(train_X.shape[0], 1.0 / train_X.shape[0])
+            model = ClosedFormRepresenterModel(train_X, alpha, kernel, squared, reuse=reuse)
+        models[value] = model
+        return model
 
     a_star, profile = tune(candidates, fit_fn, Y_fd, fd_opts)
-    model = cache[a_star]
+    model = models[a_star]
     if reuse is not None:
         model = ClosedFormRepresenterModel(model.X_train, model.alpha, model.kernel, squared)
     return a_star, profile, model

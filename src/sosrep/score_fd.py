@@ -368,21 +368,17 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def profile_to_csv(profile: FdProfile, path=None) -> str:
-    """Write the profile as CSV (a, fd, retained_rows, skipped_rows).
+def profile_to_csv(profile: FdProfile) -> str:
+    """The profile as CSV text (a, fd, retained_rows, skipped_rows).
 
     Floats carry 17 significant digits; failed candidates appear as "inf".
-    Returns the CSV text; writes atomically when a path is given.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a", "fd", "retained_rows", "skipped_rows"])
     for e in profile.entries:
         writer.writerow([f"{e.a:.17g}", f"{e.fd:.17g}", e.retained_rows, e.skipped_rows])
-    text = buf.getvalue()
-    if path is not None:
-        write_atomic(path, text)
-    return text
+    return buf.getvalue()
 
 
 def profile_from_csv(text: str) -> FdProfile:

@@ -766,6 +766,25 @@ class TestDistanceReuse:
         self._assert_reuse_is_bit_for_bit(family, f_and_grad)
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_an_abandoned_call_records_no_pair(self, monkeypatch, family):
+        # a pair's record is stored after its last block, so an iteration cut
+        # short leaves none (only the complete augmented rows of each content),
+        # and a later full call on the same rows computes every block afresh
+        monkeypatch.setattr(baseline_kernels, "_BLOCK_CELLS", 1000)
+        X, Y = self._rows()
+        reuse = baseline_kernels.DistanceReuse()
+        blocks = baseline_kernels._sq_blocks(X.copy(), Y.copy(), reuse=reuse)
+        next(blocks)
+        blocks.close()
+        assert not reuse._pairs and len(reuse._rows) == 2
+        k = sp.ClosedFormKernel(family, 0.3, 2)
+        with np.errstate(invalid="ignore"):
+            fresh = sp.kernel_matrix_closed_form(k, X, Y)
+            after = sp.kernel_matrix_closed_form(k, X.copy(), Y.copy(), reuse=reuse)
+        assert _same_bits(fresh, after)
+        assert len(reuse._pairs) == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_one_record_per_content(self, monkeypatch, family):
         # 45 training rows and two query sets, each evaluated at every sigma
         # from arrays made anew

@@ -10,7 +10,7 @@ import pytest
 import sosrep as sp
 from sosrep.cli import _parse_ints, _UsageError, build_parser, main
 from sosrep.harness import SdoKdeModel
-from sosrep.score_fd import profile_from_csv
+from sosrep.score_fd import profile_from_csv, selection_kind
 
 import oracles
 from conftest import make_mixture2d, make_two_clusters, philox
@@ -244,6 +244,20 @@ class TestTune:
             stable = profile.a_values()[int(np.argmin(fd))]
         assert sel["a_star"] == stable
         assert sel["a_star"] in profile.a_values()
+        assert sel["selection"] == selection_kind(profile, sel["a_star"])
+
+    @pytest.mark.parametrize("grid, kind", [
+        ("log:1e-4:1e2:9", "stable"),
+        ("log:1e-1:1e1:7", "fallback"),
+        ("log:1e2:1e4:7", "edge"),  # picks a = 100, the grid's smallest value
+    ])
+    def test_selection_says_how_the_pick_was_made(self, tmp_path, gaussian_csv, grid, kind):
+        sel_p, prof_p = tmp_path / "sel.json", tmp_path / "prof.csv"
+        assert main(["tune", "--data", gaussian_csv, "--a-grid", grid, *TUNE_FLAGS[2:],
+                     "--out", str(sel_p), "--profile-out", str(prof_p)]) == 0
+        sel = json.loads(sel_p.read_text())
+        profile = profile_from_csv(prof_p.read_text())
+        assert sel["selection"] == kind == selection_kind(profile, sel["a_star"])
 
     def test_rerun_same_seed_identical(self, tmp_path, gaussian_csv):
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"

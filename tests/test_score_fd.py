@@ -679,7 +679,7 @@ class TestProfileCsv:
     def test_file_roundtrip(self, tmp_path):
         _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
         path = tmp_path / "profile.csv"
-        profile_to_csv(profile, path=str(path))
+        write_atomic(str(path), profile_to_csv(profile))
         back = profile_from_csv(path.read_text(encoding="utf-8"))
         assert back == profile
 
@@ -700,7 +700,7 @@ class TestAtomicWrite:
         _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
         path = tmp_path / "profile.csv"
         (tmp_path / "profile.csv.tmp").mkdir()
-        profile_to_csv(profile, path=str(path))
+        write_atomic(str(path), profile_to_csv(profile))
         assert profile_from_csv(path.read_text(encoding="utf-8")) == profile
         assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "profile.csv.tmp"]
 

@@ -7,12 +7,14 @@ them and select per seed through harness.select; --method and
 --exact-normalization act on `fit` alone.  The whole AdConfig is validated
 before any fit, and list flags (--seeds, --k-values, --sample-sizes) take
 distinct integers, --a-grid and --sigma-grid distinct values, and --methods
-distinct names; a bad list is a usage error that names its flag.  A flag
-given to an experiment protocol that does not read it is a usage error, and
-so is `tune --eval-data` with an explicit --train-frac (no split of --data
-takes place, and run_config records train_frac as null).  The solver,
-kernel and FD flags take their defaults from SolverOptions and AdConfig, so
-each default is declared once.  `experiment` runs its dataset x method
+distinct names; a bad list is a usage error that names its flag.  One
+table, _PROTOCOLS, states what each experiment protocol reads, and its
+runner sees no other flag.  A flag given to a protocol that does not read
+it is a usage error, and so is `tune --eval-data` with an explicit
+--train-frac (no split of --data takes place, and run_config records
+train_frac as null).  The solver, kernel and FD flags take their defaults
+and choices from SolverOptions, AdConfig, DEFAULT_SEEDS and the kernel
+families, so each is declared once.  `experiment` runs its dataset x method
 cells one after another in this process; parallel work is one process per
 dataset or method.
 
@@ -32,9 +34,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from .baseline_kernels import FAMILIES
 from .errors import DataError, NumericsError, SosrepError, ValidationError
 from .harness import (
     AD_METHODS,
+    DEFAULT_SEEDS,
     AdConfig,
     SmoothBumpDensity,
     consistency_experiment,
@@ -48,8 +52,16 @@ from .harness import (
 )
 from .score_fd import _PROBES, profile_to_csv, selection_kind, write_atomic
 from .sdo_kernel import SdoParams
-from .solver import SolverOptions, fit_model, model_from_json, model_to_json
+from .solver import (
+    _METHODS,
+    FORMAT_VERSION,
+    SolverOptions,
+    fit_model,
+    model_from_json,
+    model_to_json,
+)
 from .two_block import VERIFY_OPTIONS, BlockSpec, verify_against_solver
+
 
 class _UsageError(Exception):
     pass
@@ -88,10 +100,17 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write("\n")
 
 
-def _parse_ints(text: str, what: str) -> tuple:
-    """A comma list of distinct integers; `what`, the list's flag, names it in errors."""
+def _write_json(path, record: dict) -> None:
+    """Write `record`, stamped with the format version, as sorted indented JSON."""
+    record = {**record, "format_version": FORMAT_VERSION}
+    write_atomic(path, json.dumps(record, sort_keys=True, indent=1) + "\n")
+
+
+def _parse_list(text: str, what: str, convert=int) -> tuple:
+    """A comma list of distinct values, each read by `convert`; `what`, the
+    list's flag, names it in errors."""
     try:
-        vals = tuple(int(t) for t in text.split(",") if t.strip())
+        vals = tuple(convert(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise _UsageError(f"could not parse {what} list {text!r}")
     if not vals:
@@ -101,41 +120,23 @@ def _parse_ints(text: str, what: str) -> tuple:
     return vals
 
 
-def _parse_a_grid(text: str, what: str) -> tuple:
+def _parse_grid(text: str, what: str) -> tuple:
     """Either 'log:lo:hi:n' (descending geometric grid) or a comma list of
     distinct values, sorted descending; `what`, the grid's flag, names it in errors."""
-    if text.startswith("log:"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise _UsageError(f"{what}: expected log:lo:hi:n, got {text!r}")
-        try:
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError:
-            raise _UsageError(f"could not parse {what} spec {text!r}")
-        if lo <= 0 or hi <= 0 or n < 2:
-            raise _UsageError(f"{what} bounds must be positive and n >= 2, got {text!r}")
-        if lo == hi:
-            raise _UsageError(f"{what} spec {text!r} repeats a value")
-        return tuple(np.geomspace(max(lo, hi), min(lo, hi), n))
+    if not text.startswith("log:"):
+        return tuple(sorted(_parse_list(text, what, float), reverse=True))
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise _UsageError(f"{what}: expected log:lo:hi:n, got {text!r}")
     try:
-        vals = [float(t) for t in text.split(",") if t.strip()]
+        lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
-        raise _UsageError(f"could not parse {what} list {text!r}")
-    if not vals:
-        raise _UsageError(f"{what} list is empty")
-    if len(set(vals)) != len(vals):
-        raise _UsageError(f"{what} list {text!r} repeats a value")
-    return tuple(sorted(vals, reverse=True))
-
-
-def _load_dataset(path, label_column, require_labels=False):
-    """Load a CSV; label_column=None takes a column headed 'label' when there is one."""
-    ds = load_csv(path, label_column=label_column)
-    if require_labels and ds.y is None:
-        raise DataError(
-            f"{path}: labels required; pass --label-column or add a 'label' column"
-        )
-    return ds
+        raise _UsageError(f"could not parse {what} spec {text!r}")
+    if lo <= 0 or hi <= 0 or n < 2:
+        raise _UsageError(f"{what} bounds must be positive and n >= 2, got {text!r}")
+    if lo == hi:
+        raise _UsageError(f"{what} spec {text!r} repeats a value")
+    return tuple(np.geomspace(max(lo, hi), min(lo, hi), n))
 
 
 def _add_solver_flags(p: argparse.ArgumentParser,
@@ -184,7 +185,7 @@ def _config_from_args(args, sigma_grid=None, fd_max_rows=None) -> AdConfig:
     )
     for name, spec in (("a_grid", args.a_grid), ("sigma_grid", sigma_grid)):
         if spec is not None:
-            kwargs[name] = _parse_a_grid(spec, "--" + name.replace("_", "-"))
+            kwargs[name] = _parse_grid(spec, "--" + name.replace("_", "-"))
     return AdConfig(**kwargs)
 
 
@@ -206,7 +207,7 @@ def _fmt(v: float) -> str:
 
 
 def cmd_fit(args) -> int:
-    ds = _load_dataset(args.data, args.label_column)
+    ds = load_csv(args.data, args.label_column)
     if ds.n == 0:
         raise DataError(f"{args.data}: cannot fit on an empty dataset")
     params = SdoParams(a=args.a, d=ds.d, m=_resolve_m(args.m))
@@ -225,22 +226,17 @@ def cmd_fit(args) -> int:
     }
     write_atomic(args.out, model_to_json(model, run_config=run_config))
     if args.metrics:
-        metrics = {
-            "format_version": "1",
-            "kind": "fit_metrics",
-            "n_train": ds.n,
-            "d": ds.d,
-            "run_config": run_config,
-            **model.fit_info,
-        }
-        write_atomic(args.metrics, json.dumps(metrics, sort_keys=True, indent=1) + "\n")
+        _write_json(args.metrics, {
+            "kind": "fit_metrics", "n_train": ds.n, "d": ds.d,
+            "run_config": run_config, **model.fit_info,
+        })
     return 0
 
 
 def cmd_score(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
-    ds = _load_dataset(args.data, args.label_column)
+    ds = load_csv(args.data, args.label_column)
     if ds.n and ds.d != model.fs.base_params.d:
         raise DataError(
             f"query dimension {ds.d} does not match model dimension "
@@ -260,9 +256,9 @@ def cmd_tune(args) -> int:
         raise _UsageError("--train-frac splits --data; it cannot be combined with "
                           "--eval-data")
     config = _config_from_args(args)
-    ds = _load_dataset(args.data, args.label_column)
+    ds = load_csv(args.data, args.label_column)
     if args.eval_data:
-        eval_ds = _load_dataset(args.eval_data, args.label_column)
+        eval_ds = load_csv(args.eval_data, args.label_column)
         train_X, eval_X = ds.X, eval_ds.X
     else:
         train, test = split(ds, args.seed, config.train_frac)
@@ -273,17 +269,11 @@ def cmd_tune(args) -> int:
     run_config = config.snapshot()
     if args.eval_data:
         run_config["train_frac"] = None  # no split of --data took place
-    selection = {
-        "format_version": "1",
-        "kind": "tune_selection",
-        "a_star": a_star,
-        "n_evaluated": len(profile),
-        "n_candidates": len(config.a_grid),
-        "run_config": run_config,
-        "seed": args.seed,
-        "selection": selection_kind(profile, a_star),
-    }
-    write_atomic(args.out, json.dumps(selection, sort_keys=True, indent=1) + "\n")
+    _write_json(args.out, {
+        "kind": "tune_selection", "a_star": a_star, "n_evaluated": len(profile),
+        "n_candidates": len(config.a_grid), "run_config": run_config,
+        "seed": args.seed, "selection": selection_kind(profile, a_star),
+    })
     if args.profile_out:
         write_atomic(args.profile_out, profile_to_csv(profile))
     return 0
@@ -295,15 +285,15 @@ def cmd_two_block(args) -> int:
     spec = BlockSpec(N=N, M=M, gamma=args.gamma,
                      gamma_prime=args.gamma_prime, beta=args.beta)
     opts = replace(VERIFY_OPTIONS, lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol)
-    report = verify_against_solver(spec, opts=opts)
-    report["format_version"] = "1"
-    report["kind"] = "two_block_report"
-    report["run_config"] = {
-        "N": N, "M": M, "gamma": args.gamma, "gamma_prime": args.gamma_prime,
-        "beta": args.beta, "lr": args.lr, "n_iters": args.n_iters,
-        "grad_tol": args.grad_tol,
-    }
-    write_atomic(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    _write_json(args.out, {
+        **verify_against_solver(spec, opts=opts),
+        "kind": "two_block_report",
+        "run_config": {
+            "N": N, "M": M, "gamma": args.gamma, "gamma_prime": args.gamma_prime,
+            "beta": args.beta, "lr": args.lr, "n_iters": args.n_iters,
+            "grad_tol": args.grad_tol,
+        },
+    })
     return 0
 
 
@@ -319,7 +309,7 @@ def _run_ad_cells(args, datasets) -> list:
             raise _UsageError(f"unknown method {m!r}; expected one of {AD_METHODS}")
     if len(set(methods)) != len(methods):
         raise _UsageError(f"method list {args.methods!r} repeats a method")
-    seeds = _parse_ints(args.seeds, "--seeds")
+    seeds = _parse_list(args.seeds, "--seeds")
     config = _config_from_args(args, sigma_grid=args.sigma_grid,
                                fd_max_rows=args.fd_max_rows)
     return [[run_ad(ds, m, seeds=seeds, config=config) for m in methods] for ds in datasets]
@@ -329,9 +319,6 @@ def _experiment_ad(args, ds) -> dict:
     [reports] = _run_ad_cells(args, [ds])
     rank_table, mean_ranks = rank_aggregate({r.method: {ds.name: r.mean_auc} for r in reports})
     out = {
-        "kind": "experiment",
-        "protocol": "ad",
-        "dataset": ds.name,
         "reports": {r.method: r.to_dict() for r in reports},
         "mean_aucs": {r.method: r.mean_auc for r in reports},
     }
@@ -348,29 +335,24 @@ def _experiment_ad(args, ds) -> dict:
 
 
 def _experiment_duplicates(args, ds) -> dict:
-    ks = _parse_ints(args.k_values, "--k-values")
+    ks = _parse_list(args.k_values, "--k-values")
     rows = _run_ad_cells(args, [duplicate_anomalies(ds, k) for k in ks])
     return {
-        "kind": "experiment",
-        "protocol": "duplicates",
-        "dataset": ds.name,
         "k_values": list(ks),
         "reports": {str(k): {r.method: r.to_dict() for r in row} for k, row in zip(ks, rows)},
     }
 
 
 def _experiment_negfrac(args, ds) -> dict:
-    out = negative_fraction_experiment(
+    return negative_fraction_experiment(
         ds, a=args.a, T=args.n_z, m=_resolve_m(args.m),
         n_init=args.n_init, n_iters=args.n_iters, lr=args.lr,
         seed=args.seed, kernel=args.kernel, sigma=args.sigma,
     )
-    out.update({"kind": "experiment", "protocol": "negfrac", "dataset": ds.name})
-    return out
 
 
-def _experiment_consistency(args) -> dict:
-    Ns = _parse_ints(args.sample_sizes, "--sample-sizes")
+def _experiment_consistency(args, _ds) -> dict:
+    Ns = _parse_list(args.sample_sizes, "--sample-sizes")
     if args.grid_n < 0:  # np.linspace's own error would be a bare ValueError
         raise ValidationError(f"--grid-n must be nonnegative, got {args.grid_n}")
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
@@ -380,50 +362,50 @@ def _experiment_consistency(args) -> dict:
         lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol,
     )
     return {
-        "kind": "experiment",
-        "protocol": "consistency",
         "density": {"center": density.center, "width": density.width},
         "grid": {"lo": args.grid_lo, "hi": args.grid_hi, "n": args.grid_n},
         "results": results,
     }
 
 
-# The experiment flags each protocol reads, besides --protocol and --out.
 _SELECTION_FLAGS = frozenset({
-    "data", "label_column", "methods", "seeds", "a_grid", "n_fd_iters", "h", "probe",
-    "train_frac", "sigma_grid", "fd_max_rows", "m", "n_z", "lr", "n_iters", "grad_tol",
+    "methods", "seeds", "a_grid", "n_fd_iters", "h", "probe", "train_frac",
+    "sigma_grid", "fd_max_rows", "m", "n_z", "lr", "n_iters", "grad_tol",
 })
-_PROTOCOL_FLAGS = {
-    "ad": _SELECTION_FLAGS | {"summary_csv"},
-    "duplicates": _SELECTION_FLAGS | {"k_values"},
+# Per protocol: its runner, what it reads of --data ("labels", "rows" or None
+# for no --data and no --label-column) and the flags its runner receives.  A
+# protocol accepts these, --protocol and --out, and no other flag.
+_PROTOCOLS = {
+    "ad": (_experiment_ad, "labels", _SELECTION_FLAGS | {"summary_csv"}),
+    "duplicates": (_experiment_duplicates, "labels", _SELECTION_FLAGS | {"k_values"}),
     # fixed-length fits: negfrac runs every start with grad_tol = 0
-    "negfrac": frozenset({"data", "label_column", "a", "kernel", "sigma", "n_init",
-                          "m", "n_z", "seed", "lr", "n_iters"}),
-    "consistency": frozenset({"sample_sizes", "n_reps", "grid_lo", "grid_hi", "grid_n",
-                              "n_z", "seed", "lr", "n_iters", "grad_tol"}),
+    "negfrac": (_experiment_negfrac, "rows", frozenset({
+        "a", "kernel", "sigma", "n_init", "m", "n_z", "seed", "lr", "n_iters"})),
+    "consistency": (_experiment_consistency, None, frozenset({
+        "sample_sizes", "n_reps", "grid_lo", "grid_hi", "grid_n", "n_z", "seed", "lr",
+        "n_iters", "grad_tol"})),
 }
 
 
 def cmd_experiment(args) -> int:
-    unread = _given(args) - {"protocol", "out"} - _PROTOCOL_FLAGS[args.protocol]
+    run, data, flags = _PROTOCOLS[args.protocol]
+    accepted = flags | {"protocol", "out"} | ({"data", "label_column"} if data else set())
+    unread = _given(args) - accepted
     if unread:
-        flags = ", ".join("--" + d.replace("_", "-") for d in sorted(unread))
-        raise _UsageError(f"protocol {args.protocol!r} does not read {flags}")
-    if args.protocol == "consistency":
-        out = _experiment_consistency(args)
-    else:
+        names = ", ".join("--" + d.replace("_", "-") for d in sorted(unread))
+        raise _UsageError(f"protocol {args.protocol!r} does not read {names}")
+    record = {"kind": "experiment", "protocol": args.protocol}
+    ds = None
+    if data:
         if not args.data:
             raise _UsageError(f"--data is required for protocol {args.protocol!r}")
-        require_labels = args.protocol in ("ad", "duplicates")
-        ds = _load_dataset(args.data, args.label_column, require_labels=require_labels)
-        if args.protocol == "ad":
-            out = _experiment_ad(args, ds)
-        elif args.protocol == "duplicates":
-            out = _experiment_duplicates(args, ds)
-        else:
-            out = _experiment_negfrac(args, ds)
-    out["format_version"] = "1"
-    write_atomic(args.out, json.dumps(out, sort_keys=True, indent=1) + "\n")
+        ds = load_csv(args.data, args.label_column)
+        if data == "labels" and ds.y is None:
+            raise DataError(f"{args.data}: labels required; pass --label-column or "
+                            "add a 'label' column")
+        record["dataset"] = ds.name
+    record.update(run(argparse.Namespace(**{f: getattr(args, f) for f in flags}), ds))
+    _write_json(args.out, record)
     return 0
 
 
@@ -445,8 +427,8 @@ def build_parser() -> _Parser:
     p.add_argument("--exact-normalization", action="store_true",
                    help="scale the sampled kernel by 2W instead of targeting 1/2 "
                         "on the diagonal")
-    p.add_argument("--method", default="natural", choices=["natural", "standard"],
-                   help="gradient iteration (default natural)")
+    p.add_argument("--method", default=SolverOptions.method, choices=_METHODS,
+                   help="gradient iteration (default %(default)s)")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--metrics", default=None, help="optional metrics JSON path")
@@ -487,14 +469,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_two_block)
 
     p = sub.add_parser("experiment", help="run an evaluation protocol")
-    p.add_argument("--protocol", required=True,
-                   choices=["ad", "duplicates", "negfrac", "consistency"])
+    p.add_argument("--protocol", required=True, choices=tuple(_PROTOCOLS))
     p.add_argument("--data", default=None, help="dataset CSV (not used by "
                    "consistency)")
     p.add_argument("--label-column", default=None)
     p.add_argument("--methods", default="all",
                    help="comma list of methods or 'all'")
-    p.add_argument("--seeds", default="0,1,2,3", help="comma list (default 0,1,2,3)")
+    p.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
+                   help="comma list (default %(default)s)")
     _add_fd_flags(p)
     p.add_argument("--sigma-grid", default=None,
                    help="bandwidth grid for the closed-form kernels "
@@ -506,8 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-values", default="1,2,3,4,5,6",
                    help="duplication factors for --protocol duplicates")
     p.add_argument("--a", type=float, default=1.0, help="negfrac smoothness")
-    p.add_argument("--kernel", default="sdo",
-                   choices=["sdo", "gaussian", "laplacian"],
+    p.add_argument("--kernel", default="sdo", choices=("sdo", *FAMILIES),
                    help="negfrac kernel family")
     p.add_argument("--sigma", type=float, default=1.0,
                    help="negfrac closed-form bandwidth")

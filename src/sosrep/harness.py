@@ -4,7 +4,7 @@ Implements the evaluation pipeline: CSV ingestion, seeded stratified splits,
 z-score standardization on train statistics, Fisher-divergence tuning of the
 smoothness (or bandwidth) per seed, anomaly scoring by negative density, and
 Mann-Whitney AUC-ROC with rank aggregation across datasets.  Also contains
-the three experiment protocols: standard AD, duplicated anomalies (masking),
+the four experiment protocols: standard AD, duplicated anomalies (masking),
 the negative-fraction comparison of the two gradient iterations, and the
 empirical consistency trend check with a = 1/N.
 
@@ -28,6 +28,7 @@ import csv
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
@@ -46,6 +47,7 @@ from .score_fd import FdOptions, FdProfile, _check_candidates, selection_kind, t
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
+    _as_list,
     _cumulative_trapezoid,
     _is_int,
     _is_real,
@@ -55,6 +57,7 @@ from .sdo_kernel import (
     sample_frequencies,
 )
 from .solver import (
+    FORMAT_VERSION,
     FittedModel,
     SolverOptions,
     _add_jitter_in_place,
@@ -72,6 +75,7 @@ AD_METHODS = (
     "kde_laplacian",
 )
 DEFAULT_SEEDS = (0, 1, 2, 3)
+_FIT_SEED_STRIDE = 1_000_003  # consistency_experiment's fit seeds
 
 
 @dataclass
@@ -111,7 +115,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
     label_column=None takes a column headed 'label' as the labels when there
     is one and reads every column as a feature otherwise; a name that is not
-    in the header is an error.  A leading byte-order mark is dropped and
+    in the header, or a header that repeats a name, is an error, raised before
+    any row is parsed.  A leading byte-order mark is dropped and
     fully blank lines are skipped, before the header is read.
     Rows with missing values are rejected with their row indices; cells that
     fail to parse report the file line; labels must be 0/1.  The dataset is
@@ -123,6 +128,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     if not rows:
         raise DataError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in rows[0][1]]
+    repeated = sorted(h for h, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise DataError(f"{path}: header repeats column names {repeated}")
     if label_column is None and "label" in header:
         label_column = "label"
     label_idx = None
@@ -426,7 +434,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": "1",
+            "format_version": FORMAT_VERSION,
             "kind": "ad_report",
             "dataset": self.dataset,
             "method": self.method,
@@ -516,7 +524,7 @@ def run_ad(
         raise ValidationError(f"unknown method {method!r}; expected one of {AD_METHODS}")
     if ds.y is None:
         raise DataError("the AD protocol requires labels")
-    seeds = tuple(seeds)
+    seeds = tuple(_as_list(seeds, "seeds"))
     if not seeds:
         raise ValidationError("seeds must not be empty")
     for seed in seeds:
@@ -736,10 +744,11 @@ def consistency_experiment(
     trapezoid L2 distance to the true root density.  Reports the median over
     repetitions.  A sample size or n_reps that is not a positive integer, a
     grid that is not finite and strictly increasing with at least 2 points,
-    or lr, n_iters or grad_tol that SolverOptions rejects raises
-    ValidationError before any fit.
+    lr, n_iters or grad_tol that SolverOptions rejects, or a seed whose
+    largest fit seed, seed * 1000003 + the last repetition's stream, would
+    not fit in 64 bits raises ValidationError before any draw.
     """
-    Ns = list(Ns)
+    Ns = _as_list(Ns, "sample sizes")
     if not all(_is_int(N) and N >= 1 for N in Ns):
         raise ValidationError(f"sample sizes must be positive integers, got {Ns}")
     Ns = [int(N) for N in Ns]
@@ -751,6 +760,17 @@ def consistency_experiment(
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ValidationError("the grid must be finite and strictly increasing")
     opts = SolverOptions(method="natural", lr=lr, n_iters=n_iters, grad_tol=grad_tol)
+    # Repetition `sub` draws from stream (seed, sub) and fits with the seed
+    # seed * _FIT_SEED_STRIDE + sub, so the last sub bounds the seed; the
+    # first draw checks its type and sign.
+    stride = max(1000, n_reps)
+    max_seed = (2**64 - 1 - (len(Ns) - 1) * stride - n_reps) // _FIT_SEED_STRIDE
+    if _is_int(seed):
+        if seed > max_seed:
+            raise ValidationError(
+                f"seed must be at most {max_seed} with {len(Ns)} sample size(s) "
+                f"and n_reps={n_reps}, got {seed}")
+        seed = int(seed)  # a numpy integer could wrap in the fit-seed product
     v = density.sqrt_pdf(grid)
     v = v / math.sqrt(float(np.trapezoid(v * v, grid)))
     results = []
@@ -758,10 +778,10 @@ def consistency_experiment(
         a = 1.0 / N
         errors = []
         for rep in range(n_reps):
-            sub = i_n * max(1000, n_reps) + rep + 1
+            sub = i_n * stride + rep + 1
             rng = rng_from_seed(seed, sub)
             X = density.sample(N, rng)
-            fit_seed = seed * 1_000_003 + sub
+            fit_seed = seed * _FIT_SEED_STRIDE + sub
             model = fit_model(X, SdoParams(a=a, d=1, m=1), T, seed=fit_seed, opts=opts)
             fhat = np.abs(model.f_values(grid.reshape(-1, 1)))
             mass = float(np.trapezoid(fhat * fhat, grid))

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
     VanishingDensity,
 )
-from .sdo_kernel import _is_int, _is_real, rng_from_seed
+from .sdo_kernel import _as_list, _check_key, _is_int, _is_real, rng_from_seed
 
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
@@ -70,6 +70,7 @@ class FdOptions:
             raise ValidationError(f"h must be a positive finite real number, got {self.h!r}")
         if self.probe not in _PROBES:
             raise ValidationError(f"probe must be one of {_PROBES}, got {self.probe!r}")
+        _check_key(self.seed)
 
 
 def _check_grid(a_vals, name: str = "candidate values") -> None:
@@ -81,13 +82,16 @@ def _check_grid(a_vals, name: str = "candidate values") -> None:
         raise ValidationError(f"{name} must be strictly decreasing")
 
 
-def _check_candidates(a_vals, name: str = "candidate values") -> None:
-    """A grid that tune can sweep: _check_grid and at least 2*_WINDOW+1 values."""
+def _check_candidates(a_vals, name: str = "candidate values") -> list:
+    """A grid that tune can sweep, as a list: _check_grid and at least
+    2*_WINDOW+1 values."""
+    a_vals = _as_list(a_vals, name)
     if len(a_vals) < 2 * _WINDOW + 1:
         raise ValidationError(
             f"{name} must have at least {2 * _WINDOW + 1} entries, got {len(a_vals)}"
         )
     _check_grid(a_vals, name)
+    return a_vals
 
 
 @dataclass(frozen=True)
@@ -319,9 +323,7 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
 
     Returns (a_star, profile of all evaluated candidates).
     """
-    cand = list(candidate_as)
-    _check_candidates(cand)
-    cand = [float(a) for a in cand]
+    cand = [float(a) for a in _check_candidates(candidate_as)]
     Y_test = _test_rows(Y_test)
     plan = _probe_plan(opts, *Y_test.shape)
 

@@ -57,6 +57,25 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_list(values, name: str) -> list:
+    """`values` as a list; anything that is not iterable raises ValidationError
+    naming `name`."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _check_key(seed, stream=0) -> None:
+    """Seed and stream must be Python or numpy integers in 0..2**64-1 (not a
+    bool or a float), the two 64-bit words of a Philox key."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValidationError(f"seed and stream must lie in 0..2**64-1, got {seed}, {stream}")
+
+
 @dataclass(frozen=True)
 class SdoParams:
     """Smoothness a, derivative order m, and dimension d of the SDO kernel.
@@ -71,10 +90,10 @@ class SdoParams:
     m: int | None = None
 
     def __post_init__(self):
-        if self.m is None:
-            object.__setattr__(self, "m", self.d // 2 + 1)
         if not (_is_int(self.d) and self.d >= 1):
             raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
+        if self.m is None:
+            object.__setattr__(self, "m", self.d // 2 + 1)
         if not (_is_int(self.m) and self.m >= 1):
             raise ValidationError(f"derivative order m must be a positive integer, got {self.m!r}")
         if not (_is_real(self.a) and math.isfinite(self.a) and self.a > 0):
@@ -90,7 +109,10 @@ class SdoParams:
 
 @dataclass(frozen=True)
 class FrequencySample:
-    """T frequency rows Z (2*pi folded in) and phases b defining the features."""
+    """T frequency rows Z (2*pi folded in) and phases b defining the features.
+
+    seed is the key the rows were drawn with, checked as rng_from_seed does.
+    """
 
     Z: np.ndarray
     b: np.ndarray
@@ -111,6 +133,7 @@ class FrequencySample:
             raise ValidationError("frequency rows must be finite")
         if np.any(b < 0.0) or np.any(b >= 2.0 * np.pi):
             raise ValidationError("phases must lie in [0, 2*pi)")
+        _check_key(self.seed)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "T", int(self.T))
@@ -241,11 +264,7 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     words of the key: anything but a Python or numpy integer in 0..2**64-1
     (a bool or a float too) raises ValidationError.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not _is_int(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ValidationError(f"seed and stream must lie in 0..2**64-1, got {seed}, {stream}")
+    _check_key(seed, stream)
     key = np.array([seed, stream], dtype=np.uint64)
     _register_philox_key()
     return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_COUNTER_ZERO))

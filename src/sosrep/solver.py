@@ -91,6 +91,18 @@ class FitResult:
     clamp_warnings: int
     objective_history: np.ndarray
 
+    def summary(self, K) -> dict:
+        """The fit's JSON summary on its Gram K: objective, RKHS norm and
+        convergence diagnostics."""
+        return {
+            "objective": self.objective,
+            "rkhs_norm_sq": rkhs_norm_sq(self.alpha, K),
+            "grad_sup_norm": self.grad_sup_norm,
+            "n_iters_run": self.n_iters_run,
+            "converged": self.converged,
+            "clamp_warnings": self.clamp_warnings,
+        }
+
 
 class FitBatch(list):
     """fit's result for a batch of starts: per start, its FitResult or its SolverDivergence.
@@ -377,14 +389,7 @@ def fit_model(
         fs=fs,
         feature_weights=w,
         kernel_scale_flag=exact_normalization,
-        fit_info={
-            "objective": res.objective,
-            "rkhs_norm_sq": rkhs_norm_sq(res.alpha, K),
-            "grad_sup_norm": res.grad_sup_norm,
-            "n_iters_run": res.n_iters_run,
-            "converged": res.converged,
-            "clamp_warnings": res.clamp_warnings,
-        },
+        fit_info=res.summary(K),
     )
 
 

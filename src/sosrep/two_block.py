@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .sdo_kernel import _is_int, _is_real
-from .solver import SolverOptions, fit, rkhs_norm_sq
+from .solver import SolverOptions, fit
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,7 @@ def verify_against_solver(spec: BlockSpec, opts: SolverOptions = VERIFY_OPTIONS)
         "rel_dev_solver_vs_approx": abs(ratio_solver - approx_ratio) / approx_ratio,
         "finite_n_correction": exact.ratio - approx_ratio,
         "alpha_intra_cluster_spread": spread_alpha,
-        "solver": {
-            "converged": res.converged,
-            "n_iters_run": res.n_iters_run,
-            "grad_sup_norm": res.grad_sup_norm,
-            "objective": res.objective,
-            "rkhs_norm_sq": rkhs_norm_sq(res.alpha, K),
-            "clamp_warnings": res.clamp_warnings,
-        },
+        "solver": res.summary(K),
     }
     if spec.N == spec.M:
         report["kde_ratio"] = kde_ratio(spec)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sosrep as sp
-from sosrep.cli import _parse_ints, _UsageError, build_parser, main
+from sosrep.cli import _PROTOCOLS, _parse_list, _UsageError, build_parser, main
 from sosrep.harness import SdoKdeModel
 from sosrep.score_fd import profile_from_csv, selection_kind
 
@@ -534,6 +534,34 @@ class TestConsistencyInputs:
         assert _only_stderr_error(capsys)["kind"] == "validation"
         assert not out_p.exists()
 
+    def test_seed_beyond_the_largest_fit_seed_is_validation_error(self, tmp_path, capsys):
+        out_p = tmp_path / "cons.json"
+        rc = main(["experiment", "--protocol", "consistency", "--n-z", "64",
+                   "--n-iters", "20", "--seed", str(2**60), "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and "seed must be at most" in error["message"]
+        assert not out_p.exists()
+
+
+class TestRepeatedHeader:
+    @pytest.mark.parametrize("argv", [
+        ["fit", *FIT_FLAGS],
+        ["tune", "--n-z", "64"],
+        ["experiment", "--protocol", "ad", "--methods", "kde_gaussian"],
+        ["experiment", "--protocol", "negfrac"],
+    ])
+    def test_header_that_repeats_a_name_is_data_error(self, tmp_path, capsys, argv):
+        # the second label column would otherwise be read as a feature
+        data = tmp_path / "twice.csv"
+        data.write_text("f0,label,label\n0.5,0,0\n-1.5,1,1\n0.25,0,0\n")
+        out_p = tmp_path / "out.json"
+        rc = main([*argv, "--data", str(data), "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "data" and "['label']" in error["message"]
+        assert not out_p.exists()
+
 
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -660,12 +688,12 @@ class TestIntegerLists:
         ("-1", (-1,)),
     ])
     def test_parses_distinct_integers(self, text, expected):
-        assert _parse_ints(text, "seed") == expected
+        assert _parse_list(text, "seed") == expected
 
     @pytest.mark.parametrize("text", ["1,x", "1.5", "", " , ", "0,0", "2,1,2"])
     def test_rejects_non_integer_empty_or_repeated(self, text):
         with pytest.raises(_UsageError):
-            _parse_ints(text, "seed")
+            _parse_list(text, "seed")
 
     @pytest.mark.parametrize("flags", [
         ["--protocol", "ad", "--seeds", "0,0"],
@@ -801,3 +829,16 @@ class TestProtocolFlags:
         if "label_column" in reads:
             extra += ["--label-column", "label"]
         assert main([*argv[:-2], *extra, *argv[-2:]]) == 0
+
+
+class TestProtocolTable:
+    """_PROTOCOLS hands each runner exactly the flags that the runner reads."""
+
+    @pytest.mark.parametrize("protocol", list(_PROTOCOLS))
+    def test_each_runner_reads_every_flag_of_its_entry(self, tmp_path, mixture_csv,
+                                                       protocol):
+        run, data, flags = _PROTOCOLS[protocol]
+        args = build_parser().parse_args(_protocol_argv(protocol, tmp_path, mixture_csv))
+        ns = _ReadRecorder(_reads=set(), **{f: getattr(args, f) for f in flags})
+        run(ns, sp.load_csv(mixture_csv) if data else None)
+        assert ns._reads == set(flags)

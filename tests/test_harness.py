@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n\nx,4\n")
         with pytest.raises(DataError, match="line 4"):
             sp.load_csv(str(p))
+
+    @pytest.mark.parametrize("header, names", [
+        ("a,label,label", "['label']"), ("a,b,a", "['a']"), (" b ,a,b,a", "['a', 'b']"),
+    ])
+    def test_repeated_header_name_rejected_before_any_row(self, tmp_path, header, names):
+        # the data row does not parse: the header error comes first
+        p = tmp_path / "twice.csv"
+        p.write_text(f"{header}\nx,y,z,w\n")
+        with pytest.raises(DataError, match=re.escape(f"repeats column names {names}")):
+            sp.load_csv(str(p))
+        with pytest.raises(DataError, match="repeats column names"):
+            sp.load_csv(str(p), label_column="a")
 
     def test_row_of_empty_cells_is_still_missing_values(self, tmp_path):
         p = tmp_path / "blank_cells.csv"
@@ -458,7 +471,9 @@ class TestRunAd:
                                               ([], "must not be empty"),
                                               ((0, 0), "repeat a value"),
                                               ((1, np.int64(1)), "repeat a value"),
-                                              ((0, 1, 0), "repeat a value")])
+                                              ((0, 1, 0), "repeat a value"),
+                                              (5, "seeds must be a sequence"),
+                                              (None, "seeds must be a sequence")])
     def test_empty_or_repeating_seeds_fail_before_any_split(self, mixture2d, monkeypatch,
                                                             seeds, match):
         def no_split(*args, **kwargs):
@@ -508,6 +523,8 @@ class TestAdConfig:
         ({"train_frac": None}, "train_frac"),
         ({"a_grid": tuple("gfedcba")}, "a_grid"),
         ({"sigma_grid": (7.0, 6.0, 5.0, None, 3.0, 2.0, 1.0)}, "sigma_grid"),
+        ({"a_grid": None}, "a_grid must be a sequence"),
+        ({"sigma_grid": 5}, "sigma_grid must be a sequence"),
     ])
     def test_non_real_or_non_finite_value_rejected_naming_its_field(self, kwargs, field):
         with pytest.raises(ValidationError, match=field):
@@ -727,6 +744,53 @@ class TestConsistencyExperiment:
             assert len(r["errors"]) == 2
             assert np.isfinite(r["median_l2_error"]) and r["median_l2_error"] > 0.0
 
+
+    @pytest.mark.parametrize("Ns", [5, None])
+    def test_non_iterable_sample_sizes_rejected(self, Ns):
+        with pytest.raises(ValidationError, match="sample sizes must be a sequence"):
+            sp.consistency_experiment(sp.SmoothBumpDensity(), Ns, np.linspace(-1, 1, 11))
+
+    def test_seed_stream_map_is_pinned(self, monkeypatch):
+        # Repetition rep of sample size i_n draws from stream (seed, sub) and
+        # fits with seed * 1000003 + sub, sub = i_n * max(1000, n_reps) + rep + 1.
+        draws, fits = [], []
+        real_rng, real_fit = harness.rng_from_seed, harness.fit_model
+
+        def rng(seed, stream=0):
+            draws.append((seed, stream))
+            return real_rng(seed, stream)
+
+        def fit(X, params, T, seed, opts):
+            fits.append(seed)
+            return real_fit(X, params, T, seed=seed, opts=opts)
+
+        monkeypatch.setattr(harness, "rng_from_seed", rng)
+        monkeypatch.setattr(harness, "fit_model", fit)
+        sp.consistency_experiment(sp.SmoothBumpDensity(), (20, 30), np.linspace(-1, 1, 21),
+                                  n_reps=2, T=16, seed=5, n_iters=5)
+        subs = [1, 2, 1001, 1002]
+        assert draws == [(5, sub) for sub in subs]
+        assert fits == [5 * 1_000_003 + sub for sub in subs]
+
+    def test_seed_is_bounded_by_the_largest_fit_seed_before_any_draw(self, monkeypatch):
+        # Repetition `sub` fits with seed * 1000003 + sub; with two sample
+        # sizes of two repetitions the last sub is 1002.
+        grid = np.linspace(-1.2, 1.2, 51)
+        largest = (2**64 - 1 - 1002) // 1_000_003
+        assert largest * 1_000_003 + 1002 < 2**64 <= (largest + 1) * 1_000_003 + 1002
+        run = dict(n_reps=2, T=16, n_iters=5)
+        rows = sp.consistency_experiment(sp.SmoothBumpDensity(), (20, 30), grid,
+                                         seed=np.uint64(largest), **run)
+        assert [len(r["errors"]) for r in rows] == [2, 2]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("draw reached")
+
+        monkeypatch.setattr(harness, "rng_from_seed", no_draw)
+        for seed in (largest + 1, 2**60, 2**64):
+            with pytest.raises(ValidationError, match=f"seed must be at most {largest} "):
+                sp.consistency_experiment(sp.SmoothBumpDensity(), (20, 30), grid,
+                                          seed=seed, **run)
 
     @pytest.mark.parametrize("kwargs", [
         {"Ns": (50, 0)},

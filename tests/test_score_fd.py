@@ -153,6 +153,14 @@ class TestHutchinsonTrace:
         with pytest.raises(ValidationError, match="n_fd_iters must be a positive integer"):
             sp.FdOptions(n_fd_iters=n_fd_iters)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "0", True])
+    def test_unusable_seed_rejected_when_built(self, seed):
+        with pytest.raises(ValidationError) as got:
+            sp.FdOptions(seed=seed)
+        with pytest.raises(ValidationError) as want:
+            rng_from_seed(seed)
+        assert str(got.value) == str(want.value)
+
 
 class TestFdStatistic:
     def test_zero_score_model_gives_zero(self):
@@ -631,6 +639,11 @@ class TestTune:
             sp.tune(grid, lambda a: None, _FD_TEST_ROW)
         with pytest.raises(ValidationError, match="must be positive finite real numbers"):
             sp.tune(["g", "f", "e", "d", "c", "b", "a"], lambda a: None, _FD_TEST_ROW)
+
+    @pytest.mark.parametrize("bad", [None, 7, 1.5])
+    def test_non_iterable_candidates_rejected(self, bad):
+        with pytest.raises(ValidationError, match="candidate values must be a sequence"):
+            sp.tune(bad, lambda a: None, _FD_TEST_ROW)
 
     def test_numpy_real_candidates_accepted(self):
         grid = [np.float32(7.0), 6.0, np.int64(5), 4.0, 3.0, 2.0, 1.0]

@@ -40,6 +40,7 @@ class TestSdoParams:
         (dict(a=[1.0], d=1), "smoothness a"), (dict(a=1.0, d=True), "dimension d"),
         (dict(a=1.0, d=2.0), "dimension d"), (dict(a=1.0, d=1, m=True), "derivative order m"),
         (dict(a=1.0, d=1, m=1.0), "derivative order m"),
+        (dict(a=1.0, d="2"), "dimension d"), (dict(a=1.0, d=None), "dimension d"),
     ])
     def test_rejects_non_numeric_or_bool_fields(self, kwargs, field):
         with pytest.raises(ValidationError, match=field):
@@ -158,6 +159,17 @@ class TestRngFromSeed:
         want = rng_from_seed(7, 3).random(4)
         for seed, stream in [(np.int64(7), np.uint32(3)), (np.uint64(7), np.int8(3))]:
             np.testing.assert_array_equal(rng_from_seed(seed, stream).random(4), want)
+
+
+class TestFrequencySample:
+    @pytest.mark.parametrize("seed, match", [
+        ("a", "seed must be an integer"), (1.5, "seed must be an integer"),
+        (True, "seed must be an integer"), (-1, "0..2"), (2**64, "0..2"),
+    ])
+    def test_seed_is_checked_as_rng_from_seed_checks_it(self, seed, match):
+        with pytest.raises(ValidationError, match=match):
+            sp.FrequencySample(Z=np.zeros((1, 1)), b=np.zeros(1), T=1, seed=seed,
+                               base_params=sp.SdoParams(a=1.0, d=1, m=1))
 
 
 class TestSampleFrequencies:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .sdo_kernel import _is_int, _is_real
+from .sdo_kernel import _count, _positive, _store
 
 FAMILIES = ("gaussian", "laplacian")
 
@@ -49,14 +49,9 @@ class ClosedFormKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if not (_is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be a positive finite real number, got {self.sigma!r}")
-        if not (_is_int(self.d) and self.d >= 1):
-            raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
         # a numpy float32 sigma would make -2 sigma^2, sigma^-d and the exp
         # bound float32 arithmetic
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "d", int(self.d))
+        _store(self, sigma=_positive(self.sigma, "sigma"), d=_count(self.d, "dimension d"))
 
 
 # Doubles in the scratch buffer of one block of training rows (1 MB).

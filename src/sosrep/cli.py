@@ -34,10 +34,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baseline_kernels import FAMILIES
 from .errors import DataError, NumericsError, SosrepError, ValidationError
 from .harness import (
+    _MAX_DUPLICATES,
     AD_METHODS,
+    BACKENDS,
     DEFAULT_SEEDS,
     AdConfig,
     SmoothBumpDensity,
@@ -303,12 +304,10 @@ def _run_ad_cells(args, datasets) -> list:
     Returns one list of reports per dataset, in --methods order.  Cells run
     serially; parallel work is one process per dataset or method.
     """
-    methods = AD_METHODS if args.methods == "all" else tuple(args.methods.split(","))
+    methods = AD_METHODS if args.methods == "all" else _parse_list(args.methods, "--methods", str)
     for m in methods:
         if m not in AD_METHODS:
             raise _UsageError(f"unknown method {m!r}; expected one of {AD_METHODS}")
-    if len(set(methods)) != len(methods):
-        raise _UsageError(f"method list {args.methods!r} repeats a method")
     seeds = _parse_list(args.seeds, "--seeds")
     config = _config_from_args(args, sigma_grid=args.sigma_grid,
                                fd_max_rows=args.fd_max_rows)
@@ -485,10 +484,10 @@ def build_parser() -> _Parser:
     _add_solver_flags(p)
     p.add_argument("--fd-max-rows", type=int, default=None,
                    help="subsample held-out rows for the divergence statistic")
-    p.add_argument("--k-values", default="1,2,3,4,5,6",
+    p.add_argument("--k-values", default=",".join(map(str, range(1, _MAX_DUPLICATES + 1))),
                    help="duplication factors for --protocol duplicates")
     p.add_argument("--a", type=float, default=1.0, help="negfrac smoothness")
-    p.add_argument("--kernel", default="sdo", choices=("sdo", *FAMILIES),
+    p.add_argument("--kernel", default="sdo", choices=BACKENDS,
                    help="negfrac kernel family")
     p.add_argument("--sigma", type=float, default=1.0,
                    help="negfrac closed-form bandwidth")

@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .baseline_kernels import (
+    FAMILIES,
     ClosedFormKernel,
     DistanceReuse,
     _check_dim,
@@ -48,9 +49,13 @@ from .sdo_kernel import (
     FrequencySample,
     SdoParams,
     _as_list,
+    _check_key,
+    _count,
     _cumulative_trapezoid,
     _is_int,
     _is_real,
+    _positive,
+    _store,
     feature_map,
     kernel_matrix,
     rng_from_seed,
@@ -66,15 +71,10 @@ from .solver import (
     fit_model,
 )
 
-AD_METHODS = (
-    "sosrep_sdo",
-    "sosrep_gaussian",
-    "sosrep_laplacian",
-    "kde_sdo",
-    "kde_gaussian",
-    "kde_laplacian",
-)
+BACKENDS = ("sdo", *FAMILIES)
+AD_METHODS = tuple(f"{kind}_{backend}" for kind in ("sosrep", "kde") for backend in BACKENDS)
 DEFAULT_SEEDS = (0, 1, 2, 3)
+_MAX_DUPLICATES = 6  # duplicate_anomalies' largest k
 _FIT_SEED_STRIDE = 1_000_003  # consistency_experiment's fit seeds
 
 
@@ -209,18 +209,18 @@ class AdConfig:
     fd_max_rows: int | None = None
 
     def __post_init__(self):
-        if not (_is_int(self.T) and self.T >= 1):
-            raise ValidationError(f"T must be a positive integer, got {self.T!r}")
-        if not (self.m is None or (_is_int(self.m) and self.m >= 1)):
-            raise ValidationError(
-                f"derivative order m must be None or a positive integer, got {self.m!r}")
+        T = _count(self.T, "T")
+        optional = "None or a positive integer"
+        m = None if self.m is None else _count(self.m, "derivative order m", optional)
         _check_train_frac(self.train_frac)
-        if not (self.fd_max_rows is None or (_is_int(self.fd_max_rows) and self.fd_max_rows >= 1)):
-            raise ValidationError(
-                f"fd_max_rows must be None or a positive integer, got {self.fd_max_rows!r}")
+        fd_max_rows = (None if self.fd_max_rows is None
+                       else _count(self.fd_max_rows, "fd_max_rows", optional))
         _check_candidates(self.a_grid, "a_grid")
         _check_candidates(self.sigma_grid, "sigma_grid")
-        self.options(0)  # runs the options' checks before any seed is fitted
+        opts, fd_opts = self.options(0)  # the options' checks, before any seed is fitted
+        _store(self, T=T, m=m, lr=opts.lr, n_iters=opts.n_iters, grad_tol=opts.grad_tol,
+               n_fd_iters=fd_opts.n_fd_iters, h=fd_opts.h,
+               train_frac=float(self.train_frac), fd_max_rows=fd_max_rows)
 
     def options(self, seed: int) -> tuple[SolverOptions, FdOptions]:
         """(SolverOptions, FdOptions) of one seed's selection: natural-gradient fits.
@@ -528,7 +528,7 @@ def run_ad(
     if not seeds:
         raise ValidationError("seeds must not be empty")
     for seed in seeds:
-        rng_from_seed(seed)  # a non-integer or out-of-range seed fails here, before any split
+        _check_key(seed)  # a non-integer or out-of-range seed fails here, before any split
     seeds = tuple(int(s) for s in seeds)
     if len(set(seeds)) != len(seeds):
         raise ValidationError(f"seeds {seeds} repeat a value")
@@ -574,15 +574,16 @@ def run_ad(
 
 
 def duplicate_anomalies(ds: Dataset, k: int) -> Dataset:
-    """Each anomaly row appears k times total (1 <= k <= 6); inliers unchanged.
+    """Each anomaly row appears k times total (1 <= k <= _MAX_DUPLICATES);
+    inliers unchanged.
 
     Applied to the whole dataset so that a later split lands duplicates in
     both parts.
     """
     if ds.y is None:
         raise DataError("duplicate_anomalies requires labels")
-    if not (_is_int(k) and 1 <= k <= 6):
-        raise ValidationError(f"k must be an integer in 1..6, got {k!r}")
+    if not (_is_int(k) and 1 <= k <= _MAX_DUPLICATES):
+        raise ValidationError(f"k must be an integer in 1..{_MAX_DUPLICATES}, got {k!r}")
     k = int(k)
     counts = np.where(ds.y == 1, k, 1)
     X2 = np.repeat(ds.X, counts, axis=0)
@@ -620,7 +621,7 @@ def negative_fraction_experiment(
         params = SdoParams(a=a, d=ds.d, m=m)
         fs = sample_frequencies(params, T, seed)
         K = _add_jitter_in_place(kernel_matrix(X, None, fs))
-    elif kernel in ("gaussian", "laplacian"):
+    elif kernel in FAMILIES:
         K = kernel_matrix_closed_form(ClosedFormKernel(kernel, sigma, ds.d), X, X)
     else:
         raise ValidationError(f"unknown kernel {kernel!r}")
@@ -682,8 +683,7 @@ class SmoothBumpDensity:
     def __post_init__(self):
         if not (_is_real(self.center) and math.isfinite(self.center)):
             raise ValidationError(f"center must be a finite real number, got {self.center!r}")
-        if not (_is_real(self.width) and math.isfinite(self.width) and self.width > 0):
-            raise ValidationError(f"width must be a positive finite real number, got {self.width!r}")
+        _store(self, center=float(self.center), width=_positive(self.width, "width"))
 
     def support(self):
         return self.center - self.width, self.center + self.width
@@ -749,11 +749,11 @@ def consistency_experiment(
     not fit in 64 bits raises ValidationError before any draw.
     """
     Ns = _as_list(Ns, "sample sizes")
-    if not all(_is_int(N) and N >= 1 for N in Ns):
-        raise ValidationError(f"sample sizes must be positive integers, got {Ns}")
-    Ns = [int(N) for N in Ns]
-    if not (_is_int(n_reps) and n_reps >= 1):
-        raise ValidationError(f"n_reps must be a positive integer, got {n_reps!r}")
+    try:
+        Ns = [_count(N, "sample sizes") for N in Ns]
+    except ValidationError:
+        raise ValidationError(f"sample sizes must be positive integers, got {Ns}") from None
+    n_reps = _count(n_reps, "n_reps")
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size < 2:
         raise ValidationError(f"the grid needs at least 2 points, got {grid.size}")

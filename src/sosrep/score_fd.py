@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
     VanishingDensity,
 )
-from .sdo_kernel import _as_list, _check_key, _is_int, _is_real, rng_from_seed
+from .sdo_kernel import _as_list, _check_key, _count, _positive, _store, rng_from_seed
 
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
@@ -63,21 +63,18 @@ class FdOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.n_fd_iters) and self.n_fd_iters >= 1):
-            raise ValidationError(
-                f"n_fd_iters must be a positive integer, got {self.n_fd_iters!r}")
-        if not (_is_real(self.h) and math.isfinite(self.h) and self.h > 0):
-            raise ValidationError(f"h must be a positive finite real number, got {self.h!r}")
+        n_fd_iters = _count(self.n_fd_iters, "n_fd_iters")
+        h = _positive(self.h, "h")
         if self.probe not in _PROBES:
             raise ValidationError(f"probe must be one of {_PROBES}, got {self.probe!r}")
         _check_key(self.seed)
+        _store(self, n_fd_iters=n_fd_iters, h=h, seed=int(self.seed))
 
 
 def _check_grid(a_vals, name: str = "candidate values") -> None:
     """Candidate values must be positive, finite and strictly decreasing."""
     for a in a_vals:
-        if not (_is_real(a) and math.isfinite(a) and a > 0):
-            raise ValidationError(f"{name} must be positive finite real numbers, got {a!r}")
+        _positive(a, name, "positive finite real numbers")
     if any(a_vals[i] <= a_vals[i + 1] for i in range(len(a_vals) - 1)):
         raise ValidationError(f"{name} must be strictly decreasing")
 

@@ -57,6 +57,29 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _count(value, name: str, rule: str = "a positive integer") -> int:
+    """`value` as a Python int if it is a Python or numpy integer of at least 1
+    (not a bool), else ValidationError "{name} must be {rule}, got {value!r}"."""
+    if not (_is_int(value) and value >= 1):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str, rule: str = "a positive finite real number") -> float:
+    """`value` as a Python float if it is a positive finite Python or numpy
+    real number (not a bool), else ValidationError "{name} must be {rule},
+    got {value!r}"."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def _store(obj, **fields) -> None:
+    """Set fields of a frozen dataclass instance, from its __post_init__."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 def _as_list(values, name: str) -> list:
     """`values` as a list; anything that is not iterable raises ValidationError
     naming `name`."""
@@ -81,8 +104,9 @@ class SdoParams:
     """Smoothness a, derivative order m, and dimension d of the SDO kernel.
 
     m defaults to floor(d/2) + 1, the smallest integer with 2m > d.  a must be
-    a real number and d, m integers (Python or numpy, never bool), else
-    ValidationError naming the field.
+    a positive finite real number and d, m positive integers (Python or
+    numpy, never bool), else ValidationError naming the field; all three are
+    stored as Python numbers.
     """
 
     a: float
@@ -90,21 +114,12 @@ class SdoParams:
     m: int | None = None
 
     def __post_init__(self):
-        if not (_is_int(self.d) and self.d >= 1):
-            raise ValidationError(f"dimension d must be a positive integer, got {self.d!r}")
-        if self.m is None:
-            object.__setattr__(self, "m", self.d // 2 + 1)
-        if not (_is_int(self.m) and self.m >= 1):
-            raise ValidationError(f"derivative order m must be a positive integer, got {self.m!r}")
-        if not (_is_real(self.a) and math.isfinite(self.a) and self.a > 0):
-            raise ValidationError(f"smoothness a must be a positive finite real number, got {self.a!r}")
-        if 2 * self.m <= self.d:
-            raise ValidationError(
-                f"need 2m > d for the kernel integral to converge (m={self.m}, d={self.d})"
-            )
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "m", int(self.m))
+        d = _count(self.d, "dimension d")
+        m = _count(d // 2 + 1 if self.m is None else self.m, "derivative order m")
+        a = _positive(self.a, "smoothness a")
+        if 2 * m <= d:
+            raise ValidationError(f"need 2m > d for the kernel integral to converge (m={m}, d={d})")
+        _store(self, a=a, d=d, m=m)
 
 
 @dataclass(frozen=True)
@@ -134,10 +149,7 @@ class FrequencySample:
         if np.any(b < 0.0) or np.any(b >= 2.0 * np.pi):
             raise ValidationError("phases must lie in [0, 2*pi)")
         _check_key(self.seed)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "T", int(self.T))
-        object.__setattr__(self, "seed", int(self.seed))
+        _store(self, Z=Z, b=b, T=int(self.T), seed=int(self.seed))
 
 
 def sphere_area(d: int) -> float:
@@ -279,8 +291,7 @@ def sample_frequencies(params: SdoParams, T: int, seed: int) -> FrequencySample:
     inner product with data reproduces the kernel's 2*pi phase convention.
     Deterministic given (params, T, seed).
     """
-    if not (_is_int(T) and T >= 1):
-        raise ValidationError(f"T must be a positive integer, got {T!r}")
+    T = _count(T, "T")
     r_table, cdf = _radial_table(params.m, params.d)
     rng = rng_from_seed(seed)
     r = np.interp(rng.random(T), cdf, r_table)

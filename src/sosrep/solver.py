@@ -44,9 +44,12 @@ from .sdo_kernel import (
     FrequencySample,
     SdoParams,
     _cos_sin,
+    _count,
     _gram,
     _is_int,
     _is_real,
+    _positive,
+    _store,
     feature_map,
     feature_phases,
     rng_from_seed,
@@ -71,14 +74,13 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (_is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"lr must be a positive finite real number, got {self.lr!r}")
-        if not (_is_int(self.n_iters) and self.n_iters >= 1):
-            raise ValidationError(f"n_iters must be a positive integer, got {self.n_iters!r}")
+        lr = _positive(self.lr, "lr")
+        n_iters = _count(self.n_iters, "n_iters")
         if not (_is_real(self.grad_tol) and math.isfinite(self.grad_tol)
                 and self.grad_tol >= 0):
             raise ValidationError(
                 f"grad_tol must be a nonnegative finite real number, got {self.grad_tol!r}")
+        _store(self, lr=lr, n_iters=n_iters, grad_tol=float(self.grad_tol))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sdo_kernel import _is_int, _is_real
+from .sdo_kernel import _count, _is_real, _store
 from .solver import SolverOptions, fit
 
 
@@ -38,11 +38,7 @@ class BlockSpec:
     beta: float
 
     def __post_init__(self):
-        for name in ("N", "M"):
-            size = getattr(self, name)
-            if not (_is_int(size) and size >= 1):
-                raise ValidationError(f"cluster size {name} must be a positive integer, got {size!r}")
-            object.__setattr__(self, name, int(size))
+        _store(self, N=_count(self.N, "cluster size N"), M=_count(self.M, "cluster size M"))
         for name in ("gamma", "gamma_prime", "beta"):
             if not _is_real(getattr(self, name)):
                 raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")

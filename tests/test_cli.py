@@ -3,13 +3,14 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import sosrep as sp
-from sosrep.cli import _PROTOCOLS, _parse_list, _UsageError, build_parser, main
-from sosrep.harness import SdoKdeModel
+from sosrep.cli import _PROTOCOLS, _parse_grid, _parse_list, _UsageError, build_parser, main
+from sosrep.harness import _MAX_DUPLICATES, SdoKdeModel
 from sosrep.score_fd import profile_from_csv, selection_kind
 
 import oracles
@@ -432,7 +433,8 @@ class TestExperiment:
 
     @pytest.mark.parametrize("protocol", ["ad", "duplicates"])
     @pytest.mark.parametrize("methods", ["kde_gaussian,kde_gaussian",
-                                         "sosrep_sdo,kde_gaussian,sosrep_sdo"])
+                                         "sosrep_sdo,kde_gaussian,sosrep_sdo",
+                                         "kde_gaussian,kde_gaussian,"])
     def test_repeated_method_is_usage_error(self, tmp_path, mixture_csv, capsys,
                                             protocol, methods):
         rc = main(["experiment", "--protocol", protocol, "--data", mixture_csv,
@@ -440,6 +442,22 @@ class TestExperiment:
         assert rc == 2
         assert _only_stderr_error(capsys)["kind"] == "usage"
         assert not (tmp_path / "x.json").exists()
+
+    def test_repeated_method_reads_like_every_list_flag(self, tmp_path, mixture_csv, capsys):
+        rc = main(["experiment", "--protocol", "ad", "--data", mixture_csv, "--methods",
+                   "kde_gaussian,kde_gaussian", *EXP_FLAGS, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert _only_stderr_error(capsys) == {
+            "kind": "usage", "message": "--methods list 'kde_gaussian,kde_gaussian' repeats a value"}
+
+    def test_trailing_comma_in_methods_is_accepted(self, tmp_path, mixture_csv):
+        outputs = []
+        for methods in ("kde_gaussian", "kde_gaussian,"):
+            out_p = tmp_path / f"ad{len(outputs)}.json"
+            assert main(["experiment", "--protocol", "ad", "--data", mixture_csv,
+                         "--methods", methods, *EXP_FLAGS, "--out", str(out_p)]) == 0
+            outputs.append(out_p.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_method_in_duplicates_is_usage_error(self, tmp_path, mixture_csv,
                                                          capsys):
@@ -663,6 +681,35 @@ class TestCandidateGrids:
         assert flag in error["message"]
         assert message in error["message"]
         assert not (tmp_path / "x.json").exists()
+
+
+def _help_text(command, dest):
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    [action] = [a for a in commands.choices[command]._actions if a.dest == dest]
+    return action.help
+
+
+class TestDefaultsReadTheLibrary:
+    @pytest.mark.parametrize("command, dest", [
+        ("tune", "a_grid"), ("experiment", "a_grid"), ("experiment", "sigma_grid"),
+    ])
+    def test_grid_spec_in_help_is_the_config_default(self, command, dest):
+        spec = re.fullmatch(r".*\(default (\S+)\)", _help_text(command, dest)).group(1)
+        got = np.array(_parse_grid(spec, "--" + dest.replace("_", "-")))
+        want = np.array(getattr(sp.AdConfig(), dest))
+        assert got.tobytes() == want.tobytes()
+
+    def test_k_values_default_is_every_allowed_duplication(self):
+        parser = build_parser()
+        args = parser.parse_args(["experiment", "--protocol", "duplicates", "--out", "x"])
+        ks = _parse_list(args.k_values, "--k-values")
+        assert ks == tuple(range(1, _MAX_DUPLICATES + 1)) == (1, 2, 3, 4, 5, 6)
+        ds = make_mixture2d(n=40, seed=0)
+        for k in ks:
+            sp.duplicate_anomalies(ds, k)
+        with pytest.raises(sp.ValidationError, match=f"1..{_MAX_DUPLICATES}, got"):
+            sp.duplicate_anomalies(ds, _MAX_DUPLICATES + 1)
 
 
 class TestFitOnlyFlags:

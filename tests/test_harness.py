@@ -535,6 +535,25 @@ class TestAdConfig:
                              train_frac=np.float64(0.6))
         assert config.options(0)[0].grad_tol == 0
 
+    def test_numpy_scalars_are_stored_as_python_numbers(self, mixture2d):
+        kwargs = dict(T=64, m=2, lr=0.1, n_iters=50, grad_tol=1e-8, n_fd_iters=3, h=1e-4,
+                      train_frac=0.7, fd_max_rows=8, a_grid=SMALL_AD_CONFIG.a_grid,
+                      sigma_grid=SMALL_AD_CONFIG.sigma_grid)
+        config = sp.AdConfig(**kwargs)
+        numpy_config = sp.AdConfig(**{
+            **kwargs, "T": np.int64(64), "m": np.int32(2), "lr": np.float32(0.1),
+            "n_iters": np.int64(50), "grad_tol": np.float64(1e-8), "n_fd_iters": np.uint8(3),
+            "h": np.float64(1e-4), "train_frac": np.float64(0.7), "fd_max_rows": np.int64(8)})
+        for name in ("T", "m", "n_iters", "n_fd_iters", "fd_max_rows"):
+            assert type(getattr(numpy_config, name)) is int, name
+        for name in ("lr", "grad_tol", "h", "train_frac"):
+            assert type(getattr(numpy_config, name)) is float, name
+        # Python-typed inputs keep their bits; a float32 lr is widened exactly
+        assert dataclasses.replace(numpy_config, lr=0.1) == config
+        assert numpy_config.lr == float(np.float32(0.1))
+        report = sp.run_ad(mixture2d, "sosrep_sdo", seeds=(0,), config=numpy_config)
+        assert json.loads(json.dumps(report.to_dict()))["config"]["T"] == 64
+
     @pytest.mark.parametrize("method", [m for m in sp.AD_METHODS if m.endswith("_sdo")])
     def test_order_too_low_for_the_dimension_fails_before_any_split(
             self, mixture2d, monkeypatch, method):
@@ -709,6 +728,11 @@ class TestSmoothBumpDensity:
     def test_bad_shape_rejected(self, kwargs, field):
         with pytest.raises(ValidationError, match=f"{field} must be"):
             sp.SmoothBumpDensity(**kwargs)
+
+    def test_shape_is_stored_as_python_floats(self):
+        bump = sp.SmoothBumpDensity(center=np.float32(0.5), width=np.int64(2))
+        assert (type(bump.center), type(bump.width)) == (float, float)
+        assert bump == sp.SmoothBumpDensity(center=0.5, width=2.0)
 
     def test_support_and_tails(self):
         bump = sp.SmoothBumpDensity(center=0.5, width=2.0)

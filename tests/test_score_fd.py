@@ -148,6 +148,11 @@ class TestHutchinsonTrace:
     def test_numpy_real_step_accepted(self):
         assert sp.FdOptions(h=np.float32(1e-3)).h == np.float32(1e-3)
 
+    def test_settings_are_stored_as_python_numbers(self):
+        opts = sp.FdOptions(n_fd_iters=np.int64(5), h=np.float32(1e-3), seed=np.uint64(9))
+        assert (type(opts.n_fd_iters), type(opts.h), type(opts.seed)) == (int, float, int)
+        assert opts == sp.FdOptions(n_fd_iters=5, h=float(np.float32(1e-3)), seed=9)
+
     @pytest.mark.parametrize("n_fd_iters", [2.5, 3.0, True])
     def test_non_integer_probe_count_rejected(self, n_fd_iters):
         with pytest.raises(ValidationError, match="n_fd_iters must be a positive integer"):

@@ -11,9 +11,40 @@ from scipy.integrate import quad
 
 import sosrep as sp
 from sosrep.errors import ValidationError
-from sosrep.sdo_kernel import _cos_sin, _radial_table, rng_from_seed
+from sosrep.sdo_kernel import _cos_sin, _count, _positive, _radial_table, rng_from_seed
 
 import oracles
+
+
+class TestCheckedValues:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(2), 2**70])
+    def test_count_returns_a_python_int(self, value):
+        got = _count(value, "n")
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0), 2.0, True, "1", None])
+    def test_count_rejects_naming_the_argument(self, value):
+        with pytest.raises(ValidationError) as got:
+            _count(value, "n")
+        assert str(got.value) == f"n must be a positive integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [0.1, 2, 1e-300, np.float32(0.1), np.int64(3)])
+    def test_positive_returns_a_python_float(self, value):
+        got = _positive(value, "x")
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("value", [0, -1.0, 0.0, math.nan, math.inf, np.float32(-1),
+                                       True, "1", None])
+    def test_positive_rejects_naming_the_argument(self, value):
+        with pytest.raises(ValidationError) as got:
+            _positive(value, "x")
+        assert str(got.value) == f"x must be a positive finite real number, got {value!r}"
+
+    def test_rule_phrase_replaces_the_default(self):
+        with pytest.raises(ValidationError, match=r"^m must be None or a positive integer, got 0$"):
+            _count(0, "m", "None or a positive integer")
+        with pytest.raises(ValidationError, match=r"^g must be positive finite real numbers, got -1$"):
+            _positive(-1, "g", "positive finite real numbers")
 
 
 class TestSdoParams:

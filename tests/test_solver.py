@@ -252,6 +252,12 @@ class TestFit:
         opts = sp.SolverOptions(lr=np.float32(0.25), grad_tol=np.int64(0))
         assert opts.lr == np.float32(0.25) and opts.grad_tol == 0
 
+    def test_settings_are_stored_as_python_numbers(self):
+        opts = sp.SolverOptions(lr=np.float32(0.25), n_iters=np.int32(7), grad_tol=np.int64(0))
+        assert (type(opts.lr), type(opts.n_iters), type(opts.grad_tol)) == (float, int, float)
+        assert opts == sp.SolverOptions(lr=0.25, n_iters=7, grad_tol=0.0)
+        json.dumps(dataclasses.asdict(opts))
+
     def test_numpy_integer_seed_and_iteration_count_accepted(self):
         K = _psd_gram(6, seed=12)
         want = sp.fit(K, sp.SolverOptions(n_iters=7, grad_tol=0.0), seed=3)

@@ -304,7 +304,8 @@ def _run_ad_cells(args, datasets) -> list:
     Returns one list of reports per dataset, in --methods order.  Cells run
     serially; parallel work is one process per dataset or method.
     """
-    methods = AD_METHODS if args.methods == "all" else _parse_list(args.methods, "--methods", str)
+    methods = (AD_METHODS if args.methods == "all"
+               else _parse_list(args.methods, "--methods", str.strip))
     for m in methods:
         if m not in AD_METHODS:
             raise _UsageError(f"unknown method {m!r}; expected one of {AD_METHODS}")

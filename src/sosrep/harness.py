@@ -616,6 +616,9 @@ def negative_fraction_experiment(
     if not (_is_int(n_init) and n_init >= 5):
         raise ValidationError(
             f"n_init must be an integer of at least 5 for a worst-5 mean, got {n_init!r}")
+    a, sigma, T = _positive(a, "smoothness a"), _positive(sigma, "sigma"), _count(T, "T")
+    _check_key(seed)
+    opts = SolverOptions(lr=lr, n_iters=n_iters, grad_tol=0.0)
     X = ds.X
     if kernel == "sdo":
         params = SdoParams(a=a, d=ds.d, m=m)
@@ -634,8 +637,8 @@ def negative_fraction_experiment(
     init_fracs = np.mean(_matvecs(K, inits) < 0.0, axis=1)
     out: dict = {
         "config": {
-            "kernel": kernel, "a": a, "sigma": sigma, "T": T, "n_init": n_init,
-            "n_iters": n_iters, "lr": lr, "seed": seed,
+            "kernel": kernel, "a": a, "sigma": sigma, "T": T, "n_init": int(n_init),
+            "n_iters": opts.n_iters, "lr": opts.lr, "seed": int(seed),
         },
         "init": {
             "mean_fraction": float(init_fracs.mean()),
@@ -645,10 +648,9 @@ def negative_fraction_experiment(
     }
     for method in ("natural", "standard"):
         # One fit call per method advances all the starts as one batch.
-        opts = SolverOptions(method=method, lr=lr, n_iters=n_iters, grad_tol=0.0)
         fracs = np.empty(n_init)
         n_divergent = 0
-        for i, res in enumerate(fit(K, opts, alpha0=inits)):
+        for i, res in enumerate(fit(K, replace(opts, method=method), alpha0=inits)):
             if isinstance(res, NumericsError):
                 fracs[i] = 1.0
                 n_divergent += 1

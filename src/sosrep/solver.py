@@ -21,7 +21,10 @@ a batch of starts, which advance together in one loop under one numpy
 errstate.  SolverOptions holds the iteration's settings only (method, lr,
 n_iters, grad_tol); the start is an argument of `fit`.  Per start, a natural
 iteration makes one matrix-vector product (f = K alpha) and a standard
-iteration makes two (f and K f^(-1)).
+iteration makes two (f and K f^(-1)).  A start ends for one of three
+reasons, all met at one exit of the loop: its objective becomes non-finite
+(SolverDivergence), its gradient's sup-norm falls below grad_tol
+(converged), or its n_iters steps are done.
 
 Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
 `squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
@@ -219,91 +222,80 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions,
 
     Returns a FitBatch with one entry per start: its FitResult, or the
     SolverDivergence it raised.  Every start makes its own matrix-vector
-    products, so its entry does not depend on the other starts.  A start
-    iterates until n_iters steps are done or the chosen gradient's sup-norm
-    drops below grad_tol; a non-finite objective ends it with the iteration
-    index.  Near-zero (K alpha)_i have their inverses clamped to +-1e12 and
-    counted in clamp_warnings.  f0, when given, holds the starts' products
-    K @ alpha[j], which iteration 0 then takes instead of forming them.
+    products, so its entry does not depend on the other starts.  Iteration
+    `it` records the objective at alpha_it, then takes the gradient there
+    unless it is the last one (it == n_iters).  A start ends at the first
+    iteration where its objective is non-finite (SolverDivergence with that
+    iteration), its gradient's sup-norm is below grad_tol (a converged
+    FitResult at alpha_it, n_iters_run = it) or the budget is spent (a
+    FitResult at alpha_{n_iters}, whose grad_sup_norm is that of the last
+    gradient taken, at alpha_{n_iters - 1}).  Near-zero (K alpha)_i have
+    their inverses clamped to +-1e12 and counted in clamp_warnings.  f0,
+    when given, holds the starts' products K @ alpha[j], taken for
+    alpha_0 instead of forming them.
     """
     n = K.shape[1]
 
     # One errstate for all starts: log(0), overflow and inf - inf become a
     # non-finite objective, which ends that start with SolverDivergence.
     # Every array holds the running starts only (rows[i] is row i's start),
-    # so rows are gathered only in an iteration where some start ends.
-    # Iteration 0 checks the initial objective.  Each iteration computes |f|
-    # once; it feeds both the objective and the next clamp test, and
-    # sum()/n is bitwise np.mean.  np.count_nonzero tests a mask in a third
-    # of the time of .any(), which counts for one start on a small Gram.
+    # so rows are gathered only in an iteration where some start ends; one
+    # site builds the ended starts' entries and one tuple drops their rows.
+    # Each iteration computes |f| once; it feeds both the objective and the
+    # clamp test, and sum()/n is bitwise np.mean.  np.count_nonzero tests a
+    # mask in a third of the time of .any(), which counts for one start on a
+    # small Gram.
     natural = opts.method == "natural"
     lr, grad_tol = opts.lr, opts.grad_tol
     out = FitBatch([None] * alpha.shape[0])
     rows = np.arange(alpha.shape[0])
     history = np.empty((alpha.shape[0], opts.n_iters + 1))
     clamp_warnings = np.zeros(alpha.shape[0], dtype=int)
-    gnorm = np.full(alpha.shape[0], math.inf)
-
-    def finish(i, it, converged):
-        out[rows[i]] = FitResult(
-            alpha=alpha[i].copy(),
-            objective=float(history[i, it]),
-            grad_sup_norm=float(gnorm[i]),
-            n_iters_run=it,
-            converged=converged,
-            clamp_warnings=int(clamp_warnings[i]),
-            objective_history=history[i, : it + 1].copy(),
-        )
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = _matvecs(K, alpha) if f0 is None else f0
         for it in range(opts.n_iters + 1):
-            if it == 0:
-                f = _matvecs(K, alpha) if f0 is None else f0
-            else:
+            absf = np.abs(f)
+            obj = -2.0 * (np.log(absf).sum(axis=1) / n) + np.matmul(
+                alpha[:, None, :], f[:, :, None])[:, 0, 0]
+            history[:, it] = obj
+            last = it == opts.n_iters
+            if not last:
                 small = absf < _CLAMP_THRESHOLD
                 if np.count_nonzero(small):
                     inv, n_clamped = _clamped_inverse(f, small)
                     clamp_warnings += n_clamped
                 else:
                     inv = 1.0 / f
-                if natural:
-                    g = 2.0 * (alpha - inv / n)
-                else:
-                    g = 2.0 * (f - _matvecs(K, inv) / n)
+                g = 2.0 * (alpha - inv / n) if natural else 2.0 * (f - _matvecs(K, inv) / n)
                 gnorm = np.abs(g).max(axis=1)
-                ended = gnorm < grad_tol
-                if np.count_nonzero(ended):
-                    for i in np.flatnonzero(ended):
-                        finish(i, it - 1, True)
-                    if ended.all():
-                        return out
-                    keep = ~ended
-                    rows, alpha, g, gnorm, history, clamp_warnings = (
-                        rows[keep], alpha[keep], g[keep], gnorm[keep], history[keep],
-                        clamp_warnings[keep])
-                alpha = alpha - lr * g
-                f = _matvecs(K, alpha)
-            absf = np.abs(f)
-            obj = -2.0 * (np.log(absf).sum(axis=1) / n) + np.matmul(
-                alpha[:, None, :], f[:, :, None])[:, 0, 0]
-            ended = ~np.isfinite(obj)
+            # At the last iteration gnorm is the previous one's, which no
+            # running start has below grad_tol, so no start reads converged.
+            diverged = ~np.isfinite(obj)
+            converged = gnorm < grad_tol
+            ended = diverged | converged | last
             if np.count_nonzero(ended):
-                for j in rows[ended]:
-                    out[j] = SolverDivergence(
+                for i in np.flatnonzero(ended):
+                    out[rows[i]] = SolverDivergence(
                         f"objective became non-finite at iteration {it}" if it
                         else "objective non-finite at initialization",
                         iteration=it,
+                    ) if diverged[i] else FitResult(
+                        alpha=alpha[i].copy(),
+                        objective=float(history[i, it]),
+                        grad_sup_norm=float(gnorm[i]),
+                        n_iters_run=it,
+                        converged=bool(converged[i]),
+                        clamp_warnings=int(clamp_warnings[i]),
+                        objective_history=history[i, : it + 1].copy(),
                     )
                 if ended.all():
                     return out
                 keep = ~ended
-                rows, alpha, f, absf, obj, gnorm, history, clamp_warnings = (
-                    rows[keep], alpha[keep], f[keep], absf[keep], obj[keep], gnorm[keep],
-                    history[keep], clamp_warnings[keep])
-            history[:, it] = obj
-    for i in range(alpha.shape[0]):
-        finish(i, opts.n_iters, False)
-    return out
+                rows, alpha, g, gnorm, history, clamp_warnings = (
+                    rows[keep], alpha[keep], g[keep], gnorm[keep], history[keep],
+                    clamp_warnings[keep])
+            alpha = alpha - lr * g
+            f = _matvecs(K, alpha)
 
 
 def _add_jitter_in_place(K: np.ndarray) -> np.ndarray:

@@ -40,8 +40,10 @@ class BlockSpec:
     def __post_init__(self):
         _store(self, N=_count(self.N, "cluster size N"), M=_count(self.M, "cluster size M"))
         for name in ("gamma", "gamma_prime", "beta"):
-            if not _is_real(getattr(self, name)):
-                raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            _store(self, **{name: float(value)})
         if not (0.0 < self.gamma_prime <= self.gamma <= 1.0):
             raise ValidationError(
                 f"need 0 < gamma_prime <= gamma <= 1, got gamma={self.gamma}, "

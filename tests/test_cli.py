@@ -324,6 +324,17 @@ class TestTune:
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "usage"
 
+    def test_empty_evaluation_part_is_data_error(self, tmp_path, gaussian_csv, capsys):
+        eval_csv = tmp_path / "header_only.csv"
+        eval_csv.write_text("f0\n")
+        rc = main(["tune", "--data", gaussian_csv, "--eval-data", str(eval_csv), *TUNE_FLAGS,
+                   "--out", str(tmp_path / "sel.json")])
+        assert rc == 2
+        assert _only_stderr_error(capsys) == {
+            "kind": "data",
+            "message": "both the fit part and the evaluation part must be nonempty"}
+        assert not (tmp_path / "sel.json").exists()
+
 
 class TestTwoBlock:
     def test_reference_ratios(self, tmp_path):
@@ -451,13 +462,16 @@ class TestExperiment:
             "kind": "usage", "message": "--methods list 'kde_gaussian,kde_gaussian' repeats a value"}
 
     def test_trailing_comma_in_methods_is_accepted(self, tmp_path, mixture_csv):
-        outputs = []
-        for methods in ("kde_gaussian", "kde_gaussian,"):
-            out_p = tmp_path / f"ad{len(outputs)}.json"
-            assert main(["experiment", "--protocol", "ad", "--data", mixture_csv,
-                         "--methods", methods, *EXP_FLAGS, "--out", str(out_p)]) == 0
-            outputs.append(out_p.read_bytes())
-        assert outputs[0] == outputs[1]
+        # a trailing comma and spaces around an item read like the plain list
+        for variants in (("kde_gaussian", "kde_gaussian,"),
+                         ("kde_gaussian,kde_laplacian", " kde_gaussian, kde_laplacian ")):
+            outputs = []
+            for methods in variants:
+                out_p = tmp_path / f"ad{len(outputs)}.json"
+                assert main(["experiment", "--protocol", "ad", "--data", mixture_csv,
+                             "--methods", methods, *EXP_FLAGS, "--out", str(out_p)]) == 0
+                outputs.append(out_p.read_bytes())
+            assert outputs[0] == outputs[1]
 
     def test_unknown_method_in_duplicates_is_usage_error(self, tmp_path, mixture_csv,
                                                          capsys):
@@ -465,6 +479,32 @@ class TestExperiment:
                    "--methods", "svm", *EXP_FLAGS, "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert _stderr_error(capsys)["kind"] == "usage"
+
+    def test_ad_on_unlabeled_data_is_data_error(self, tmp_path, gaussian_csv, capsys):
+        rc = main(["experiment", "--protocol", "ad", "--data", gaussian_csv,
+                   "--methods", "kde_gaussian", *EXP_FLAGS, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "data" and "labels required" in error["message"]
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("kernel", sp.harness.BACKENDS)
+    @pytest.mark.parametrize("flags, message", [
+        (["--a", "-5"], "smoothness a must be a positive finite real number"),
+        (["--n-z", "0"], "T must be a positive integer"),
+        (["--sigma", "0"], "sigma must be a positive finite real number"),
+    ], ids=["a", "n-z", "sigma"])
+    def test_bad_negfrac_setting_is_validation_error(self, tmp_path, capsys, kernel, flags,
+                                                     message):
+        ds = make_two_clusters(n_per=10, seed=0)
+        data = _write_csv(tmp_path / "clusters.csv", ds.X)
+        out_p = tmp_path / "nf.json"
+        rc = main(["experiment", "--protocol", "negfrac", "--data", data, "--kernel", kernel,
+                   "--n-init", "5", "--n-iters", "10", *flags, "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and message in error["message"]
+        assert not out_p.exists()
 
 
 class TestSerialCells:
@@ -626,6 +666,20 @@ class TestAdConfigValidation:
         assert rc == 2
         error = _only_stderr_error(capsys)
         assert error["kind"] == "validation" and message in error["message"]
+        assert not out_p.exists()
+
+    @pytest.mark.parametrize("m", ["1.5", "two", ""])
+    @pytest.mark.parametrize("command", ["fit", "tune", "experiment"])
+    def test_non_integer_m_is_usage_error(self, tmp_path, mixture_csv, capsys, command, m):
+        argv = {"fit": ["fit", *FIT_FLAGS],
+                "tune": ["tune", *TUNE_FLAGS],
+                "experiment": ["experiment", "--protocol", "ad", "--methods", "sosrep_sdo",
+                               *EXP_FLAGS]}[command]
+        out_p = tmp_path / "x.json"
+        rc = main([*argv, "--data", mixture_csv, "--m", m, "--out", str(out_p)])
+        assert rc == 2
+        assert _only_stderr_error(capsys) == {
+            "kind": "usage", "message": f"--m must be an integer or 'auto', got {m!r}"}
         assert not out_p.exists()
 
 

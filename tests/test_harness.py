@@ -159,6 +159,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"rows with missing values: \[1\]"):
             sp.load_csv(str(p))
 
+    @pytest.mark.parametrize("text, label_column, match", [
+        ("", None, "empty file, expected a header row"),
+        ("\n\n", None, "empty file, expected a header row"),
+        ("label\n1\n0\n", None, "no feature columns"),
+        ("a,label\n1,0\n2,x\n", None, "line 3: could not parse label 'x'"),
+    ], ids=["empty", "blank-lines-only", "label-only", "unparsable-label"])
+    def test_unusable_file_rejected(self, tmp_path, text, label_column, match):
+        p = tmp_path / "unusable.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=re.escape(match)):
+            sp.load_csv(str(p), label_column=label_column)
+
 
 class TestSplit:
     def test_deterministic(self, mixture2d):
@@ -221,6 +233,19 @@ class TestSplit:
         with pytest.raises(ValidationError, match="train_frac must be a real number"):
             sp.split(mixture2d, seed=0, train_frac=train_frac)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, n):
+        with pytest.raises(ValidationError, match="need at least 2 rows to split"):
+            sp.split(sp.Dataset(X=np.zeros((n, 1)), y=np.zeros(n)), seed=0)
+
+    @pytest.mark.parametrize("train_frac, part", [(0.3, "train"), (0.7, "test")])
+    def test_lone_anomaly_warns_of_an_empty_stratum(self, train_frac, part):
+        # one anomaly in ten rows lands wholly in one part
+        ds = sp.Dataset(X=np.arange(10.0)[:, None], y=[1] + [0] * 9)
+        with pytest.warns(RuntimeWarning, match=f"stratum 1 has zero rows in the {part} part"):
+            train, test = sp.split(ds, seed=0, train_frac=train_frac)
+        assert (train if part == "test" else test).y.sum() == 1
+
 
 class TestStandardize:
     def test_train_becomes_zero_mean_unit_std(self, mixture2d):
@@ -245,6 +270,10 @@ class TestStandardize:
         np.testing.assert_array_equal(te.X[:, 0], np.zeros(2))
         assert stats["zero_variance_columns"] == [0]
 
+    def test_empty_train_set_rejected(self):
+        with pytest.raises(ValidationError, match="train set must be nonempty"):
+            sp.standardize(sp.Dataset(X=np.empty((0, 2))), sp.Dataset(X=np.zeros((3, 2))))
+
 
 class TestAucRoc:
     def test_perfect_separation(self):
@@ -265,6 +294,15 @@ class TestAucRoc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             sp.auc_roc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("scores, labels, match", [
+        ([0.1, 0.2, 0.3], [0, 1], "equal length"),
+        ([0.1, 0.2], [0, 2], "binary 0/1"),
+        ([0.1, 0.2], [0.5, 1], "binary 0/1"),
+    ])
+    def test_mismatched_or_nonbinary_labels_rejected(self, scores, labels, match):
+        with pytest.raises(DataError, match=match):
+            sp.auc_roc(scores, labels)
 
     def test_nan_score_rejected(self):
         with pytest.raises(NumericsError, match="NaN"):
@@ -425,6 +463,16 @@ class TestRunAd:
         [warning] = report.warnings
         assert warning.startswith("seed 0: NumericsError:") and "NaN" in warning
         json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_every_seed_failing_raises(self, mixture2d, monkeypatch):
+        def select_fails(method, train_X, Y_fd, seed, config):
+            raise NumericsError(f"no fit at seed {seed}")
+
+        monkeypatch.setattr(sp.harness, "select", select_fails)
+        with pytest.raises(NumericsError, match=re.escape(
+                "all seeds failed for method kde_gaussian: seed 0: NumericsError: no fit at "
+                "seed 0; seed 1: NumericsError: no fit at seed 1")):
+            sp.run_ad(mixture2d, "kde_gaussian", seeds=(0, 1), config=SMALL_AD_CONFIG)
 
     def test_failed_candidate_serializes_as_null(self):
         cand = np.geomspace(5.0, 0.05, 7)
@@ -705,6 +753,41 @@ class TestNegativeFraction:
         with pytest.raises(ValidationError, match=f"{field} must be a positive finite real"):
             sp.negative_fraction_experiment(two_clusters, T=64, n_init=5, n_iters=10, **kwargs)
 
+    @pytest.mark.parametrize("kernel", harness.BACKENDS)
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"a": -5.0}, "smoothness a must be a positive finite real number"),
+        ({"a": math.nan}, "smoothness a must be a positive finite real number"),
+        ({"sigma": 0.0}, "sigma must be a positive finite real number"),
+        ({"T": 0}, "T must be a positive integer"),
+        ({"seed": -1}, "seed and stream must lie in 0..2**64-1"),
+        ({"seed": 1.0}, "seed must be an integer"),
+    ], ids=["a-negative", "a-nan", "sigma-zero", "T-zero", "seed-negative", "seed-float"])
+    def test_settings_are_checked_whatever_the_kernel(self, two_clusters, kernel, kwargs,
+                                                      match):
+        cfg = {"T": 64, "n_init": 5, "n_iters": 10, "kernel": kernel, **kwargs}
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            sp.negative_fraction_experiment(two_clusters, **cfg)
+
+    @pytest.mark.parametrize("kernel", harness.BACKENDS)
+    def test_numpy_scalars_are_recorded_as_python_numbers(self, two_clusters, kernel):
+        numpy_cfg = dict(a=np.float32(0.5), T=np.int64(64), n_init=np.int64(5),
+                         n_iters=np.int64(10), lr=np.float32(0.1), seed=np.uint8(3),
+                         sigma=np.float32(0.7))
+        out = sp.negative_fraction_experiment(two_clusters, kernel=kernel, **numpy_cfg)
+        python_cfg = {k: v.item() for k, v in numpy_cfg.items()}
+        assert out == sp.negative_fraction_experiment(two_clusters, kernel=kernel, **python_cfg)
+        config = out["config"]
+        assert {k: type(config[k]) for k in numpy_cfg} == {
+            "a": float, "T": int, "n_init": int, "n_iters": int, "lr": float, "seed": int,
+            "sigma": float}
+        assert config["a"] == float(np.float32(0.5)) and config["T"] == 64
+        json.dumps(out)
+
+    def test_unknown_kernel_rejected(self, two_clusters):
+        with pytest.raises(ValidationError, match="unknown kernel 'cauchy'"):
+            sp.negative_fraction_experiment(two_clusters, T=64, n_init=5, n_iters=10,
+                                            kernel="cauchy")
+
     def test_gaussian_kernel_variant_runs(self, two_clusters):
         out = sp.negative_fraction_experiment(
             two_clusters, T=256, n_init=5, n_iters=30, lr=0.1, seed=0,
@@ -872,6 +955,10 @@ class TestRankAggregate:
     def test_incomplete_table_rejected(self):
         with pytest.raises(DataError):
             sp.rank_aggregate({"m1": {"ds1": 0.9, "ds2": 0.6}, "m2": {"ds1": 0.8}})
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(DataError, match="empty results table"):
+            sp.rank_aggregate({})
 
     def test_nan_cell_rejected(self):
         with pytest.raises(DataError, match="ds2"):

@@ -1,6 +1,7 @@
 """Tests for the sampled-frequency kernel: radial law, sampler, oracles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,11 @@ class TestRadialDensity:
 
     def test_r_zero_d1_is_one(self):
         assert sp.radial_density(0.0, sp.SdoParams(a=1.0, d=1)) == 1.0
+
+    @pytest.mark.parametrize("r", [-1e-300, [0.0, 1.0, -2.0]])
+    def test_negative_radius_rejected(self, r):
+        with pytest.raises(ValidationError, match="radius must be nonnegative"):
+            sp.radial_density(r, sp.SdoParams(a=1.0, d=2))
 
     def test_half_at_unit_radius(self):
         # a (2 pi)^2 r^2 = 1 at r=1 when a = 1/(2 pi)^2
@@ -201,6 +207,19 @@ class TestFrequencySample:
         with pytest.raises(ValidationError, match=match):
             sp.FrequencySample(Z=np.zeros((1, 1)), b=np.zeros(1), T=1, seed=seed,
                                base_params=sp.SdoParams(a=1.0, d=1, m=1))
+
+    @pytest.mark.parametrize("Z, b, match", [
+        (np.zeros((2, 1)), np.zeros(1), re.escape("Z must have shape (T, d) = (1, 1)")),
+        (np.zeros(1), np.zeros(1), re.escape("Z must have shape (T, d) = (1, 1)")),
+        (np.zeros((1, 1)), np.zeros(2), re.escape("b must have shape (1,)")),
+        (np.full((1, 1), np.inf), np.zeros(1), "frequency rows must be finite"),
+        (np.full((1, 1), np.nan), np.zeros(1), "frequency rows must be finite"),
+        (np.zeros((1, 1)), np.array([-0.1]), re.escape("phases must lie in [0, 2*pi)")),
+        (np.zeros((1, 1)), np.array([2.0 * np.pi]), re.escape("phases must lie in [0, 2*pi)")),
+    ])
+    def test_malformed_sample_rejected(self, Z, b, match):
+        with pytest.raises(ValidationError, match=match):
+            sp.FrequencySample(Z=Z, b=b, T=1, seed=0, base_params=sp.SdoParams(a=1.0, d=1, m=1))
 
 
 class TestSampleFrequencies:
@@ -478,6 +497,11 @@ class TestSphereArea:
         np.testing.assert_allclose(sp.sphere_area(1), 2.0)
         np.testing.assert_allclose(sp.sphere_area(2), 2.0 * np.pi)
         np.testing.assert_allclose(sp.sphere_area(3), 4.0 * np.pi)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_nonpositive_dimension_rejected(self, d):
+        with pytest.raises(ValidationError, match="dimension must be positive"):
+            sp.sphere_area(d)
 
 
 @settings(max_examples=20, deadline=None)

@@ -576,6 +576,11 @@ class TestFitBatch:
         with pytest.raises(ValidationError, match="K must be square"):
             sp.fit(np.ones((2, 3)), alpha0=np.ones((1, 3)))
 
+    @pytest.mark.parametrize("alpha0", [None, np.ones(0), np.ones((1, 0))])
+    def test_empty_gram_rejected(self, alpha0):
+        with pytest.raises(ValidationError, match="K must be at least 1x1"):
+            sp.fit(np.zeros((0, 0)), alpha0=alpha0)
+
 
 class TestRkhsNorm:
     def test_zero_alpha(self):

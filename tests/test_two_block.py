@@ -1,5 +1,6 @@
 """Tests for the two-cluster block oracle and its solver cross-check."""
 
+import json
 import math
 
 import numpy as np
@@ -43,6 +44,17 @@ class TestBlockSpec:
 
     def test_equal_correlations_allowed(self):
         sp.BlockSpec(N=2, M=2, gamma=0.5, gamma_prime=0.5, beta=0.3)
+
+    def test_numpy_reals_are_stored_as_python_floats(self):
+        spec = sp.BlockSpec(N=20, M=20, gamma=np.float32(0.8), gamma_prime=np.float16(0.2),
+                            beta=np.float64(0.5))
+        widened = sp.BlockSpec(N=20, M=20, gamma=float(np.float32(0.8)),
+                               gamma_prime=float(np.float16(0.2)), beta=0.5)
+        assert spec == widened
+        assert {type(v) for v in (spec.gamma, spec.gamma_prime, spec.beta)} == {float}
+        report = sp.verify_against_solver(spec)
+        assert report == sp.verify_against_solver(widened)
+        json.dumps(report)
 
 
 class TestBuildBlockKernel:

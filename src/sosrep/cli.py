@@ -362,6 +362,8 @@ def _experiment_consistency(args, _ds) -> dict:
         lr=args.lr, n_iters=args.n_iters, grad_tol=args.grad_tol,
     )
     return {
+        "config": {"T": args.n_z, "seed": args.seed, "n_reps": args.n_reps, "lr": args.lr,
+                   "n_iters": args.n_iters, "grad_tol": args.grad_tol},
         "density": {"center": density.center, "width": density.width},
         "grid": {"lo": args.grid_lo, "hi": args.grid_hi, "n": args.grid_n},
         "results": results,

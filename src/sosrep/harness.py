@@ -66,6 +66,7 @@ from .solver import (
     FittedModel,
     SolverOptions,
     _add_jitter_in_place,
+    _draw_init,
     _matvecs,
     fit,
     fit_model,
@@ -267,13 +268,8 @@ def split(ds: Dataset, seed: int, train_frac: float = AdConfig.train_frac):
         base = [int(math.floor(q)) for q in quotas]
         leftover = n_train - sum(base)
         order = sorted(classes, key=lambda c: (-(quotas[c] - base[c]), c))
-        k = 0
-        while leftover > 0:
-            c = order[k % len(order)]
-            if base[c] < len(shuffled[c]):
-                base[c] += 1
-                leftover -= 1
-            k += 1
+        for c in order[:leftover]:  # 0 <= leftover <= 2, and every class has room
+            base[c] += 1
         tr = np.concatenate([s[:b] for s, b in zip(shuffled, base)]).astype(int)
         te = np.concatenate([s[b:] for s, b in zip(shuffled, base)]).astype(int)
         for c in classes:
@@ -612,11 +608,15 @@ def negative_fraction_experiment(
     Runs n_init nonnegative initializations (shared between methods), reports
     the mean of the 5 worst final fractions per method plus the
     initialization-time fractions.  Divergent runs count as fraction 1.
+    Start i is the start law's draw from stream (seed, i + 1).  a, sigma, T,
+    seed and m (when given) are checked whatever the kernel, and the config
+    records them, m as None for the SDO default floor(d/2) + 1.
     """
     if not (_is_int(n_init) and n_init >= 5):
         raise ValidationError(
             f"n_init must be an integer of at least 5 for a worst-5 mean, got {n_init!r}")
     a, sigma, T = _positive(a, "smoothness a"), _positive(sigma, "sigma"), _count(T, "T")
+    m = None if m is None else _count(m, "derivative order m")
     _check_key(seed)
     opts = SolverOptions(lr=lr, n_iters=n_iters, grad_tol=0.0)
     X = ds.X
@@ -630,14 +630,13 @@ def negative_fraction_experiment(
         raise ValidationError(f"unknown kernel {kernel!r}")
     n = K.shape[0]
 
-    inits = np.array([np.abs(rng_from_seed(seed, i + 1).standard_normal(n))
-                      for i in range(n_init)])
+    inits = np.array([_draw_init(n, seed, i + 1) for i in range(n_init)])
 
     warn_list: list[str] = []
     init_fracs = np.mean(_matvecs(K, inits) < 0.0, axis=1)
     out: dict = {
         "config": {
-            "kernel": kernel, "a": a, "sigma": sigma, "T": T, "n_init": int(n_init),
+            "kernel": kernel, "a": a, "m": m, "sigma": sigma, "T": T, "n_init": int(n_init),
             "n_iters": opts.n_iters, "lr": opts.lr, "seed": int(seed),
         },
         "init": {

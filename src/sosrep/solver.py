@@ -18,13 +18,16 @@ alpha^T K alpha = 1.
 
 `fit` runs the iteration from one start, drawn from a seed or given, or from
 a batch of starts, which advance together in one loop under one numpy
-errstate.  SolverOptions holds the iteration's settings only (method, lr,
-n_iters, grad_tol); the start is an argument of `fit`.  Per start, a natural
-iteration makes one matrix-vector product (f = K alpha) and a standard
-iteration makes two (f and K f^(-1)).  A start ends for one of three
-reasons, all met at one exit of the loop: its objective becomes non-finite
-(SolverDivergence), its gradient's sup-norm falls below grad_tol
-(converged), or its n_iters steps are done.
+errstate.  A drawn start follows the one start law, alpha = |g| with g
+standard normal from the Philox stream (seed, stream) (`_draw_init`), and
+enters the loop as a given start does.  SolverOptions holds the iteration's
+settings only (method, lr, n_iters, grad_tol); the start is an argument of
+`fit`.  Per start, a natural iteration makes one matrix-vector product
+(f = K alpha) and a standard iteration makes two (f and K f^(-1)).  A start
+ends for one of three reasons, all met at one exit of the loop: its
+objective becomes non-finite (SolverDivergence; a zero (K alpha)_i at the
+start ends it at initialization, iteration 0), its gradient's sup-norm
+falls below grad_tol (converged), or its n_iters steps are done.
 
 Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
 `squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, SolverDivergence, ValidationError
+from .errors import SolverDivergence, ValidationError
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
@@ -64,7 +67,6 @@ _METHODS = ("natural", "standard")
 _CLAMP_THRESHOLD = 1e-12
 _CLAMP_VALUE = 1e12
 _JITTER_REL = 1e-10
-_MAX_INIT_REDRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -159,21 +161,13 @@ def _matvecs(K: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.matmul(K, A[:, :, None])[:, :, 0]
 
 
-def _draw_init(n: int, seed: int, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The seeded start alpha = |g|, redrawn while some (K alpha)_i is exactly zero.
+def _draw_init(n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """The start alpha = |g|, g standard normal from stream (seed, stream).
 
-    K @ alpha, which that check forms, is left in `out` when one is given.
+    The package's one start law: fit's seeded start is stream 0, and
+    harness.negative_fraction_experiment draws its start i from stream i + 1.
     """
-    rng = rng_from_seed(seed)
-    f = np.empty(n) if out is None else out
-    for _ in range(_MAX_INIT_REDRAWS):
-        alpha = np.abs(rng.standard_normal(n))
-        np.matmul(K, alpha, out=f)
-        if np.all(f != 0.0):
-            return alpha
-    raise NumericsError(
-        f"initialization produced an exactly zero (K alpha)_i in {_MAX_INIT_REDRAWS} redraws"
-    )
+    return np.abs(rng_from_seed(seed, stream).standard_normal(n))
 
 
 def _square_gram(K) -> np.ndarray:
@@ -190,34 +184,29 @@ def fit(K, opts: SolverOptions = SolverOptions(), *, seed: int = 0,
     """Minimize the objective by the chosen gradient iteration.
 
     With alpha0 None the start is alpha_i = |g_i| with g standard normal
-    under `seed`, redrawn up to 10 times if some (K alpha)_i is exactly zero.
-    A 1-D alpha0 of length N is the start; fit raises its SolverDivergence,
-    if any.  A B x N alpha0 is a batch of B starts, advanced together: fit
-    returns a FitBatch, where a start that diverged holds its
-    SolverDivergence instead of raising it, and each entry is bit for bit
-    what a lone fit from that start gives.
+    from stream (seed, 0), the one start law (`_draw_init`); a 1-D alpha0 of
+    length N is the start.  Either start enters the loop the same way, and
+    fit raises its SolverDivergence, if any: a zero (K alpha)_i at the start
+    ends it at initialization, with iteration 0.  A B x N alpha0 is a batch
+    of B starts, advanced together: fit returns a FitBatch, where a start
+    that diverged holds its SolverDivergence instead of raising it, and each
+    entry is bit for bit what a lone fit from that start gives.
     """
     K = _square_gram(K)
     n = K.shape[0]
-    f0 = None
-    if alpha0 is None:
-        f0 = np.empty((1, n))
-        alpha = _draw_init(n, seed, K, out=f0[0])
-    else:
-        alpha = np.asarray(alpha0, dtype=float)
-        if alpha.ndim == 2 and alpha.shape[0] >= 1 and alpha.shape[1] == n:
-            return _fit_starts(K, alpha, opts)
-        if alpha.shape != (n,):
-            raise ValidationError(
-                f"alpha0 must have shape ({n},) or (B, {n}) with B >= 1, got {alpha.shape}")
-    res = _fit_starts(K, alpha[None], opts, f0)[0]
+    alpha = _draw_init(n, seed) if alpha0 is None else np.asarray(alpha0, dtype=float)
+    if alpha.ndim == 2 and alpha.shape[0] >= 1 and alpha.shape[1] == n:
+        return _fit_starts(K, alpha, opts)
+    if alpha.shape != (n,):
+        raise ValidationError(
+            f"alpha0 must have shape ({n},) or (B, {n}) with B >= 1, got {alpha.shape}")
+    res = _fit_starts(K, alpha[None], opts)[0]
     if isinstance(res, SolverDivergence):
         raise res
     return res
 
 
-def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions,
-                f0: np.ndarray | None = None) -> FitBatch:
+def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBatch:
     """Run the gradient iteration from each row of the B x N start array alpha at once.
 
     Returns a FitBatch with one entry per start: its FitResult, or the
@@ -230,9 +219,7 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions,
     FitResult at alpha_it, n_iters_run = it) or the budget is spent (a
     FitResult at alpha_{n_iters}, whose grad_sup_norm is that of the last
     gradient taken, at alpha_{n_iters - 1}).  Near-zero (K alpha)_i have
-    their inverses clamped to +-1e12 and counted in clamp_warnings.  f0,
-    when given, holds the starts' products K @ alpha[j], taken for
-    alpha_0 instead of forming them.
+    their inverses clamped to +-1e12 and counted in clamp_warnings.
     """
     n = K.shape[1]
 
@@ -252,8 +239,8 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions,
     history = np.empty((alpha.shape[0], opts.n_iters + 1))
     clamp_warnings = np.zeros(alpha.shape[0], dtype=int)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = _matvecs(K, alpha) if f0 is None else f0
         for it in range(opts.n_iters + 1):
+            f = _matvecs(K, alpha)
             absf = np.abs(f)
             obj = -2.0 * (np.log(absf).sum(axis=1) / n) + np.matmul(
                 alpha[:, None, :], f[:, :, None])[:, 0, 0]
@@ -295,7 +282,6 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions,
                     rows[keep], alpha[keep], g[keep], gnorm[keep], history[keep],
                     clamp_warnings[keep])
             alpha = alpha - lr * g
-            f = _matvecs(K, alpha)
 
 
 def _add_jitter_in_place(K: np.ndarray) -> np.ndarray:
@@ -372,7 +358,6 @@ def fit_model(
 
     The one seed draws both the frequencies and the solver's start.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     fs = sample_frequencies(params, T, seed)
     Phi = feature_map(X, fs, exact_normalization)
     K = _add_jitter_in_place(_gram(Phi))

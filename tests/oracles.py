@@ -374,10 +374,10 @@ def _rounding_terms(k: ClosedFormKernel, X, Y):
     norm = k.sigma ** (-k.d)
     if k.family == "gaussian":
         # a value's size, with exp's absolute floor
-        dk = norm * np.exp(-(r**2) / (2.0 * k.sigma**2)) + norm * 2.0**-1074 / eps
+        dk = norm * np.exp(-(r**2) / (2.0 * k.sigma**2)) + norm * (2.0**-1074 / eps)
         value = dk * (1.0 + T**2 / k.sigma**2)
         return value, value * T / k.sigma**2
-    dk = norm * np.exp(-r / k.sigma) + norm * 2.0**-1074 / eps
+    dk = norm * np.exp(-r / k.sigma) + norm * (2.0**-1074 / eps)
     tol = 1e-4 * (np.max(xn, initial=0.0) ** 2 + np.max(yn, initial=0.0) ** 2)
     dr = r + T**2 / np.maximum(np.maximum(r, np.sqrt(tol)), np.finfo(float).tiny)
     r_pos = np.where(r > 0.0, r, np.inf)  # no gradient term at r = 0

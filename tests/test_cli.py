@@ -493,7 +493,8 @@ class TestExperiment:
         (["--a", "-5"], "smoothness a must be a positive finite real number"),
         (["--n-z", "0"], "T must be a positive integer"),
         (["--sigma", "0"], "sigma must be a positive finite real number"),
-    ], ids=["a", "n-z", "sigma"])
+        (["--m", "0"], "derivative order m must be a positive integer, got 0"),
+    ], ids=["a", "n-z", "sigma", "m"])
     def test_bad_negfrac_setting_is_validation_error(self, tmp_path, capsys, kernel, flags,
                                                      message):
         ds = make_two_clusters(n_per=10, seed=0)
@@ -505,6 +506,17 @@ class TestExperiment:
         error = _only_stderr_error(capsys)
         assert error["kind"] == "validation" and message in error["message"]
         assert not out_p.exists()
+
+    @pytest.mark.parametrize("kernel", sp.harness.BACKENDS)
+    def test_negfrac_records_m_whatever_the_kernel(self, tmp_path, kernel):
+        ds = make_two_clusters(n_per=10, seed=0)
+        data = _write_csv(tmp_path / "clusters.csv", ds.X)
+        out_p = tmp_path / "nf.json"
+        argv = ["experiment", "--protocol", "negfrac", "--data", data, "--kernel", kernel,
+                "--n-z", "64", "--n-init", "5", "--n-iters", "10", "--out", str(out_p)]
+        for m, recorded in (("auto", None), ("3", 3)):
+            assert main([*argv, "--m", m]) == 0
+            assert json.loads(out_p.read_text())["config"]["m"] == recorded
 
 
 class TestSerialCells:
@@ -576,6 +588,15 @@ class TestGradTol:
 
 
 class TestConsistencyInputs:
+    def test_report_records_its_settings(self, tmp_path):
+        out_p = tmp_path / "cons.json"
+        rc = main(["experiment", "--protocol", "consistency", "--sample-sizes", "20",
+                   "--n-reps", "2", "--n-z", "64", "--seed", "7", "--lr", "0.05",
+                   "--n-iters", "20", "--grad-tol", "1e-6", "--out", str(out_p)])
+        assert rc == 0
+        assert json.loads(out_p.read_text())["config"] == {
+            "T": 64, "seed": 7, "n_reps": 2, "lr": 0.05, "n_iters": 20, "grad_tol": 1e-6}
+
     @pytest.mark.parametrize("flags", [
         ["--sample-sizes", "0"],
         ["--sample-sizes", "20,0"],

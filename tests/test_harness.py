@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sosrep as sp
@@ -221,6 +221,27 @@ class TestSplit:
         train, test = sp.split(sp.Dataset(X=X, y=y), seed=seed)
         target = round(0.7 * n_anom)
         assert abs(train.y.sum() - target) <= 1
+
+    @given(n0=st.integers(0, 80), n1=st.integers(0, 80),
+           train_frac=st.one_of(
+               st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+               st.floats(min_value=2.0**-53, max_value=1.0 - 2.0**-53)))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:stratum")
+    def test_largest_remainder_allocation(self, n0, n1, train_frac):
+        # class c trains on floor(train_frac * n_c) rows, plus one for each of
+        # the first `leftover` classes by decreasing remainder, ties to class 0
+        assume(n0 + n1 >= 2)
+        y = np.array([0] * n0 + [1] * n1)
+        train, _ = sp.split(sp.Dataset(X=np.zeros((n0 + n1, 1)), y=y), seed=0,
+                            train_frac=train_frac)
+        quotas = [train_frac * n0, train_frac * n1]
+        base = [math.floor(q) for q in quotas]
+        leftover = round(train_frac * (n0 + n1)) - sum(base)
+        assert 0 <= leftover <= 2
+        by_remainder = sorted((0, 1), key=lambda c: (base[c] - quotas[c], c))
+        want = [base[c] + (c in by_remainder[:leftover]) for c in (0, 1)]
+        assert [int(np.sum(train.y == c)) for c in (0, 1)] == want
 
     def test_invalid_fraction_rejected(self, mixture2d):
         with pytest.raises(ValidationError):
@@ -761,7 +782,10 @@ class TestNegativeFraction:
         ({"T": 0}, "T must be a positive integer"),
         ({"seed": -1}, "seed and stream must lie in 0..2**64-1"),
         ({"seed": 1.0}, "seed must be an integer"),
-    ], ids=["a-negative", "a-nan", "sigma-zero", "T-zero", "seed-negative", "seed-float"])
+        ({"m": 0}, "derivative order m must be a positive integer, got 0"),
+        ({"m": 2.0}, "derivative order m must be a positive integer, got 2.0"),
+    ], ids=["a-negative", "a-nan", "sigma-zero", "T-zero", "seed-negative", "seed-float",
+            "m-zero", "m-float"])
     def test_settings_are_checked_whatever_the_kernel(self, two_clusters, kernel, kwargs,
                                                       match):
         cfg = {"T": 64, "n_init": 5, "n_iters": 10, "kernel": kernel, **kwargs}
@@ -782,6 +806,13 @@ class TestNegativeFraction:
             "sigma": float}
         assert config["a"] == float(np.float32(0.5)) and config["T"] == 64
         json.dumps(out)
+
+    @pytest.mark.parametrize("kernel", harness.BACKENDS)
+    def test_config_records_m(self, two_clusters, kernel):
+        cfg = dict(T=64, n_init=5, n_iters=10, kernel=kernel)
+        assert sp.negative_fraction_experiment(two_clusters, **cfg)["config"]["m"] is None
+        m = sp.negative_fraction_experiment(two_clusters, m=np.int64(3), **cfg)["config"]["m"]
+        assert m == 3 and type(m) is int
 
     def test_unknown_kernel_rejected(self, two_clusters):
         with pytest.raises(ValidationError, match="unknown kernel 'cauchy'"):

@@ -351,7 +351,7 @@ def _start(K, start):
     """The start vector fit runs from, given its seed= or alpha0= keywords."""
     if "alpha0" in start:
         return start["alpha0"]
-    return _draw_init(K.shape[0], start.get("seed", 0), K)
+    return _draw_init(K.shape[0], start.get("seed", 0))
 
 
 # (name, K, solver options plus the seed or alpha0 of the start, what the run must exercise)
@@ -433,6 +433,19 @@ class TestFitMatchesReference:
         else:
             assert got.value.iteration == 0
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_seeded_start_on_a_zero_row_ends_at_initialization(self, seed):
+        # (K alpha)_1 is zero for every start, so no draw can help: the
+        # seeded start ends at the loop's one exit, as the same given start does
+        K = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(SolverDivergence) as seeded:
+            sp.fit(K, seed=seed)
+        with pytest.raises(SolverDivergence) as given_start:
+            sp.fit(K, alpha0=_draw_init(3, seed))
+        assert str(seeded.value) == str(given_start.value) == (
+            "objective non-finite at initialization")
+        assert seeded.value.iteration == given_start.value.iteration == 0
+
 
 # One shared K = diag(1, 1, 1, 16).  At lr = 0.25 the standard step is
 # Newton's iteration on the first three coordinates (fixed point 0.5) and
@@ -496,7 +509,7 @@ class TestFitBatch:
     def test_dense_gram_batch_matches_reference_per_start(self, method, lr):
         K = _psd_gram(16, seed=32)
         A0 = np.vstack([np.abs(_mixed_sign_init(16, 40)), _mixed_sign_init(16, 33),
-                        _mixed_sign_init(16, 35), _draw_init(16, 5, K)])
+                        _mixed_sign_init(16, 35), _draw_init(16, 5)])
         opts = sp.SolverOptions(method=method, lr=lr, n_iters=200, grad_tol=0.0)
         for entry, start in zip(sp.fit(K, opts, alpha0=A0), A0):
             self._assert_same(entry, self._reference(K, start, opts))

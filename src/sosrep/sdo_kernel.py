@@ -341,8 +341,8 @@ def feature_phases(X, fs: FrequencySample, exact_normalization: bool = False):
     return U, scale
 
 
-def _cos_sin(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos U, sin U) from one tan pass; U is overwritten and returned as sin U.
+def _cos_sin(U: np.ndarray, sin: bool = True):
+    """(cos U, sin U), or cos U alone with sin=False, from one tan pass over U/2.
 
     With t = tan(U/2) and r = 1/(1 + t^2), the half-angle identities give
     cos U = 2r - 1 and sin U = 2tr.  numpy runs float64 tan in SIMD loops
@@ -350,27 +350,35 @@ def _cos_sin(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2-vCPU AVX-512 Xeon, tan over 192 x 2048 phases takes about 0.8 ms and
     cos plus sin about 17 ms.  Each output is within 4 eps of cos U or sin U
     (1.5 eps measured), which is no more than the |U| eps error the rounded
-    phase already carries once |U| >= 4.  Two U-sized arrays are alive, not
-    three.  Non-finite phases give NaN, as np.cos does.
+    phase already carries once |U| >= 4.  Non-finite phases give NaN, as
+    numpy's cos does.
+
+    U is overwritten: with sin=False it becomes cos U and nothing else is
+    allocated; otherwise it becomes sin U beside one new array for cos U.
+    Either way cos U has the same bits.  Every feature-space cosine of the
+    package (features, Grams, fits, f and grad f) is this one.
     """
     U *= 0.5
     np.tan(U, out=U)  # t
-    C = np.multiply(U, U)
+    C = np.multiply(U, U, out=None if sin else U)
     C += 1.0
     np.divide(2.0, C, out=C)  # 2r, exactly twice 1/(1 + t^2)
-    U *= C  # sin U = 2tr
+    if sin:
+        U *= C  # sin U = 2tr
     C -= 1.0  # cos U = 2r - 1
-    return C, U
+    return (C, U) if sin else C
 
 
 def feature_map(X, fs: FrequencySample, exact_normalization: bool = False) -> np.ndarray:
     """N x T cosine features Phi[i, t] = cos(<Z_t, x_i> + b_t) / sqrt(T).
 
     With exact_normalization the features carry sqrt(2W) so that Phi @ Phi.T
-    estimates the kernel itself instead of kernel/(2W).
+    estimates the kernel itself instead of kernel/(2W).  The cosines are
+    _cos_sin's half-angle ones, formed in the phase array: one N x T array
+    is alive, not two.
     """
     Phi, scale = feature_phases(X, fs, exact_normalization)
-    np.cos(Phi, out=Phi)  # in place: one N x T array alive, not two
+    _cos_sin(Phi, sin=False)
     Phi *= scale
     return Phi
 

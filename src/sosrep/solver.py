@@ -311,8 +311,9 @@ class FittedModel:
     squared: bool = True
 
     def f_values(self, Y) -> np.ndarray:
-        """f(y_j) = <w, phi(y_j)> for each query row."""
-        return feature_map(Y, self.fs, self.kernel_scale_flag) @ self.feature_weights
+        """f(y_j) = <w, phi(y_j)> for each query row: f_and_grad's f, bit for bit."""
+        U, scale = feature_phases(Y, self.fs, self.kernel_scale_flag)
+        return (_cos_sin(U, sin=False) @ self.feature_weights) * scale
 
     def density(self, Y) -> np.ndarray:
         """Density values: f(y_j)^2 when squared, else f(y_j)."""
@@ -323,8 +324,8 @@ class FittedModel:
         """(f values, gradient rows) of f at the query rows; both analytic.
 
         cos and sin of the phases come from sdo_kernel._cos_sin's one tan
-        pass, in place, so a call holds two N x T arrays; f_values keeps
-        feature_map's np.cos, which every Gram and fit shares.
+        pass, in place, so a call holds two N x T arrays.  f is formed as in
+        f_values, from the same cosines, so the two agree bit for bit.
         """
         U, scale = feature_phases(Y, self.fs, self.kernel_scale_flag)
         w = self.feature_weights

@@ -8,10 +8,11 @@ estimator, and the one-pair kernel value and the diagonal jitter on a copy
 check the matrix builders.  The plain closed-form KDE is the uniform-weight
 f of the closed-form path, which the KDE baseline's model must equal.  f
 and grad f from np.cos and np.sin hold the sampled model's half-angle
-evaluation to a rounding bound, as `assert_within_error_bounds` holds the
-closed-form f and grad f by matrix products, and
-`assert_matrix_within_error_bounds` the closed-form kernel matrix, to a
-rounding-error bound around the per-pair kernels and gradients.
+evaluation to a rounding bound, and np.cos features hold `feature_map`'s,
+as `assert_within_error_bounds` holds the closed-form f and grad f by
+matrix products, and `assert_matrix_within_error_bounds` the closed-form
+kernel matrix, to a rounding-error bound around the per-pair kernels and
+gradients.
 
 The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
 integral check the sampled kernel, the whole-array radial table checks the
@@ -21,20 +22,30 @@ loop over rows and probes, and the statistic that gathers its scores probe
 by probe, are the references for the sort-based numbering and the one-pass
 gather of `score_fd`, which must equal them bit for bit.  The quadrature
 needs scipy, a test dependency; the package itself needs numpy alone.
+
+The one-ulp gate judges a change that is not bit for bit: the parent's
+run_ad cells on an input and on one-ulp copies of it give the picks, AUCs
+and FD entries that rounding alone can produce (`ulp_spread`), and
+`ulp_gate` checks the change's cell against them.
 """
 
+import contextlib
 import math
 import warnings
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 from scipy import integrate
 
+from sosrep import sdo_kernel, solver
 from sosrep.baseline_kernels import (
     ClosedFormKernel,
     f_and_grad_closed_form,
     kernel_matrix_closed_form,
 )
 from sosrep.errors import NumericsError, ValidationError, VanishingDensity
+from sosrep.harness import Dataset, run_ad
 from sosrep.score_fd import (
     _DENSITY_FLOOR,
     _THREE_POINT_CORRECTION,
@@ -42,6 +53,7 @@ from sosrep.score_fd import (
     FdStat,
     _draw_probes,
     _test_rows,
+    selection_kind,
 )
 from sosrep.sdo_kernel import (
     _MAX_DOUBLINGS,
@@ -106,6 +118,31 @@ def add_jitter(K: np.ndarray) -> np.ndarray:
 def evaluate_density(model: FittedModel, Y) -> np.ndarray:
     """model.density(Y): (sum_i alpha_i k(x_i, y))^2, or the sum itself when unsquared."""
     return model.density(Y)
+
+
+def feature_map(X, fs, exact_normalization: bool = False) -> np.ndarray:
+    """Cosine features np.cos(U) * scale of the phases U; sdo_kernel.feature_map
+    gets its cosines from one tan pass instead (within 4 eps * scale)."""
+    U, scale = feature_phases(X, fs, exact_normalization)
+    return np.cos(U) * scale
+
+
+def cos_sin(U: np.ndarray, sin: bool = True):
+    """sdo_kernel._cos_sin from np.cos and np.sin, overwriting U as it does."""
+    if not sin:
+        return np.cos(U, out=U)
+    C = np.cos(U)
+    np.sin(U, out=U)
+    return C, U
+
+
+@contextlib.contextmanager
+def numpy_cosines():
+    """Within the block, every feature-space cosine of the package (features,
+    Grams, fits, f and grad f) is np.cos's, and every sine np.sin's."""
+    with mock.patch.object(sdo_kernel, "_cos_sin", cos_sin), \
+            mock.patch.object(solver, "_cos_sin", cos_sin):
+        yield
 
 
 def f_and_grad(model: FittedModel, Y):
@@ -437,3 +474,109 @@ def assert_within_error_bounds(k: ClosedFormKernel, X, Y, alpha, f, G, f_ref, G_
     assert f.shape == f_ref.shape and G.shape == G_ref.shape
     assert np.all(np.abs(f - f_ref) <= scale * (a * value).sum(axis=0))
     assert np.all(np.abs(G - G_ref) <= scale * (a * grad).sum(axis=0)[:, None])
+
+
+# ---------------------------------------------------------------------------
+# one-ulp gate: is a change that is not bit for bit within rounding?
+
+# An FD entry whose spread over the one-ulp copies is below this share of its
+# size is conditioned: rounding moves it by about its spread.  Larger
+# spreads mark entries at which the fit is one of many local minima.
+CONDITIONED_SPREAD = 1e-9
+# A conditioned entry may move by this many times its spread, plus 4 eps of
+# its size, so that an entry with no spread need not be bit for bit.
+SPREAD_FACTOR = 10.0
+
+
+def ulp_copies(X, k: int, seed: int = 0) -> list:
+    """k seeded one-ulp copies of X: each coordinate kept, or moved one ulp up
+    or down, uniformly; copy j draws its moves from rng_from_seed(seed, j)."""
+    X = np.asarray(X, dtype=float)
+    copies = []
+    for j in range(k):
+        step = rng_from_seed(seed, j).integers(-1, 2, size=X.shape)
+        moved = np.nextafter(X, np.where(step > 0, np.inf, -np.inf))
+        copies.append(np.where(step == 0, X, moved))
+    return copies
+
+
+def ad_cell(report, seed: int) -> dict:
+    """One seed of a run_ad report: its pick, selection kind, AUC and FD profile."""
+    profile = report.profiles[seed]
+    pick = report.chosen[seed]
+    return {"pick": pick, "kind": selection_kind(profile, pick), "auc": report.aucs[seed],
+            "fd": {e.a: e.fd for e in profile.entries}}
+
+
+@dataclass(frozen=True)
+class UlpSpread:
+    """One seed's results over an input and its one-ulp copies.
+
+    picks holds the (pick, kind) pairs the runs produce, auc the range of
+    their AUCs, fd each candidate's FD values over the runs that evaluated
+    it, and base the unperturbed run's ad_cell.
+    """
+
+    picks: frozenset
+    auc: tuple
+    fd: dict
+    base: dict
+    runs: int
+
+    def conditioned(self) -> dict:
+        """{a: (base value, spread)} of the entries every run evaluated, all
+        finite, with spread below CONDITIONED_SPREAD of their largest size."""
+        out = {}
+        for a, values in self.fd.items():
+            v = np.asarray(values)
+            if len(v) == self.runs and np.all(np.isfinite(v)):
+                spread = float(np.ptp(v))
+                if spread < CONDITIONED_SPREAD * np.max(np.abs(v)):
+                    out[a] = (self.base["fd"][a], spread)
+        return out
+
+
+def ulp_spread(ds: Dataset, method: str, seeds, config, k: int) -> dict:
+    """{seed: UlpSpread} of run_ad(ds, method, seeds, config) on ds and on
+    its k ulp_copies (seed 0)."""
+    datasets = [ds] + [Dataset(X=X, y=ds.y, name=ds.name) for X in ulp_copies(ds.X, k)]
+    cells = [[ad_cell(run_ad(d, method, seeds=seeds, config=config), s) for s in seeds]
+             for d in datasets]
+    out = {}
+    for i, seed in enumerate(seeds):
+        runs = [c[i] for c in cells]
+        fd: dict = {}
+        for r in runs:
+            for a, v in r["fd"].items():
+                fd.setdefault(a, []).append(v)
+        aucs = [r["auc"] for r in runs]
+        out[seed] = UlpSpread(picks=frozenset((r["pick"], r["kind"]) for r in runs),
+                              auc=(min(aucs), max(aucs)), fd=fd, base=runs[0],
+                              runs=len(runs))
+    return out
+
+
+def ulp_gate(spread: UlpSpread, cell: dict) -> list:
+    """Why `cell` (an ad_cell of the changed code) fails the one-ulp gate of
+    `spread`, one line per failure; an empty list when it passes.
+
+    It passes when its (pick, kind) is one the runs produced, its AUC lies in
+    their range, and each conditioned entry it evaluated lies within
+    SPREAD_FACTOR times that entry's spread, plus 4 eps of its size, of the
+    unperturbed run's value.
+    """
+    problems = []
+    if (cell["pick"], cell["kind"]) not in spread.picks:
+        problems.append(f"pick {cell['pick']:.6g} ({cell['kind']}) not among "
+                        f"{sorted(spread.picks)}")
+    lo, hi = spread.auc
+    if not lo <= cell["auc"] <= hi:
+        problems.append(f"AUC {cell['auc']!r} outside [{lo!r}, {hi!r}]")
+    eps = np.finfo(float).eps
+    for a, (base, width) in spread.conditioned().items():
+        if a in cell["fd"]:
+            bound = SPREAD_FACTOR * width + 4 * eps * abs(base)
+            if not abs(cell["fd"][a] - base) <= bound:
+                problems.append(f"FD at a={a:.6g}: {cell['fd'][a]!r} vs {base!r}, "
+                                f"bound {bound:.3g}")
+    return problems

@@ -12,7 +12,14 @@ from scipy.integrate import quad
 
 import sosrep as sp
 from sosrep.errors import ValidationError
-from sosrep.sdo_kernel import _cos_sin, _count, _positive, _radial_table, rng_from_seed
+from sosrep.sdo_kernel import (
+    _cos_sin,
+    _count,
+    _positive,
+    _radial_table,
+    feature_phases,
+    rng_from_seed,
+)
 
 import oracles
 
@@ -318,6 +325,51 @@ class TestFeatureMap:
         with pytest.raises(ValidationError):
             sp.feature_map(np.zeros((3, 3)), fs)
 
+    @staticmethod
+    def _phase_sample(T=4):
+        """T features whose phases are the data values: Z = 1, b = 0, d = 1."""
+        return sp.FrequencySample(Z=np.ones((T, 1)), b=np.zeros(T), T=T, seed=0,
+                                  base_params=sp.SdoParams(a=1.0, d=1, m=1))
+
+    @pytest.mark.parametrize("exact_normalization", [False, True])
+    def test_within_4_eps_of_numpy_cosines(self, exact_normalization):
+        # |U| up to 1e4 with both signs, and the neighbours of odd multiples
+        # of pi, where t = tan(U/2) is huge
+        rng = np.random.default_rng(3101)
+        odd = np.arange(1.0, 3183.0, 2.0) * np.pi  # odd k pi up to 1e4
+        U = np.concatenate([
+            rng.uniform(-1e4, 1e4, 20_000), 10.0 ** rng.uniform(-300.0, 4.0, 5_000),
+            [0.0, np.pi / 2, 1e4], odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf),
+            odd + 3 * np.spacing(odd), odd - 40 * np.spacing(odd),
+        ])
+        X = np.concatenate([U, -U])[:, None]
+        fs = self._phase_sample()
+        Phi = sp.feature_map(X, fs, exact_normalization)
+        ref = oracles.feature_map(X, fs, exact_normalization)
+        scale = feature_phases(X[:1], fs, exact_normalization)[1]
+        assert Phi.shape == ref.shape == (X.shape[0], fs.T)
+        assert np.max(np.abs(Phi - ref)) <= 4 * np.finfo(float).eps * scale
+
+    def test_non_finite_phases_give_nan(self):
+        X = np.array([[np.inf], [-np.inf], [np.nan]])
+        with np.errstate(invalid="ignore"):
+            Phi = sp.feature_map(X, self._phase_sample())
+            assert np.all(np.isnan(oracles.feature_map(X, self._phase_sample())))
+        assert np.all(np.isnan(Phi))
+
+    def test_peak_holds_one_phase_array(self):
+        # the phases become the features in place; two arrays read 2.0 n T 8 bytes
+        n, T = 700, 1024
+        X = np.random.default_rng(3102).normal(size=(n, 2))
+        fs = sp.sample_frequencies(sp.SdoParams(a=0.5, d=2), T, seed=5)
+        tracemalloc.start()
+        try:
+            sp.feature_map(X, fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * T * 8
+
 
 class TestCosSin:
     """sdo_kernel._cos_sin's half-angle identities against np.cos and np.sin."""
@@ -367,6 +419,13 @@ class TestCosSin:
         U = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
         C, S = _cos_sin(U)
         assert S is U and C.shape == U.shape and C is not U
+
+    def test_cos_alone_overwrites_the_phases_with_the_same_bits(self):
+        U = self._phases()
+        C, _ = _cos_sin(U.copy())
+        V = U.copy()
+        assert _cos_sin(V, sin=False) is V
+        assert np.array_equal(V, C)
 
 
 class TestKernelMatrix:

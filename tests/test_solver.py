@@ -665,8 +665,23 @@ class TestFittedModel:
         rng = np.random.default_rng(21)
         Y = rng.normal(size=(10, 2))
         f, _ = m.f_and_grad(Y)
-        np.testing.assert_allclose(f, m.f_values(Y), rtol=1e-12)
-        np.testing.assert_allclose(f * f, m.density(Y), rtol=1e-12)
+        assert np.array_equal(f, m.f_values(Y))
+        assert np.array_equal(f * f, m.density(Y))
+
+    @pytest.mark.parametrize("n", [1, 7, 192, 601])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_density_and_score_batch_read_one_f(self, n, squared):
+        # f_values and f_and_grad form f from the same cosines in the same
+        # order, so density and score_batch agree bit for bit
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(40, 2))
+        fs = sp.sample_frequencies(sp.SdoParams(a=1e-3, d=2), 333, seed=6)
+        m = (sp.fit_model(X, fs.base_params, T=333, seed=6, opts=sp.SolverOptions(n_iters=30))
+             if squared else SdoKdeModel(X, fs))
+        Y = rng.normal(size=(n, 2)) * 3.0
+        _, f = m.score_batch(Y)
+        assert np.array_equal(m.f_values(Y), f)
+        assert np.array_equal(m.density(Y), f * f if squared else f)
 
     @pytest.mark.parametrize("a, T, d, exact_normalization, spread", [
         (0.5, 256, 2, False, 1.0),

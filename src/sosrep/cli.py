@@ -51,7 +51,7 @@ from .harness import (
     select,
     split,
 )
-from .score_fd import _PROBES, profile_to_csv, selection_kind, write_atomic
+from .score_fd import _PROBES, profile_to_csv, write_atomic
 from .sdo_kernel import SdoParams
 from .solver import (
     _METHODS,
@@ -266,6 +266,8 @@ def cmd_tune(args) -> int:
         train_X, eval_X = train.X, test.X
     if train_X.shape[0] == 0 or eval_X.shape[0] == 0:
         raise DataError("both the fit part and the evaluation part must be nonempty")
+    if train_X.shape[1] != eval_X.shape[1]:
+        raise DataError(f"--eval-data has {eval_X.shape[1]} feature columns, --data has {ds.d}")
     a_star, profile, _model = select("sosrep_sdo", train_X, eval_X, args.seed, config)
     run_config = config.snapshot()
     if args.eval_data:
@@ -273,7 +275,7 @@ def cmd_tune(args) -> int:
     _write_json(args.out, {
         "kind": "tune_selection", "a_star": a_star, "n_evaluated": len(profile),
         "n_candidates": len(config.a_grid), "run_config": run_config,
-        "seed": args.seed, "selection": selection_kind(profile, a_star),
+        "seed": args.seed, "selection": profile.selection,
     })
     if args.profile_out:
         write_atomic(args.profile_out, profile_to_csv(profile))

@@ -44,7 +44,7 @@ from .baseline_kernels import (
     kernel_matrix_closed_form,
 )
 from .errors import DataError, NumericsError, SosrepError, ValidationError
-from .score_fd import FdOptions, FdProfile, _check_candidates, selection_kind, tune
+from .score_fd import FdOptions, FdProfile, _check_candidates, tune
 from .sdo_kernel import (
     FrequencySample,
     SdoParams,
@@ -414,7 +414,8 @@ class ExperimentReport:
     """One method's AD results, keyed by seed where they vary per seed.
 
     `standardization` maps each seed to its train-split z-score statistics
-    and `profiles` to the FdProfile that tune evaluated.
+    and `profiles` to the FdProfile that tune evaluated, whose selection
+    says how the seed's pick was made.
     """
 
     dataset: str
@@ -453,9 +454,7 @@ class ExperimentReport:
                 ]
                 for k, p in self.profiles.items()
             },
-            "selection": {
-                str(k): selection_kind(p, self.chosen[k]) for k, p in self.profiles.items()
-            },
+            "selection": {str(k): p.selection for k, p in self.profiles.items()},
         }
 
 

@@ -26,7 +26,11 @@ Hyperparameter selection follows a stable-local-minimum rule on the profile
 of FD values over a descending grid of smoothness candidates: the chosen
 point must lie strictly below its three neighbors on each side, ties broken
 toward the largest candidate, with a lazy sweep that stops as soon as such a
-point is certified.
+point is certified.  tune records how it picked where it decides it, as the
+profile's selection: "stable" for a certified center, and after a sweep
+with none the global minimum's "edge" (the first or last grid value) or
+"fallback" (any other).  A profile read back from CSV has selection None,
+as the CSV keeps its four columns.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
 _THREE_POINT_CORRECTION = 1.5  # probe covariance is (2/3) I
 _WINDOW = 3  # a stable minimum lies strictly below this many neighbors on each side
+_SELECTIONS = ("stable", "edge", "fallback")
+_PROFILE_COLUMNS = ("a", "fd", "retained_rows", "skipped_rows")
 
 
 @dataclass(frozen=True)
@@ -103,16 +109,24 @@ class FdEntry:
 class FdProfile:
     """FD statistics over a strictly descending grid of candidates.
 
-    Failed candidates are recorded with fd = +inf; NaN is rejected.
+    Failed candidates are recorded with fd = +inf; NaN, -inf and negative
+    row counts are rejected.  selection is how tune picked (one of
+    _SELECTIONS), None for a profile that tune did not return.
     """
 
     entries: tuple
+    selection: str | None = None
 
     def __post_init__(self):
         entries = tuple(self.entries)
         _check_grid([e.a for e in entries])
-        if any(math.isnan(e.fd) for e in entries):
-            raise ValidationError("fd values must not be NaN (use +inf for failures)")
+        if not all(-math.inf < e.fd <= math.inf for e in entries):
+            raise ValidationError("fd values must not be NaN or -inf (use +inf for failures)")
+        if any(min(e.retained_rows, e.skipped_rows) < 0 for e in entries):
+            raise ValidationError("row counts must not be negative")
+        if self.selection not in (None, *_SELECTIONS):
+            raise ValidationError(f"selection must be one of {_SELECTIONS} or None, "
+                                  f"got {self.selection!r}")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self):
@@ -291,20 +305,6 @@ def stable_minimum(profile: FdProfile):
     return None
 
 
-def selection_kind(profile: FdProfile, a_star: float) -> str:
-    """How tune arrived at a_star on its profile.
-
-    "stable" when a_star is the profile's stable minimum, "edge" when the
-    global-minimum fallback landed on the first or last grid value, and
-    "fallback" for any other global-minimum pick.
-    """
-    if stable_minimum(profile) == a_star:
-        return "stable"
-    if a_star in (profile.entries[0].a, profile.entries[-1].a):
-        return "edge"
-    return "fallback"
-
-
 def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
     """Select a smoothness value by the stable-minimum rule, lazily.
 
@@ -318,7 +318,9 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
     returned (ties toward the larger candidate).  The sweep draws one probe
     plan and every candidate's statistic uses it.
 
-    Returns (a_star, profile of all evaluated candidates).
+    Returns (a_star, profile of all evaluated candidates), the profile's
+    selection saying how a_star was picked: "stable", or for the global
+    minimum "edge" at either end of the grid and "fallback" elsewhere.
     """
     cand = [float(a) for a in _check_candidates(candidate_as)]
     Y_test = _test_rows(Y_test)
@@ -326,29 +328,26 @@ def tune(candidate_as, fit_fn, Y_test, opts: FdOptions = FdOptions()):
 
     def evaluate(a: float) -> FdEntry:
         try:
-            model = fit_fn(a)
-            stat = fd_statistic(model, Y_test, opts, plan)
-            fd = stat.value
-            if math.isnan(fd):
-                fd = math.inf
-            return FdEntry(a=a, fd=fd, retained_rows=stat.retained_rows,
-                           skipped_rows=stat.skipped_rows)
+            stat = fd_statistic(fit_fn(a), Y_test, opts, plan)
         except (NumericsError, SolverDivergence, FloatingPointError):
-            return FdEntry(a=a, fd=math.inf, retained_rows=0,
-                           skipped_rows=Y_test.shape[0])
+            return FdEntry(a=a, fd=math.inf, retained_rows=0, skipped_rows=Y_test.shape[0])
+        fd = stat.value if math.isfinite(stat.value) else math.inf
+        return FdEntry(a=a, fd=fd, retained_rows=stat.retained_rows,
+                       skipped_rows=stat.skipped_rows)
 
     entries: list[FdEntry] = []
     for j, a in enumerate(cand):
         entries.append(evaluate(a))
         center = j - _WINDOW
         if center >= _WINDOW and _is_stable_center(np.array([e.fd for e in entries]), center):
-            return cand[center], FdProfile(entries=tuple(entries))
+            return cand[center], FdProfile(entries=tuple(entries), selection="stable")
 
-    profile = FdProfile(entries=tuple(entries))
-    fd = profile.fd_values()
+    fd = np.array([e.fd for e in entries])
     if not np.any(np.isfinite(fd)):
         raise AllCandidatesFailed("every candidate recorded a non-finite FD statistic")
-    return cand[int(np.argmin(fd))], profile
+    pick = int(np.argmin(fd))
+    kind = "edge" if pick in (0, len(cand) - 1) else "fallback"
+    return cand[pick], FdProfile(entries=tuple(entries), selection=kind)
 
 
 def write_atomic(path, text: str) -> None:
@@ -368,13 +367,14 @@ def write_atomic(path, text: str) -> None:
 
 
 def profile_to_csv(profile: FdProfile) -> str:
-    """The profile as CSV text (a, fd, retained_rows, skipped_rows).
+    """The profile as CSV text, headed by _PROFILE_COLUMNS.
 
     Floats carry 17 significant digits; failed candidates appear as "inf".
+    The selection is not written.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "fd", "retained_rows", "skipped_rows"])
+    writer.writerow(_PROFILE_COLUMNS)
     for e in profile.entries:
         writer.writerow([f"{e.a:.17g}", f"{e.fd:.17g}", e.retained_rows, e.skipped_rows])
     return buf.getvalue()
@@ -383,7 +383,7 @@ def profile_to_csv(profile: FdProfile) -> str:
 def profile_from_csv(text: str) -> FdProfile:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header != ["a", "fd", "retained_rows", "skipped_rows"]:
+    if header != list(_PROFILE_COLUMNS):
         raise ValidationError(f"unexpected profile header: {header}")
     entries = []
     for row in reader:

@@ -20,8 +20,11 @@ sampler's chunked one bit for bit, and the one-point Hutchinson estimate
 checks the batched Fisher-divergence statistic.  The probe numbering as a
 loop over rows and probes, and the statistic that gathers its scores probe
 by probe, are the references for the sort-based numbering and the one-pass
-gather of `score_fd`, which must equal them bit for bit.  The quadrature
-needs scipy, a test dependency; the package itself needs numpy alone.
+gather of `score_fd`, which must equal them bit for bit.  The
+stable-minimum rule run on a whole profile, and the selection kind worked
+out again from a profile and its pick, check the kind that `tune` records
+as it sweeps.  The quadrature needs scipy, a test dependency; the package
+itself needs numpy alone.
 
 The one-ulp gate judges a change that is not bit for bit: the parent's
 run_ad cells on an input and on one-ulp copies of it give the picks, AUCs
@@ -53,7 +56,7 @@ from sosrep.score_fd import (
     FdStat,
     _draw_probes,
     _test_rows,
-    selection_kind,
+    stable_minimum,
 )
 from sosrep.sdo_kernel import (
     _MAX_DOUBLINGS,
@@ -476,6 +479,28 @@ def assert_within_error_bounds(k: ClosedFormKernel, X, Y, alpha, f, G, f_ref, G_
     assert np.all(np.abs(G - G_ref) <= scale * (a * grad).sum(axis=0)[:, None])
 
 
+def fd_pick(profile) -> float:
+    """The stable-minimum rule on a whole profile: its stable minimum, else
+    its global minimum, ties toward the larger candidate."""
+    stable = stable_minimum(profile)
+    if stable is not None:
+        return stable
+    return profile.entries[int(np.argmin(profile.fd_values()))].a
+
+
+def selection_kind(profile, a_star: float) -> str:
+    """How a_star was picked on profile, worked out again from the profile.
+
+    "stable" when a_star is the profile's stable minimum, "edge" when it is
+    the first or last grid value, and "fallback" for any other pick.
+    """
+    if stable_minimum(profile) == a_star:
+        return "stable"
+    if a_star in (profile.entries[0].a, profile.entries[-1].a):
+        return "edge"
+    return "fallback"
+
+
 # ---------------------------------------------------------------------------
 # one-ulp gate: is a change that is not bit for bit within rounding?
 
@@ -504,7 +529,7 @@ def ad_cell(report, seed: int) -> dict:
     """One seed of a run_ad report: its pick, selection kind, AUC and FD profile."""
     profile = report.profiles[seed]
     pick = report.chosen[seed]
-    return {"pick": pick, "kind": selection_kind(profile, pick), "auc": report.aucs[seed],
+    return {"pick": pick, "kind": profile.selection, "auc": report.aucs[seed],
             "fd": {e.a: e.fd for e in profile.entries}}
 
 

@@ -11,7 +11,7 @@ import pytest
 import sosrep as sp
 from sosrep.cli import _PROTOCOLS, _parse_grid, _parse_list, _UsageError, build_parser, main
 from sosrep.harness import _MAX_DUPLICATES, SdoKdeModel
-from sosrep.score_fd import profile_from_csv, selection_kind
+from sosrep.score_fd import profile_from_csv
 
 import oracles
 from conftest import make_mixture2d, make_two_clusters, philox
@@ -239,13 +239,9 @@ class TestTune:
         profile = profile_from_csv(prof_p.read_text())
         assert len(profile) == sel["n_evaluated"] <= sel["n_candidates"] == 9
         # the emitted selection must re-derive from the emitted profile
-        stable = sp.stable_minimum(profile)
-        if stable is None:
-            fd = profile.fd_values()
-            stable = profile.a_values()[int(np.argmin(fd))]
-        assert sel["a_star"] == stable
+        assert sel["a_star"] == oracles.fd_pick(profile)
         assert sel["a_star"] in profile.a_values()
-        assert sel["selection"] == selection_kind(profile, sel["a_star"])
+        assert sel["selection"] == oracles.selection_kind(profile, sel["a_star"])
 
     @pytest.mark.parametrize("grid, kind", [
         ("log:1e-4:1e2:9", "stable"),
@@ -258,7 +254,7 @@ class TestTune:
                      "--out", str(sel_p), "--profile-out", str(prof_p)]) == 0
         sel = json.loads(sel_p.read_text())
         profile = profile_from_csv(prof_p.read_text())
-        assert sel["selection"] == kind == selection_kind(profile, sel["a_star"])
+        assert sel["selection"] == kind == oracles.selection_kind(profile, sel["a_star"])
 
     def test_rerun_same_seed_identical(self, tmp_path, gaussian_csv):
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
@@ -290,6 +286,23 @@ class TestTune:
                      *TUNE_FLAGS, "--out", str(sel_p)]) == 0
         run_config = json.loads(sel_p.read_text())["run_config"]
         assert "train_frac" in run_config and run_config["train_frac"] is None
+
+    def test_eval_data_of_another_width_is_a_data_error_before_any_fit(
+            self, tmp_path, capsys, monkeypatch):
+        data = _write_csv(tmp_path / "data.csv", philox(0, 11).standard_normal((60, 2)))
+        eval_csv = _write_csv(tmp_path / "eval.csv", philox(1, 11).standard_normal((30, 3)))
+        fits = []
+        real_fit_model = sp.harness.fit_model
+        monkeypatch.setattr(sp.harness, "fit_model",
+                            lambda *a, **k: fits.append(a) or real_fit_model(*a, **k))
+        rc = main(["tune", "--data", data, "--eval-data", eval_csv, *TUNE_FLAGS,
+                   "--out", str(tmp_path / "sel.json")])
+        assert rc == 2
+        err = _stderr_error(capsys)
+        assert err["kind"] == "data"
+        assert "3 feature columns" in err["message"] and "has 2" in err["message"]
+        assert fits == []
+        assert not (tmp_path / "sel.json").exists()
 
     @pytest.mark.parametrize("frac", ["0.3", "0.7"])
     def test_train_frac_with_eval_data_is_usage_error(self, tmp_path, gaussian_csv,

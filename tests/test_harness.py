@@ -466,6 +466,8 @@ class TestRunAd:
                 for e in entries
             ]
             assert out["selection"][str(seed)] in ("stable", "fallback", "edge")
+            assert out["selection"][str(seed)] == oracles.selection_kind(
+                report.profiles[seed], report.chosen[seed])
 
     def test_nan_scores_become_a_seed_warning(self, mixture2d, monkeypatch):
         real_select = sp.harness.select
@@ -501,7 +503,7 @@ class TestRunAd:
         profile = sp.FdProfile(entries=tuple(
             sp.FdEntry(a=float(a), fd=v, retained_rows=0 if math.isinf(v) else 10,
                        skipped_rows=10 if math.isinf(v) else 0)
-            for a, v in zip(cand, fds)))
+            for a, v in zip(cand, fds)), selection="stable")
         report = sp.ExperimentReport(
             dataset="d", method="kde_gaussian", seeds=(0,), aucs={0: 0.9}, mean_auc=0.9,
             config={}, chosen={0: float(cand[3])}, standardization={}, warnings=(),

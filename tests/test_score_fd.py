@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sosrep as sp
 from sosrep.errors import (
@@ -22,7 +24,6 @@ from sosrep.score_fd import (
     _probe_plan,
     profile_from_csv,
     profile_to_csv,
-    selection_kind,
     write_atomic,
 )
 from sosrep.sdo_kernel import rng_from_seed
@@ -512,6 +513,19 @@ class _LinearScoreModel:
         return -self.c * Y, np.ones(Y.shape[0])
 
 
+class _ConstantScoreModel:
+    """score_batch returns the score (s, s) with f = 1 at every row: the
+    Hutchinson trace is exactly 0 and the FD value exactly s^2 at a small
+    integer s."""
+
+    def __init__(self, s):
+        self.s = float(s)
+
+    def score_batch(self, Y):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        return np.full(Y.shape, self.s), np.ones(Y.shape[0])
+
+
 _FD_TEST_ROW = np.array([[1.0, 1.0]])
 
 
@@ -555,6 +569,12 @@ class TestStableMinimum:
             sp.FdProfile(entries=(FdEntry(a=2.0, fd=math.nan), FdEntry(a=1.0, fd=0.0)))
         with pytest.raises(ValidationError):  # nonpositive candidate
             sp.FdProfile(entries=(FdEntry(a=1.0, fd=0.0), FdEntry(a=-1.0, fd=0.0)))
+
+    @pytest.mark.parametrize("selection", ["Stable", 1])
+    def test_unknown_selection_rejected(self, selection):
+        _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
+        with pytest.raises(ValidationError, match="selection must be one of"):
+            sp.FdProfile(entries=profile.entries, selection=selection)
 
 
 class TestTune:
@@ -622,6 +642,20 @@ class TestTune:
         assert profile.entries[1].fd == math.inf
         assert a_star == cand[3]  # 3 < inf still qualifies as stable
 
+    def test_overflowing_statistic_recorded_as_inf(self):
+        # At two rows near 0 the statistic is about -2c per row.  At index 3
+        # each row's -1.5e308 is finite, but their mean overflows to -inf,
+        # which would otherwise pass as the stable minimum.
+        cand = list(np.geomspace(100.0, 0.001, 7))
+        table = dict(zip(cand, [1, 2, 3, 0.75e308, 3, 2, 1]))
+        with np.errstate(over="ignore"):
+            a_star, profile = sp.tune(cand, lambda a: _LinearScoreModel(table[a]),
+                                      np.full((2, 2), 1e-200),
+                                      sp.FdOptions(n_fd_iters=4, h=1e-3, seed=0))
+        assert profile.entries[3].fd == math.inf
+        assert np.isfinite(np.delete(profile.fd_values(), 3)).all()
+        assert (a_star, profile.selection) == (cand[2], "fallback")
+
     def test_all_failures_raise(self):
         cand = list(np.geomspace(100.0, 0.001, 7))
 
@@ -668,23 +702,51 @@ class TestSelectionKind:
     def test_stable_minimum(self):
         cand, a_star, profile = self._tune([7, 5, 4, 3, 4, 5, 6])
         assert a_star == cand[3]
-        assert selection_kind(profile, a_star) == "stable"
+        assert profile.selection == "stable"
 
     def test_fallback_on_the_last_grid_value_is_edge(self):
         cand, a_star, profile = self._tune([9, 8, 7, 6, 5, 4, 3])
         assert a_star == cand[-1]
-        assert selection_kind(profile, a_star) == "edge"
+        assert profile.selection == "edge"
 
     def test_fallback_on_the_first_grid_value_is_edge(self):
         cand, a_star, profile = self._tune([3, 4, 5, 6, 7, 8, 9])
         assert a_star == cand[0]
-        assert selection_kind(profile, a_star) == "edge"
+        assert profile.selection == "edge"
 
     def test_interior_fallback(self):
         # the global minimum at index 2 has only two neighbors on its left
         cand, a_star, profile = self._tune([9, 8, 2, 7, 6, 5, 4])
         assert a_star == cand[2]
-        assert selection_kind(profile, a_star) == "fallback"
+        assert profile.selection == "fallback"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(7, 13).flatmap(lambda n: st.lists(
+        st.one_of(st.none(), st.integers(0, 3)), min_size=n, max_size=n)))
+    def test_pick_and_kind_match_the_rule_on_the_whole_profile(self, squares):
+        # small integer scores, so FD values tie often and are exact; None fails
+        assume(any(s is not None for s in squares))
+        cand = [float(a) for a in np.geomspace(100.0, 0.001, len(squares))]
+        table = dict(zip(cand, squares))
+
+        def fit_fn(a):
+            if table[a] is None:
+                raise NumericsError("synthetic failure")
+            return _ConstantScoreModel(table[a])
+
+        a_star, profile = sp.tune(cand, fit_fn, _FD_TEST_ROW, sp.FdOptions(n_fd_iters=2))
+        full = sp.FdProfile(entries=tuple(
+            FdEntry(a=a, fd=math.inf if s is None else float(s * s)) for a, s in table.items()))
+        assert profile.fd_values().tolist() == full.fd_values()[:len(profile)].tolist()
+        pick = oracles.fd_pick(full)
+        assert (a_star, profile.selection) == (pick, oracles.selection_kind(full, pick))
+        assert profile.selection == oracles.selection_kind(profile, a_star)
+
+    def test_profile_from_csv_has_no_selection(self):
+        _, a_star, profile = self._tune([7, 5, 4, 3, 4, 5, 6])
+        back = profile_from_csv(profile_to_csv(profile))
+        assert back.selection is None
+        assert back == sp.FdProfile(entries=profile.entries)
 
 
 class TestProfileCsv:
@@ -704,6 +766,20 @@ class TestProfileCsv:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             profile_from_csv("x,y\n1,2\n")
+
+    def test_header_is_the_four_columns(self):
+        _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
+        assert profile_to_csv(profile).splitlines()[0] == "a,fd,retained_rows,skipped_rows"
+
+    @pytest.mark.parametrize("row, match", [
+        ("4,-inf,4,0", "-inf"),  # would pass as the stable minimum
+        ("4,3,-3,0", "row counts must not be negative"),
+        ("4,3,4,-1", "row counts must not be negative")])
+    def test_minus_infinity_or_negative_count_rejected(self, row, match):
+        rows = [f"{a},{v},4,0" for a, v in zip([7, 6, 5, 4, 3, 2, 1], [7, 5, 4, 3, 4, 5, 6])]
+        rows[3] = row
+        with pytest.raises(ValidationError, match=match):
+            profile_from_csv("a,fd,retained_rows,skipped_rows\n" + "\n".join(rows) + "\n")
 
     @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5", "x,2,3,4", "1,2,3.5,4"])
     def test_malformed_row_rejected_naming_its_line(self, row):

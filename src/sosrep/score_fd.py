@@ -51,7 +51,16 @@ from .errors import (
     ValidationError,
     VanishingDensity,
 )
-from .sdo_kernel import _as_list, _check_key, _count, _positive, _store, rng_from_seed
+from .sdo_kernel import (
+    _as_list,
+    _check_key,
+    _count,
+    _is_int,
+    _is_real,
+    _positive,
+    _store,
+    rng_from_seed,
+)
 
 _PROBES = ("rademacher", "paper_three_point")
 _DENSITY_FLOOR = 1e-12
@@ -109,8 +118,11 @@ class FdEntry:
 class FdProfile:
     """FD statistics over a strictly descending grid of candidates.
 
-    Failed candidates are recorded with fd = +inf; NaN, -inf and negative
-    row counts are rejected.  selection is how tune picked (one of
+    Failed candidates are recorded with fd = +inf.  An fd that is not a
+    real number (a bool included), NaN or -inf is rejected, and so is a row
+    count that is not a Python or numpy integer of at least 0 (_count's
+    rule, with 0 allowed), so every profile that profile_to_csv writes,
+    profile_from_csv reads back.  selection is how tune picked (one of
     _SELECTIONS), None for a profile that tune did not return.
     """
 
@@ -120,10 +132,13 @@ class FdProfile:
     def __post_init__(self):
         entries = tuple(self.entries)
         _check_grid([e.a for e in entries])
+        if not all(_is_real(e.fd) for e in entries):
+            raise ValidationError("fd values must be real numbers")
         if not all(-math.inf < e.fd <= math.inf for e in entries):
             raise ValidationError("fd values must not be NaN or -inf (use +inf for failures)")
-        if any(min(e.retained_rows, e.skipped_rows) < 0 for e in entries):
-            raise ValidationError("row counts must not be negative")
+        if not all(_is_int(n) and n >= 0 for e in entries
+                   for n in (e.retained_rows, e.skipped_rows)):
+            raise ValidationError("row counts must not be negative, and must be integers")
         if self.selection not in (None, *_SELECTIONS):
             raise ValidationError(f"selection must be one of {_SELECTIONS} or None, "
                                   f"got {self.selection!r}")

@@ -22,8 +22,11 @@ errstate.  A drawn start follows the one start law, alpha = |g| with g
 standard normal from the Philox stream (seed, stream) (`_draw_init`), and
 enters the loop as a given start does.  SolverOptions holds the iteration's
 settings only (method, lr, n_iters, grad_tol); the start is an argument of
-`fit`.  Per start, a natural iteration makes one matrix-vector product
-(f = K alpha) and a standard iteration makes two (f and K f^(-1)).  A start
+`fit`.  Each iteration forms the products of all running starts at once, as
+one matrix-matrix product (`_matvecs`): a natural iteration makes one
+(f = K alpha) and a standard iteration two (f and K f^(-1)).  With one start
+running numpy makes it a matrix-vector product, so a lone fit has the bits
+of K @ alpha; a batch's rows differ from those in the last bits.  A start
 ends for one of three reasons, all met at one exit of the loop: its
 objective becomes non-finite (SolverDivergence; a zero (K alpha)_i at the
 start ends it at initialization, iteration 0), its gradient's sup-norm
@@ -154,11 +157,16 @@ def _clamped_inverse(f: np.ndarray, small: np.ndarray):
 
 
 def _matvecs(K: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The rows K @ A[j]: one matrix-vector product per row, bitwise K @ A[j].
+    """The rows K @ A[j], all from one matrix-matrix product.
 
-    A single K @ A.T would be one matrix-matrix product, whose bits differ.
+    A @ K.T is K @ A.T transposed.  Written this way BLAS reads both sides
+    as they lie (K.T is a transpose flag, not a copy) and writes the result
+    C-contiguous, so each start's row is a contiguous vector for the loop's
+    row reductions.  With one row numpy runs it as a matrix-vector product,
+    so a lone start's row is bitwise K @ A[0]; the rows of a larger A differ
+    from their K @ A[j] in the last bits.
     """
-    return np.matmul(K, A[:, :, None])[:, :, 0]
+    return np.matmul(A, K.T)
 
 
 def _draw_init(n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -189,8 +197,12 @@ def fit(K, opts: SolverOptions = SolverOptions(), *, seed: int = 0,
     fit raises its SolverDivergence, if any: a zero (K alpha)_i at the start
     ends it at initialization, with iteration 0.  A B x N alpha0 is a batch
     of B starts, advanced together: fit returns a FitBatch, where a start
-    that diverged holds its SolverDivergence instead of raising it, and each
-    entry is bit for bit what a lone fit from that start gives.
+    that diverged holds its SolverDivergence instead of raising it.  Each
+    entry is what a lone fit from that start gives up to rounding: the batch
+    shares one matrix-matrix product per iteration, whose rows differ from
+    the lone fit's matrix-vector products in the last bits (not where the
+    products are exact, as on a diagonal K).  A one-row alpha0 is a lone
+    fit, bit for bit.
     """
     K = _square_gram(K)
     n = K.shape[0]
@@ -210,8 +222,10 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBat
     """Run the gradient iteration from each row of the B x N start array alpha at once.
 
     Returns a FitBatch with one entry per start: its FitResult, or the
-    SolverDivergence it raised.  Every start makes its own matrix-vector
-    products, so its entry does not depend on the other starts.  Iteration
+    SolverDivergence it raised.  The running starts share each product,
+    one matrix-matrix product (`_matvecs`) whose rows keep the B x N layout,
+    so a start's entry depends on which starts run beside it, in the last
+    bits only; one running start makes a matrix-vector product.  Iteration
     `it` records the objective at alpha_it, then takes the gradient there
     unless it is the last one (it == n_iters).  A start ends at the first
     iteration where its objective is non-finite (SolverDivergence with that

@@ -29,7 +29,11 @@ itself needs numpy alone.
 The one-ulp gate judges a change that is not bit for bit: the parent's
 run_ad cells on an input and on one-ulp copies of it give the picks, AUCs
 and FD entries that rounding alone can produce (`ulp_spread`), and
-`ulp_gate` checks the change's cell against them.
+`ulp_gate` checks the change's cell against them.  Batch fits share one
+matrix-matrix product per iteration; per_start_products swaps in one
+matrix-vector product per start, the lone fit's, and the negfrac gate
+judges the package's negative_fraction_experiment against that route on an
+input and its one-ulp copies (`negfrac_spread`, `negfrac_gate`).
 """
 
 import contextlib
@@ -41,14 +45,14 @@ from unittest import mock
 import numpy as np
 from scipy import integrate
 
-from sosrep import sdo_kernel, solver
+from sosrep import harness, sdo_kernel, solver
 from sosrep.baseline_kernels import (
     ClosedFormKernel,
     f_and_grad_closed_form,
     kernel_matrix_closed_form,
 )
 from sosrep.errors import NumericsError, ValidationError, VanishingDensity
-from sosrep.harness import Dataset, run_ad
+from sosrep.harness import Dataset, negative_fraction_experiment, run_ad
 from sosrep.score_fd import (
     _DENSITY_FLOOR,
     _THREE_POINT_CORRECTION,
@@ -597,11 +601,88 @@ def ulp_gate(spread: UlpSpread, cell: dict) -> list:
     lo, hi = spread.auc
     if not lo <= cell["auc"] <= hi:
         problems.append(f"AUC {cell['auc']!r} outside [{lo!r}, {hi!r}]")
-    eps = np.finfo(float).eps
     for a, (base, width) in spread.conditioned().items():
         if a in cell["fd"]:
-            bound = SPREAD_FACTOR * width + 4 * eps * abs(base)
+            bound = spread_bound(base, width)
             if not abs(cell["fd"][a] - base) <= bound:
                 problems.append(f"FD at a={a:.6g}: {cell['fd'][a]!r} vs {base!r}, "
                                 f"bound {bound:.3g}")
+    return problems
+
+
+def spread_bound(base, width):
+    """The gate's distance allowed from a parent value base whose one-ulp
+    spread is width: SPREAD_FACTOR * width + 4 eps * |base|, elementwise."""
+    return SPREAD_FACTOR * np.asarray(width) + 4 * np.finfo(float).eps * np.abs(base)
+
+
+def matvecs(K, A):
+    """solver._matvecs as one matrix-vector product per row of A: each row
+    bitwise K @ A[j], the product a lone fit makes."""
+    return np.matmul(K, np.ascontiguousarray(A)[:, :, None])[:, :, 0]
+
+
+@contextlib.contextmanager
+def per_start_products():
+    """Within the block, every batch product of the package (the batch fits
+    and negfrac's start fractions) is one matrix-vector product per start, so
+    each batch entry is bit for bit its lone fit."""
+    with mock.patch.object(solver, "_matvecs", matvecs), \
+            mock.patch.object(harness, "_matvecs", matvecs):
+        yield
+
+
+@dataclass(frozen=True)
+class NegfracSpread:
+    """negative_fraction_experiment with per-start products over an input and
+    its one-ulp copies: base is the unperturbed report, and
+    ranges[method][key] the (min, max) over the runs of that arm's
+    mean_fraction or worst5_mean."""
+
+    base: dict
+    ranges: dict
+    runs: int
+
+
+def negfrac_spread(ds: Dataset, cfg: dict, k: int) -> NegfracSpread:
+    """NegfracSpread of negative_fraction_experiment(ds, **cfg) with
+    per_start_products, on ds and on its k ulp_copies (seed 0)."""
+    datasets = [ds] + [Dataset(X=X, y=ds.y, name=ds.name) for X in ulp_copies(ds.X, k)]
+    with per_start_products():
+        reports = [negative_fraction_experiment(d, **cfg) for d in datasets]
+    ranges = {}
+    for method in ("natural", "standard"):
+        values = {key: [r["methods"][method][key] for r in reports]
+                  for key in ("mean_fraction", "worst5_mean")}
+        ranges[method] = {key: (min(v), max(v)) for key, v in values.items()}
+    return NegfracSpread(base=reports[0], ranges=ranges, runs=len(reports))
+
+
+def negfrac_gate(spread: NegfracSpread, report: dict) -> list:
+    """Why `report` (the package's negative_fraction_experiment on the
+    unperturbed input) fails the negfrac gate of `spread`, one line per
+    failure; an empty list when it passes.
+
+    It passes when the natural arm's fractions and n_divergent and the init
+    block equal the per-start run's, each standard-arm mean_fraction and
+    worst5_mean lies in the runs' range, and criterion 11's ordering holds:
+    the standard worst5_mean exceeds the natural one.
+    """
+    problems = []
+    base = spread.base
+    for key in ("fractions", "n_divergent"):
+        got, want = report["methods"]["natural"][key], base["methods"]["natural"][key]
+        if got != want:
+            problems.append(f"natural {key} {got!r} differ from {want!r}")
+    if report["init"] != base["init"]:
+        problems.append(f"init {report['init']!r} differs from {base['init']!r}")
+    for key, (lo, hi) in spread.ranges["standard"].items():
+        got = report["methods"]["standard"][key]
+        if not lo <= got <= hi:
+            problems.append(f"standard {key} {got!r} outside [{lo!r}, {hi!r}]")
+    natural = report["methods"]["natural"]["worst5_mean"]
+    standard = report["methods"]["standard"]["worst5_mean"]
+    if not standard > natural:
+        problems.append(f"standard worst5_mean {standard!r} does not exceed "
+                        f"natural {natural!r}")
     return problems

@@ -3,7 +3,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,8 @@ from sosrep.sdo_kernel import rng_from_seed
 
 import oracles
 from conftest import make_mixture2d, make_two_clusters, philox
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 CLOSED_FORM_METHODS = [m for m in sp.AD_METHODS if not m.endswith("_sdo")]
@@ -740,6 +747,18 @@ class TestNegativeFraction:
         cfg = dict(T=256, n_init=8, n_iters=n_iters, lr=lr, seed=4)
         out = sp.negative_fraction_experiment(two_clusters, a=1.0, **cfg)
         methods, warn_list, init_fracs = self._serial(two_clusters, **cfg)
+        if lr == 0.5:
+            # At lr = 0.5, the edge of the natural step's cone bound lr < 0.5,
+            # the natural arm is as rounding-chaotic as the standard one: its
+            # fractions move with the batch product's last bits, so they are
+            # judged by the range of the per-start route (bit for bit the
+            # serial fits) over one-ulp copies of X.
+            spread = oracles.negfrac_spread(two_clusters, dict(a=1.0, **cfg), 8)
+            assert spread.base["methods"]["natural"]["fractions"] == methods["natural"][0]
+            for key, (lo, hi) in spread.ranges["natural"].items():
+                assert lo <= out["methods"]["natural"][key] <= hi, key
+            assert out["methods"]["natural"]["n_divergent"] == methods["natural"][1]
+            methods = {"standard": methods["standard"]}
         for method, (fracs, n_divergent) in methods.items():
             assert out["methods"][method]["fractions"] == fracs
             assert out["methods"][method]["n_divergent"] == n_divergent
@@ -752,6 +771,32 @@ class TestNegativeFraction:
             assert 0 < len(warn_list) < 16
         else:
             assert warn_list == [] and any(f > 0.0 for f in methods["standard"][0])
+
+    def test_batch_is_the_same_at_one_and_two_blas_threads(self):
+        # Each batch iteration is one matrix-matrix product, 200 x 200 by 200 x
+        # 16, large enough for OpenBLAS to split it over two threads; the
+        # report, both arms on a dense SDO Gram, must not depend on the split.
+        code = textwrap.dedent("""
+            import json
+            import numpy as np
+            import sosrep as sp
+            rng = np.random.default_rng(0)
+            X = np.vstack([rng.normal([-2.0, 0.0], 0.5, size=(100, 2)),
+                           rng.normal([2.0, 0.0], 0.5, size=(100, 2))])
+            out = sp.negative_fraction_experiment(sp.Dataset(X=X), a=1.0, T=256, n_init=16,
+                                                  n_iters=200, lr=0.02, seed=3)
+            print(json.dumps(out, sort_keys=True))
+        """)
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            reports.append(json.loads(done.stdout))
+        assert reports[0] == reports[1]
+        assert reports[0]["methods"]["standard"]["mean_fraction"] > 0.0
 
     @pytest.mark.parametrize("T", [2.5, True])
     def test_non_integer_T_rejected(self, two_clusters, T):

@@ -1,5 +1,6 @@
 """Tests for scores, Hutchinson traces, the FD statistic, and tuning."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -780,6 +781,45 @@ class TestProfileCsv:
         rows[3] = row
         with pytest.raises(ValidationError, match=match):
             profile_from_csv("a,fd,retained_rows,skipped_rows\n" + "\n".join(rows) + "\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.floats(min_value=-1e308, allow_nan=False), st.just(math.inf),
+                  st.floats(min_value=-1e4, max_value=1e4, width=32)),
+        st.integers(0, 2**63 - 1), st.integers(0, 2**31 - 1), st.booleans()),
+        min_size=1, max_size=9),
+        a_exponents=st.lists(st.floats(-300.0, 300.0), min_size=9, max_size=9, unique=True))
+    def test_written_profile_reads_back_equal(self, rows, a_exponents):
+        a_values = sorted((10.0 ** e for e in a_exponents), reverse=True)
+        assume(len(set(a_values)) == len(a_values))
+        entries = tuple(
+            FdEntry(a=a, fd=np.float64(fd) if numpy_types else fd,
+                    retained_rows=np.int64(kept) if numpy_types else kept,
+                    skipped_rows=np.uint32(skipped) if numpy_types else skipped)
+            for a, (fd, kept, skipped, numpy_types) in zip(a_values, rows))
+        profile = sp.FdProfile(entries=entries, selection="stable")
+        assert profile_from_csv(profile_to_csv(profile)) == sp.FdProfile(entries=entries)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("retained_rows", 1.5, "must be integers"),
+        ("skipped_rows", 2.0, "must be integers"),
+        ("retained_rows", True, "must be integers"),
+        ("skipped_rows", np.float64(3.0), "must be integers"),
+        ("fd", True, "fd values must be real numbers"),
+        ("fd", "3", "fd values must be real numbers")])
+    def test_entry_that_would_not_read_back_rejected(self, field, value, match):
+        _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
+        entries = list(profile.entries)
+        entries[2] = dataclasses.replace(entries[2], **{field: value})
+        with pytest.raises(ValidationError, match=match):
+            sp.FdProfile(entries=tuple(entries))
+
+    def test_zero_and_numpy_integer_counts_accepted(self):
+        _, profile = _profile_fixture([7, 5, 4, 3, 4, 5, 6])
+        entries = tuple(dataclasses.replace(e, retained_rows=np.int64(0),
+                                            skipped_rows=np.intp(5))
+                        for e in profile.entries)
+        assert profile_from_csv(profile_to_csv(sp.FdProfile(entries=entries))).entries == entries
 
     @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5", "x,2,3,4", "1,2,3.5,4"])
     def test_malformed_row_rejected_naming_its_line(self, row):

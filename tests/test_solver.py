@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import sosrep as sp
 from sosrep.errors import NumericsError, SolverDivergence, ValidationError
 from sosrep.harness import SdoKdeModel
-from sosrep.solver import _draw_init
+from sosrep.solver import _draw_init, _matvecs
 
 import oracles
 
@@ -507,12 +507,30 @@ class TestFitBatch:
 
     @pytest.mark.parametrize("method,lr", [("natural", 0.05), ("standard", 0.02)])
     def test_dense_gram_batch_matches_reference_per_start(self, method, lr):
+        # A dense Gram's batch product is one gemm, whose rows differ from the
+        # lone fits' gemvs in the last bits.  With one gemv per start
+        # (oracles.per_start_products) each entry is the reference bit for
+        # bit; the package's entry keeps the reference's counts, and its alpha,
+        # gradient norm and objective history lie within the one-ulp gate's
+        # bound of the reference, from the spread of the reference on K and
+        # on 8 one-ulp copies of K.
         K = _psd_gram(16, seed=32)
         A0 = np.vstack([np.abs(_mixed_sign_init(16, 40)), _mixed_sign_init(16, 33),
                         _mixed_sign_init(16, 35), _draw_init(16, 5)])
         opts = sp.SolverOptions(method=method, lr=lr, n_iters=200, grad_tol=0.0)
-        for entry, start in zip(sp.fit(K, opts, alpha0=A0), A0):
-            self._assert_same(entry, self._reference(K, start, opts))
+        with oracles.per_start_products():
+            per_start = sp.fit(K, opts, alpha0=A0)
+        copies = oracles.ulp_copies(K, 8)
+        for entry, alone, start in zip(sp.fit(K, opts, alpha0=A0), per_start, A0):
+            ref = self._reference(K, start, opts)
+            self._assert_same(alone, ref)
+            runs = [ref] + [_fit_reference(Kc, opts, start) for Kc in copies]
+            assert ((entry.n_iters_run, entry.converged, entry.clamp_warnings)
+                    == (ref.n_iters_run, ref.converged, ref.clamp_warnings))
+            for name in ("alpha", "grad_sup_norm", "objective_history"):
+                got, want = getattr(entry, name), getattr(ref, name)
+                width = np.ptp([getattr(r, name) for r in runs], axis=0)
+                assert np.all(np.abs(got - want) <= oracles.spread_bound(want, width)), name
 
     def test_every_start_ending_early_ends_the_loop(self):
         opts = sp.SolverOptions(method="standard", lr=0.25, n_iters=250, grad_tol=1e-8)
@@ -539,6 +557,19 @@ class TestFitBatch:
         opts, start = _options_and_start(kwargs)
         (got,) = sp.fit(K, opts, alpha0=_start(K, start)[None])
         self._assert_same(got, sp.fit(K, opts, **start))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 200])
+    def test_one_start_product_is_the_lone_product(self, n):
+        # numpy runs a one-row batch product as a matrix-vector product, so a
+        # lone fit, and the last start left in a compacted batch, makes
+        # K @ alpha's bits; a larger batch's product comes out in rows
+        K = _psd_gram(n, seed=40 + n)
+        A = np.random.default_rng(n).standard_normal((5, n))
+        for a in A:
+            assert np.array_equal(_matvecs(K, a[None]), (K @ a)[None])
+        keep = np.array([False, False, True, False, False])
+        assert np.array_equal(_matvecs(K, A[keep]), (K @ A[2])[None])
+        assert _matvecs(K, A).flags.c_contiguous
 
     def test_fit_with_a_batch_of_starts_returns_the_batch(self):
         opts = sp.SolverOptions(method="standard", lr=0.25, n_iters=250, grad_tol=1e-8)

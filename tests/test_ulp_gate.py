@@ -1,17 +1,24 @@
-"""The one-ulp gate of tests/oracles.py, and the package judged by it.
+"""The one-ulp gates of tests/oracles.py, and the package judged by them.
 
 The half-angle feature map is not bit for bit np.cos's, and at small a the
 fits are sensitive to the last bits of their features.  The gate asks
 whether the package's results lie within what one-ulp copies of the input
 produce under np.cos features; these tests check the copies, the gate's
 verdicts, and the package on one small run_ad cell.
+
+A batch fit makes one matrix-matrix product per iteration, not one
+matrix-vector product per start, and the standard arm of
+negative_fraction_experiment is rounding-chaotic.  The negfrac gate asks
+whether the package's report lies within what one-ulp copies of X produce
+with per-start products; these tests check its verdicts and the package on
+one small criterion-11-like cell.
 """
 
 import numpy as np
 import pytest
 
 import sosrep as sp
-from conftest import make_mixture2d
+from conftest import make_mixture2d, make_two_clusters
 
 import oracles
 
@@ -75,3 +82,41 @@ def test_gate_flags_a_moved_pick_auc_or_entry(small_cell):
         dict(cell, fd={**cell["fd"], a: base + 11 * width + 1e-12 * abs(base)}),
     ]
     assert [len(oracles.ulp_gate(ref, c)) for c in moved] == [1, 1, 1, 1]
+
+
+NEGFRAC_CFG = dict(a=1.0, T=256, n_init=10, n_iters=400, lr=0.02, seed=0)
+
+
+@pytest.fixture(scope="module")
+def negfrac_cell():
+    """(one-ulp negfrac spread with per-start products, the package's report)
+    on the two-cluster data: N = 200, T = 256, 10 starts of 400 iterations."""
+    ds = make_two_clusters()
+    return (oracles.negfrac_spread(ds, NEGFRAC_CFG, K),
+            sp.negative_fraction_experiment(ds, **NEGFRAC_CFG))
+
+
+def test_package_negfrac_within_per_start_copies(negfrac_cell):
+    spread, report = negfrac_cell
+    assert spread.runs == K + 1
+    assert oracles.negfrac_gate(spread, report) == []
+
+
+def test_negfrac_gate_flags_each_rule(negfrac_cell):
+    spread, report = negfrac_cell
+
+    def moved(method, **fields):
+        arm = dict(report["methods"][method], **fields)
+        return dict(report, methods=dict(report["methods"], **{method: arm}))
+
+    natural = report["methods"]["natural"]
+    standard = spread.ranges["standard"]
+    cases = [
+        moved("natural", fractions=[0.5] + natural["fractions"][1:]),
+        moved("natural", n_divergent=natural["n_divergent"] + 1),
+        dict(report, init=dict(report["init"], worst5_mean=report["init"]["worst5_mean"] + 0.01)),
+        moved("standard", mean_fraction=standard["mean_fraction"][1] + 0.01),
+        moved("standard", worst5_mean=standard["worst5_mean"][0] - 0.01),
+        moved("natural", worst5_mean=report["methods"]["standard"]["worst5_mean"]),
+    ]
+    assert [len(oracles.negfrac_gate(spread, c)) for c in cases] == [1, 1, 1, 1, 1, 1]

@@ -70,7 +70,6 @@ from .solver import (
     fit_model,
     model_from_json,
     model_to_json,
-    rkhs_norm_sq,
 )
 from .two_block import (
     BlockSpec,
@@ -132,7 +131,6 @@ __all__ = [
     "profile_to_csv",
     "radial_density",
     "rank_aggregate",
-    "rkhs_norm_sq",
     "run_ad",
     "sample_frequencies",
     "score",

@@ -654,7 +654,7 @@ def negative_fraction_experiment(
                 n_divergent += 1
                 warn_list.append(f"{method} init {i}: {res}")
             else:
-                fracs[i] = float(np.mean(K @ res.alpha < 0.0))
+                fracs[i] = float(np.mean(res.f < 0.0))
         out["methods"][method] = {
             "worst5_mean": float(np.sort(fracs)[-5:].mean()),
             "mean_fraction": float(fracs.mean()),

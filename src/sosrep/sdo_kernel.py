@@ -22,7 +22,10 @@ Radii are always drawn from the a=1 law and rescaled by a^(-1/(2m)); with a
 shared seed this makes kernels at different smoothness values exact
 reparametrizations of one another.  The a=1 radial law is tabulated once per
 (m, d), its trapezoid CDF on 200 000 uniform nodes, and inverted by linear
-interpolation.  A sample is kept by reference, as (params, T, seed), since
+interpolation.  The table is built in one pass, on a support [0, r_max]
+worked out beforehand from the closed-form radial mass and the analytic
+tail bound; m is at most 193, where (2*pi)^(2m) is still finite in
+float64.  A sample is kept by reference, as (params, T, seed), since
 sample_frequencies redraws the same rows bit for bit.
 """
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +42,9 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 
 _TAIL_FRACTION = 1e-4
-_MAX_DOUBLINGS = 60
+# The largest derivative order m whose (2*pi)^(2m), the radial law's
+# constant, is finite in float64.
+_MAX_M = int(math.log(sys.float_info.max) / (2.0 * math.log(2.0 * math.pi)))
 # Nodes of the radial table: fine enough that linear inverse-CDF
 # interpolation contributes negligible bias to kernel estimates.
 _RADIAL_NODES = 200_000
@@ -103,10 +109,11 @@ def _check_key(seed, stream=0) -> None:
 class SdoParams:
     """Smoothness a, derivative order m, and dimension d of the SDO kernel.
 
-    m defaults to floor(d/2) + 1, the smallest integer with 2m > d.  a must be
-    a positive finite real number and d, m positive integers (Python or
-    numpy, never bool), else ValidationError naming the field; all three are
-    stored as Python numbers.
+    m defaults to floor(d/2) + 1, the smallest integer with 2m > d, and may
+    be at most 193, the largest m whose (2*pi)^(2m) is finite in float64.
+    a must be a positive finite real number and d, m positive integers
+    (Python or numpy, never bool), else ValidationError naming the field;
+    all three are stored as Python numbers.
     """
 
     a: float
@@ -119,6 +126,10 @@ class SdoParams:
         a = _positive(self.a, "smoothness a")
         if 2 * m <= d:
             raise ValidationError(f"need 2m > d for the kernel integral to converge (m={m}, d={d})")
+        if m > _MAX_M:
+            raise ValidationError(
+                f"derivative order m must be at most {_MAX_M}, where (2*pi)^(2m) is still "
+                f"finite in float64, got {m}")
         _store(self, a=a, d=d, m=m)
 
 
@@ -183,51 +194,67 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def _radial_mass(c: float, d: int, two_m: int, area: float = 1.0) -> float:
+    """area times the integral over r >= 0 of r^(d-1) / (1 + c r^(2m)) dr, in closed form.
+
+    The substitution u = c^(1/(2m)) r turns the integral into
+    c^(-d/(2m)) * pi / (2m sin(pi d / (2m))), finite as 2m > d.  The product
+    is formed left to right from area, so spectral_mass, which passes
+    area = sphere_area(d), keeps the rounding of one expression.
+    """
+    return area * c ** (-d / two_m) * math.pi / (two_m * math.sin(math.pi * d / two_m))
+
+
+def _radial_support(m: int, d: int) -> float:
+    """r_max of the a=1 radial table: the smallest power of two >= 1 at which
+    the tail bound r_max^(-p) / (c p) is at most 1e-4 of the radial mass.
+
+    Beyond r, zeta is at most r^(d-1-2m)/c with c = (2*pi)^(2m), so the tail
+    mass beyond r is at most r^(-p)/(c p) with p = 2m - d.  The mass is the
+    closed form `_radial_mass`, so the power of two is one ceil of a log2.
+    Where c p overflows the tail bound reads 0 and r_max is 1.
+    """
+    c = (2.0 * np.pi) ** (2 * m)
+    p = 2 * m - d  # tail decay exponent, positive by 2m > d
+    bound = c * p * (_TAIL_FRACTION * _radial_mass(c, d, 2 * m))
+    return 2.0 ** math.ceil(max(0.0, -math.log2(bound) / p))
+
+
 @lru_cache(maxsize=64)
 def _radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(r, cdf): uniform nodes on [0, r_max] and the a=1 radial law's trapezoid CDF.
 
-    r_max is doubled from 1 until the analytic bound on the tail mass beyond
-    r_max falls below 1e-4 of the total; the CDF is normalized to end at 1.
-    Both arrays are cached and read-only.
+    r_max is `_radial_support`'s, worked out before the one pass that builds
+    the table.  The CDF is normalized to end at 1; where the density
+    overflows on [0, r_max] (large d and m) its total is not a positive
+    finite number and NumericsError is raised.  Both arrays are cached and
+    read-only.
 
-    Each pass writes its trapezoid areas into one table-sized buffer, a
-    chunk of nodes at a time, and the last pass turns that buffer into the
-    CDF in place, so no table-sized temporary is alive beside the two
-    tables.  The chunks' nodes are np.linspace's bit for bit (arange times
-    step, plus 0.0, and r_max exactly at the end), and np.add.reduce over
-    the areas is np.trapezoid's pairwise sum: every stopping decision and
-    every entry is that of a build from whole np.linspace, np.trapezoid and
-    cumulative-trapezoid arrays.
+    The pass writes the trapezoid areas into the CDF's buffer, a chunk of
+    nodes at a time, and sums them in place, so no table-sized temporary is
+    alive beside the two tables.  The chunks' nodes are np.linspace's bit
+    for bit (arange times step, plus 0.0, and r_max exactly at the end):
+    every entry is that of a cumulative trapezoid over whole np.linspace
+    nodes.
     """
     params = SdoParams(a=1.0, d=d, m=m)
-    c = (2.0 * np.pi) ** (2 * m)
-    p = 2 * m - d  # tail decay exponent, positive by 2m > d
+    r_max = _radial_support(m, d)
     n = _RADIAL_NODES
+    step = r_max / (n - 1)
     cdf = np.empty(n)  # cdf[i], i >= 1: area of the trapezoid ending at node i
-    r_max = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        step = r_max / (n - 1)
-        for lo in range(1, n, _RADIAL_CHUNK):
-            hi = min(lo + _RADIAL_CHUNK, n)
-            r = np.arange(lo - 1, hi, dtype=float) * step + 0.0  # nodes lo-1 .. hi-1
-            if hi == n:
-                r[-1] = r_max
-            dens = radial_density(r, params)
-            cdf[lo:hi] = (r[1:] - r[:-1]) * (dens[1:] + dens[:-1]) / 2.0
-        total = float(np.add.reduce(cdf[1:]))
-        # zeta(r) <= r^(d-1-2m)/c for r >= r_max, integrated exactly
-        tail = r_max ** (-p) / (c * p)
-        if total > 0 and tail <= _TAIL_FRACTION * total:
-            break
-        r_max *= 2.0
-    else:
-        raise NumericsError(
-            "radial table tail mass did not drop below 1e-4 of the total "
-            f"within {_MAX_DOUBLINGS} doublings (m={m}, d={d})"
-        )
     cdf[0] = 0.0
+    for lo in range(1, n, _RADIAL_CHUNK):
+        hi = min(lo + _RADIAL_CHUNK, n)
+        r = np.arange(lo - 1, hi, dtype=float) * step + 0.0  # nodes lo-1 .. hi-1
+        if hi == n:
+            r[-1] = r_max
+        dens = radial_density(r, params)
+        cdf[lo:hi] = (r[1:] - r[:-1]) * (dens[1:] + dens[:-1]) / 2.0
     np.cumsum(cdf, out=cdf)
+    if not (cdf[-1] > 0.0 and math.isfinite(cdf[-1])):
+        raise NumericsError(
+            f"radial table total is {cdf[-1]} on [0, {r_max}]: the radial density "
+            f"overflows in float64 (m={m}, d={d})")
     cdf /= cdf[-1]
     cdf[-1] = 1.0
     r = np.linspace(0.0, r_max, n)
@@ -313,12 +340,12 @@ def spectral_mass(params: SdoParams) -> float:
     """Total mass W of the spectral weight w^a over R^d, in closed form.
 
     In polar coordinates W = S_(d-1) * integral of r^(d-1) / (1 + c r^(2m))
-    dr with c = a (2 pi)^(2m); the substitution u = c^(1/(2m)) r turns the
-    integral into c^(-d/(2m)) * pi / (2m sin(pi d / (2m))), finite as 2m > d.
+    dr with c = a (2 pi)^(2m): sphere_area(d) times the radial mass
+    `_radial_mass`.
     """
-    d, two_m = params.d, 2 * params.m
+    two_m = 2 * params.m
     c = params.a * (2.0 * math.pi) ** two_m
-    return sphere_area(d) * c ** (-d / two_m) * math.pi / (two_m * math.sin(math.pi * d / two_m))
+    return _radial_mass(c, params.d, two_m, sphere_area(params.d))
 
 
 def feature_phases(X, fs: FrequencySample, exact_normalization: bool = False):

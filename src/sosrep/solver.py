@@ -30,7 +30,10 @@ of K @ alpha; a batch's rows differ from those in the last bits.  A start
 ends for one of three reasons, all met at one exit of the loop: its
 objective becomes non-finite (SolverDivergence; a zero (K alpha)_i at the
 start ends it at initialization, iteration 0), its gradient's sup-norm
-falls below grad_tol (converged), or its n_iters steps are done.
+falls below grad_tol (converged), or its n_iters steps are done.  Its
+FitResult keeps f = K alpha, its row of the product formed at that exit,
+and the fit's summary (RKHS norm alpha . f, negative weights) reads off it
+with no further Gram product.
 
 Fitted models share one protocol, f = sum_i alpha_i k(x_i, .) plus a
 `squared` flag.  A kernel backend provides `f_values` and `f_and_grad`
@@ -93,7 +96,15 @@ class SolverOptions:
 
 @dataclass
 class FitResult:
+    """One start's fit: alpha and f = K alpha where it ended, with its diagnostics.
+
+    f is the start's row of the product the loop formed at its last
+    iteration: a lone fit's is K @ alpha bit for bit, a batch entry's
+    differs from it in the last bits.
+    """
+
     alpha: np.ndarray
+    f: np.ndarray
     objective: float
     grad_sup_norm: float
     n_iters_run: int
@@ -101,12 +112,13 @@ class FitResult:
     clamp_warnings: int
     objective_history: np.ndarray
 
-    def summary(self, K) -> dict:
-        """The fit's JSON summary on its Gram K: objective, RKHS norm and
-        convergence diagnostics."""
+    def summary(self) -> dict:
+        """The fit's JSON summary: objective, RKHS norm alpha^T K alpha =
+        alpha . f, the count of negative weights and convergence diagnostics."""
         return {
             "objective": self.objective,
-            "rkhs_norm_sq": rkhs_norm_sq(self.alpha, K),
+            "rkhs_norm_sq": float(self.alpha @ self.f),
+            "negative_weights": int(np.count_nonzero(self.alpha < 0.0)),
             "grad_sup_norm": self.grad_sup_norm,
             "n_iters_run": self.n_iters_run,
             "converged": self.converged,
@@ -134,12 +146,6 @@ class FitBatch(list):
     @property
     def clamp_warnings(self) -> int:
         return sum(r.clamp_warnings for r in self if isinstance(r, FitResult))
-
-
-def rkhs_norm_sq(alpha, K) -> float:
-    """alpha^T K alpha, the squared function norm of f = sum_i alpha_i k_{x_i}."""
-    alpha = np.asarray(alpha, dtype=float)
-    return float(alpha @ (np.asarray(K, dtype=float) @ alpha))
 
 
 def _clamped_inverse(f: np.ndarray, small: np.ndarray):
@@ -282,6 +288,7 @@ def _fit_starts(K: np.ndarray, alpha: np.ndarray, opts: SolverOptions) -> FitBat
                         iteration=it,
                     ) if diverged[i] else FitResult(
                         alpha=alpha[i].copy(),
+                        f=f[i].copy(),
                         objective=float(history[i, it]),
                         grad_sup_norm=float(gnorm[i]),
                         n_iters_run=it,
@@ -383,7 +390,7 @@ def fit_model(
         fs=fs,
         feature_weights=w,
         kernel_scale_flag=exact_normalization,
-        fit_info=res.summary(K),
+        fit_info=res.summary(),
     )
 
 

@@ -60,7 +60,6 @@ class TwoBlockSolution:
     a: float
     b: float
     ratio: float  # a^2 / b^2
-    rho: int  # sign of the positive root of the quadratic in t = a/b, always +1
     residual: float
 
 
@@ -104,11 +103,11 @@ def solve_two_block(H11: float, H12: float, H21: float, H22: float) -> TwoBlockS
 
         H22 t^2 + (H21 - H12) t - H11 = 0.
 
-    Its roots t_rho = ((H12 - H21) + rho * disc) / (2 H22), rho = +-1, have
-    the product -H11/H22 < 0, so exactly one is positive: rho = +1 always.
-    That root is taken in the form without cancellation, 2 H11 / (B + disc)
-    for B = H21 - H12 >= 0 and (disc - B) / (2 H22) otherwise; a and b then
-    follow from the two squares.
+    Its roots ((H12 - H21) +- disc) / (2 H22) have the product -H11/H22 < 0,
+    so exactly one is positive, the one with +disc.  That root is taken in
+    the form without cancellation, 2 H11 / (B + disc) for B = H21 - H12 >= 0
+    and (disc - B) / (2 H22) otherwise; a and b then follow from the two
+    squares.
     """
     H = (H11, H12, H21, H22)
     if any(not np.isfinite(h) for h in H) or H11 <= 0 or H22 <= 0 or H12 < 0 or H21 < 0:
@@ -118,8 +117,7 @@ def solve_two_block(H11: float, H12: float, H21: float, H22: float) -> TwoBlockS
     t = 2.0 * H11 / (B + disc) if B >= 0 else (disc - B) / (2.0 * H22)
     a = math.sqrt(H11 + H12 * t)
     b = math.sqrt(H22 + H21 / t)
-    return TwoBlockSolution(a=a, b=b, ratio=t * t, rho=1,
-                            residual=_system_residual(a, b, *H))
+    return TwoBlockSolution(a=a, b=b, ratio=t * t, residual=_system_residual(a, b, *H))
 
 
 def exact_system_coefficients(spec: BlockSpec):
@@ -161,10 +159,9 @@ def verify_against_solver(spec: BlockSpec, opts: SolverOptions = VERIFY_OPTIONS)
         raise ValidationError("solver verification is desk-scale: cluster sizes <= 200")
     K = build_block_kernel(spec)
     res = fit(K, opts)
-    f = K @ res.alpha
     n = spec.N
-    fa = float(np.mean(f[:n]))
-    fb = float(np.mean(f[n:]))
+    fa = float(np.mean(res.f[:n]))
+    fb = float(np.mean(res.f[n:]))
     spread_alpha = max(
         float(np.max(np.abs(res.alpha[:n] - np.mean(res.alpha[:n])))),
         float(np.max(np.abs(res.alpha[n:] - np.mean(res.alpha[n:])))),
@@ -181,7 +178,6 @@ def verify_against_solver(spec: BlockSpec, opts: SolverOptions = VERIFY_OPTIONS)
         "exact_system_solution": {
             "a": exact.a,
             "b": exact.b,
-            "rho": exact.rho,
             "residual": exact.residual,
         },
         "ratio_approx_system": approx_ratio,
@@ -189,7 +185,7 @@ def verify_against_solver(spec: BlockSpec, opts: SolverOptions = VERIFY_OPTIONS)
         "rel_dev_solver_vs_approx": abs(ratio_solver - approx_ratio) / approx_ratio,
         "finite_n_correction": exact.ratio - approx_ratio,
         "alpha_intra_cluster_spread": spread_alpha,
-        "solver": res.summary(K),
+        "solver": res.summary(),
     }
     if spec.N == spec.M:
         report["kde_ratio"] = kde_ratio(spec)

@@ -2,9 +2,10 @@
 
 The objective and its two gradients, written out one call at a time, are
 the paper's formulas that `solver.fit` runs in its loop; `test_solver.py`
-checks the loop against them bit for bit.  The analytic score-Jacobian
-trace (through the analytic Laplacian of f) checks the Hutchinson
-estimator, and the one-pair kernel value and the diagonal jitter on a copy
+checks the loop against them bit for bit, and the RKHS norm from its own
+product K @ alpha checks the one a fit's summary reads off its f.  The
+analytic score-Jacobian trace (through the analytic Laplacian of f) checks
+the Hutchinson estimator, and the one-pair kernel value and the diagonal jitter on a copy
 check the matrix builders.  The plain closed-form KDE is the uniform-weight
 f of the closed-form path, which the KDE baseline's model must equal.  f
 and grad f from np.cos and np.sin hold the sampled model's half-angle
@@ -15,8 +16,9 @@ kernel matrix, to a rounding-error bound around the per-pair kernels and
 gradients.
 
 The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
-integral check the sampled kernel, the whole-array radial table checks the
-sampler's chunked one bit for bit, and the one-point Hutchinson estimate
+integral check the sampled kernel, the whole-array radial table, whose
+support is found by doubling, checks the sampler's one-pass table and its
+closed-form support bit for bit, and the one-point Hutchinson estimate
 checks the batched Fisher-divergence statistic.  The probe numbering as a
 loop over rows and probes, and the statistic that gathers its scores probe
 by probe, are the references for the sort-based numbering and the one-pass
@@ -63,7 +65,6 @@ from sosrep.score_fd import (
     stable_minimum,
 )
 from sosrep.sdo_kernel import (
-    _MAX_DOUBLINGS,
     _RADIAL_NODES,
     _TAIL_FRACTION,
     SdoParams,
@@ -75,6 +76,8 @@ from sosrep.sdo_kernel import (
 from sosrep.solver import FittedModel, _add_jitter_in_place
 
 _ZERO_DENSITY_FLOOR = 1e-300
+# Passes of the doubling reference table before it gives up: r_max up to 2^59.
+_MAX_DOUBLINGS = 60
 
 
 def _check_nonzero(f: np.ndarray):
@@ -90,6 +93,13 @@ def objective(alpha, K) -> float:
     f = K @ alpha
     _check_nonzero(f)
     return float(-2.0 * np.mean(np.log(np.abs(f))) + alpha @ f)
+
+
+def rkhs_norm_sq(alpha, K) -> float:
+    """alpha^T K alpha, the squared function norm of f = sum_i alpha_i k_{x_i},
+    from its own product K @ alpha."""
+    alpha = np.asarray(alpha, dtype=float)
+    return float(alpha @ (np.asarray(K, dtype=float) @ alpha))
 
 
 def grad_standard(alpha, K) -> np.ndarray:
@@ -358,9 +368,10 @@ def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:
 def radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(r, cdf) of the a=1 radial law from whole-table arrays, one pass per r_max.
 
-    The doubling loop over np.linspace nodes, np.trapezoid totals and the
-    cumulative trapezoid of the whole density, which
-    `sdo_kernel._radial_table` must reproduce bit for bit.
+    r_max doubles from 1 until the analytic tail bound is at most 1e-4 of
+    the table's np.trapezoid total; the CDF is the cumulative trapezoid of
+    the whole density over np.linspace nodes.  `sdo_kernel._radial_table`,
+    which works out r_max before one pass, must reproduce it bit for bit.
     """
     params = SdoParams(a=1.0, d=d, m=m)
     c = (2.0 * np.pi) ** (2 * m)

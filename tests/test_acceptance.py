@@ -90,7 +90,7 @@ def test_criterion_03_fixed_point_properties_random_psd():
             res = sp.fit(K, sp.SolverOptions(n_iters=5000, grad_tol=1e-8),
                          seed=trial)
             assert res.converged, f"trial {trial} did not converge"
-            assert abs(sp.rkhs_norm_sq(res.alpha, K) - 1.0) <= 1e-4
+            assert abs(oracles.rkhs_norm_sq(res.alpha, K) - 1.0) <= 1e-4
             assert np.all(np.diff(res.objective_history) <= 1e-9)
 
 

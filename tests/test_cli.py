@@ -76,6 +76,29 @@ class TestFit:
         assert metrics["format_version"] == "1"
         assert metrics["run_config"]["n_z"] == 256
 
+    def test_summary_counts_negative_weights(self, tmp_path, gaussian_csv):
+        model_p, metrics_p = tmp_path / "model.json", tmp_path / "metrics.json"
+        assert main(["fit", "--data", gaussian_csv, *FIT_FLAGS,
+                     "--out", str(model_p), "--metrics", str(metrics_p)]) == 0
+        alpha = json.loads(model_p.read_text())["alpha"]
+        for record in (json.loads(metrics_p.read_text()),
+                       json.loads(model_p.read_text())["fit_info"]):
+            assert record["negative_weights"] == sum(v < 0 for v in alpha)
+            assert type(record["negative_weights"]) is int
+
+    @pytest.mark.parametrize("command", ["fit", "negfrac"])
+    def test_overflowing_derivative_order_is_validation_error(self, tmp_path, gaussian_csv,
+                                                              capsys, command):
+        # (2 pi)^(2m) overflows float64 from m = 194 on
+        argv = (["fit", *FIT_FLAGS] if command == "fit"
+                else ["experiment", "--protocol", "negfrac", "--n-init", "5"])
+        out_p = tmp_path / "x.json"
+        rc = main([*argv, "--data", gaussian_csv, "--m", "194", "--out", str(out_p)])
+        assert rc == 2
+        error = _only_stderr_error(capsys)
+        assert error["kind"] == "validation" and "derivative order m" in error["message"]
+        assert not out_p.exists()
+
     def test_refit_is_byte_identical(self, tmp_path, gaussian_csv):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         argv = ["fit", "--data", gaussian_csv, *FIT_FLAGS]
@@ -360,6 +383,8 @@ class TestTwoBlock:
         np.testing.assert_allclose(report["kde_ratio"], 6.0, rtol=1e-12)
         np.testing.assert_allclose(report["ratio_closed_form"], 16.0, rtol=1e-9)
         assert report["solver"]["converged"]
+        assert report["solver"]["negative_weights"] == 0
+        assert "rho" not in report["exact_system_solution"]
         assert report["run_config"]["N"] == 60
 
     def test_equal_correlations_give_unit_ratios(self, tmp_path):
@@ -689,7 +714,8 @@ class TestAdConfigValidation:
         (["--n-z", "0"], "T must be a positive integer"),
         (["--m", "0"], "derivative order m"),
         (["--m", "1"], "2m > d"),
-    ], ids=["n-z-0", "m-0", "m-1-on-2d"])
+        (["--m", "194"], "derivative order m must be at most 193"),
+    ], ids=["n-z-0", "m-0", "m-1-on-2d", "m-194"])
     @pytest.mark.parametrize("command", ["experiment", "tune"])
     def test_bad_kernel_size_is_validation_error(self, tmp_path, mixture_csv, capsys,
                                                  command, flags, message):

@@ -772,6 +772,39 @@ class TestNegativeFraction:
         else:
             assert warn_list == [] and any(f > 0.0 for f in methods["standard"][0])
 
+    @staticmethod
+    def _ci_rows():
+        """The 60 rows of the numpy-only CI job's ad.csv."""
+        rng = np.random.default_rng(0)
+        return sp.Dataset(X=np.vstack([rng.normal(size=(54, 2)),
+                                       rng.uniform(-6, 6, size=(6, 2))]))
+
+    @pytest.mark.parametrize("config", ["criterion-11", "ci-sdo", "ci-laplacian"])
+    def test_fractions_are_the_signs_of_k_alpha(self, monkeypatch, config):
+        # The fractions read each start's f, its row of the loop's last batch
+        # product; on criterion 11's config and CI's two negfrac configs they
+        # equal the fractions of per-start K @ alpha < 0.
+        if config == "criterion-11":
+            ds = make_two_clusters(n_per=100, seed=0)
+            cfg = dict(a=1.0, T=2048, n_init=50, n_iters=1000, lr=0.02, seed=0)
+        elif config == "ci-sdo":
+            ds, cfg = self._ci_rows(), dict(T=64, n_iters=30, n_init=6, m=2)
+        else:
+            ds, cfg = self._ci_rows(), dict(kernel="laplacian", sigma=0.5, n_init=8, m=3)
+        fits = []
+
+        def recording_fit(K, opts, **kwargs):
+            fits.append((K, sp.fit(K, opts, **kwargs)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        out = sp.negative_fraction_experiment(ds, **cfg)
+        assert len(fits) == 2
+        for method, (K, batch) in zip(("natural", "standard"), fits):
+            want = [1.0 if isinstance(res, NumericsError) else float(np.mean(K @ res.alpha < 0.0))
+                    for res in batch]
+            assert out["methods"][method]["fractions"] == want, method
+
     def test_batch_is_the_same_at_one_and_two_blas_threads(self):
         # Each batch iteration is one matrix-matrix product, 200 x 200 by 200 x
         # 16, large enough for OpenBLAS to split it over two threads; the

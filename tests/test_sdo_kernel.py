@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import sosrep as sp
-from sosrep.errors import ValidationError
+from sosrep.errors import NumericsError, ValidationError
 from sosrep.sdo_kernel import (
+    _MAX_M,
     _cos_sin,
     _count,
     _positive,
+    _radial_mass,
+    _radial_support,
     _radial_table,
     feature_phases,
     rng_from_seed,
@@ -84,6 +87,18 @@ class TestSdoParams:
     def test_rejects_non_numeric_or_bool_fields(self, kwargs, field):
         with pytest.raises(ValidationError, match=field):
             sp.SdoParams(**kwargs)
+
+    def test_largest_m_is_the_last_finite_radial_constant(self):
+        # (2 pi)^(2m) is finite in float64 up to m = 193 and overflows from 194
+        params = sp.SdoParams(a=1.0, d=1, m=193)
+        assert math.isfinite((2.0 * math.pi) ** (2 * params.m))
+        with pytest.raises(OverflowError):
+            (2.0 * math.pi) ** (2 * 194)
+        assert math.isfinite(sp.spectral_mass(params))
+        assert sp.radial_density(1.0, params) > 0.0
+        for d in (1, 385):
+            with pytest.raises(ValidationError, match="derivative order m must be at most 193"):
+                sp.SdoParams(a=1.0, d=d, m=194)
 
     def test_accepts_python_and_numpy_numbers(self):
         p = sp.SdoParams(a=np.float32(0.5), d=np.int64(3), m=np.uint8(2))
@@ -158,6 +173,39 @@ class TestRadialGrid:
         r, cdf = _radial_table.__wrapped__(m, d)
         r_ref, cdf_ref = oracles.radial_table(m, d)
         assert np.array_equal(r, r_ref) and np.array_equal(cdf, cdf_ref)
+
+    def test_support_is_the_least_power_of_two_meeting_the_tail_rule(self):
+        # every (m, d) that SdoParams accepts: the one ceil of a log2 is the
+        # smallest power of two whose tail bound, as a float, is at most
+        # 1e-4 of the radial mass
+        for m in range(1, _MAX_M + 1):
+            c = (2.0 * np.pi) ** (2 * m)
+            for d in range(1, 2 * m):
+                p = 2 * m - d
+                threshold = 1e-4 * _radial_mass(c, d, 2 * m)
+                r_max = _radial_support(m, d)
+                assert r_max ** (-p) / (c * p) <= threshold, (m, d)
+                assert r_max == 1.0 or (r_max / 2) ** (-p) / (c * p) > threshold, (m, d)
+
+    @pytest.mark.parametrize("d", [4, 6, 7, 10, 12, 20, 24, 31, 32, 40, 48, 63, 64])
+    def test_support_matches_the_doubling_oracle(self, d):
+        for m in (d // 2 + 1, d // 2 + 2, d // 2 + 4, d // 2 + 8):
+            assert _radial_support(m, d) == oracles.radial_table(m, d)[0][-1], (m, d)
+
+    @pytest.mark.parametrize("m, d", [(100, 199), (150, 299), (193, 385)])
+    def test_overflowing_density_is_numerics_error(self, m, d):
+        # the density is inf / inf on part of [0, r_max]: one pass, then a
+        # typed error, not a NaN table or an OverflowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="radial table total is nan"):
+                _radial_table.__wrapped__(m, d)
+
+    def test_table_where_the_full_mass_underflows(self):
+        # sphere_area(300) times the radial mass underflows to 0, yet the
+        # radial mass is positive and the table builds on [0, 1]
+        assert sp.spectral_mass(sp.SdoParams(a=1.0, d=300, m=193)) == 0.0
+        r, cdf = _radial_table.__wrapped__(193, 300)
+        assert r[-1] == 1.0 and cdf[-1] == 1.0 and np.all(np.isfinite(cdf))
 
     def test_build_peak_memory_near_the_table(self):
         # uncached build: no table-sized temporary beside r and cdf
@@ -536,6 +584,17 @@ class TestSpectralMass:
                                    0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
         np.testing.assert_allclose(sp.spectral_mass(sp.SdoParams(a=a, d=d, m=m)),
                                    sp.sphere_area(d) * radial, rtol=1e-12)
+
+    def test_is_the_sphere_area_times_the_radial_mass(self):
+        # the radial mass the table's support reads, times the sphere's area,
+        # rounded as the one expression exact_normalization has always used
+        for d, m, a in [(1, 1, 0.01), (2, 2, 6.31), (3, 2, 0.7), (5, 3, 1e-4), (16, 9, 40.0)]:
+            c = a * (2.0 * math.pi) ** (2 * m)
+            radial = c ** (-d / (2 * m)) * math.pi / (2 * m * math.sin(math.pi * d / (2 * m)))
+            assert _radial_mass(c, d, 2 * m) == radial
+            assert sp.spectral_mass(sp.SdoParams(a=a, d=d, m=m)) == (
+                sp.sphere_area(d) * c ** (-d / (2 * m)) * math.pi
+                / (2 * m * math.sin(math.pi * d / (2 * m))))
 
     def test_1d_closed_form(self):
         # W = 2 * integral of 1/(1 + a (2 pi r)^2) dr = 1/(2 sqrt(a))

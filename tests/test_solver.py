@@ -16,6 +16,7 @@ from sosrep.harness import SdoKdeModel
 from sosrep.solver import _draw_init, _matvecs
 
 import oracles
+from conftest import make_mixture2d
 
 
 def _psd_gram(n, seed, sigma=1.0, d=2):
@@ -170,7 +171,7 @@ class TestFit:
         res = sp.fit(K, sp.SolverOptions(n_iters=8000, grad_tol=1e-13))
         f = K @ res.alpha
         np.testing.assert_allclose(res.alpha * f, np.full(9, 1.0 / 9.0), atol=1e-6)
-        np.testing.assert_allclose(sp.rkhs_norm_sq(res.alpha, K), 1.0, atol=1e-6)
+        np.testing.assert_allclose(oracles.rkhs_norm_sq(res.alpha, K), 1.0, atol=1e-6)
 
     def test_iteration_cap_and_history_length(self):
         K = _psd_gram(5, seed=10)
@@ -327,6 +328,7 @@ def _fit_reference(K, opts, alpha):
     history = history[: it + 1]
     return sp.FitResult(
         alpha=alpha,
+        f=f,
         objective=float(history[-1]),
         grad_sup_norm=gnorm,
         n_iters_run=it,
@@ -626,15 +628,78 @@ class TestFitBatch:
             sp.fit(np.zeros((0, 0)), alpha0=alpha0)
 
 
+class TestFitValues:
+    """A FitResult's f is K alpha, its row of the loop's last product."""
+
+    @pytest.mark.parametrize("name,K,kwargs,kind", _IDENTITY_CASES,
+                             ids=[c[0] for c in _IDENTITY_CASES])
+    def test_lone_fit_f_is_the_product(self, name, K, kwargs, kind):
+        # seeded and given starts, fixed-length, converged and clamped runs
+        opts, start = _options_and_start(kwargs)
+        res = sp.fit(K, opts, **start)
+        assert np.array_equal(res.f, K @ res.alpha)
+        assert res.summary()["rkhs_norm_sq"] == oracles.rkhs_norm_sq(res.alpha, K)
+
+    @pytest.mark.parametrize("method,lr", [("natural", 0.05), ("standard", 0.02)])
+    def test_batch_f_within_the_spread_bound(self, method, lr):
+        # a batch row differs from K @ alpha in the last bits: held to the
+        # one-ulp gate's bound from the spread of K @ alpha over one-ulp copies
+        K = _psd_gram(16, seed=32)
+        A0 = np.vstack([np.abs(_mixed_sign_init(16, 40)), _mixed_sign_init(16, 33),
+                        _draw_init(16, 5)])
+        opts = sp.SolverOptions(method=method, lr=lr, n_iters=200, grad_tol=0.0)
+        copies = oracles.ulp_copies(K, 8)
+        for res in sp.fit(K, opts, alpha0=A0):
+            want = K @ res.alpha
+            width = np.ptp([want] + [Kc @ res.alpha for Kc in copies], axis=0)
+            assert np.all(np.abs(res.f - want) <= oracles.spread_bound(want, width))
+
+    def test_f_is_not_a_view_of_the_batch_product(self):
+        A0 = np.array([[1.0, 2.0, 0.125, 0.125], [2.0, 3.0, 0.7, 0.125]])
+        got = sp.fit(_MANY_K, sp.SolverOptions(n_iters=3), alpha0=A0)
+        assert all(r.f.base is None and r.f.shape == (4,) for r in got)
+
+
+class TestNegativeWeights:
+    def test_summary_counts_negative_weights(self):
+        # on the identity the natural step keeps each weight's sign
+        alpha0 = np.array([1.0, -2.0, -0.5, 3.0])
+        res = sp.fit(np.eye(4), sp.SolverOptions(n_iters=5), alpha0=alpha0)
+        count = res.summary()["negative_weights"]
+        assert type(count) is int and count == 2 == int(np.sum(res.alpha < 0.0))
+
+    def test_start_dependence_on_criterion_10_data(self):
+        # ROADMAP item 16 on criterion 10's seed-0 split, at run_ad's fit
+        # settings: 8 starts (streams 0-7) in one batch fit reach one
+        # fixed point at a = 6.31, with no negative weight, and different
+        # ones at a = 0.1, each with negative weights.
+        ds = make_mixture2d(n=2000, outlier_frac=0.05, seed=0)
+        X = sp.standardize(*sp.split(ds, 0))[0].X
+        a_grid = np.geomspace(1e2, 1e-4, 11)
+        opts = sp.SolverOptions(method="natural", lr=0.1, n_iters=500, grad_tol=1e-8)
+        starts = np.array([_draw_init(X.shape[0], 0, stream) for stream in range(8)])
+        for a, unique in ((a_grid[2], True), (a_grid[5], False)):
+            fs = sp.sample_frequencies(sp.SdoParams(a=float(a), d=2), 2048, seed=0)
+            batch = sp.fit(oracles.add_jitter(sp.kernel_matrix(X, None, fs)), opts,
+                           alpha0=starts)
+            objectives = [res.objective for res in batch]
+            negative = [res.summary()["negative_weights"] for res in batch]
+            spread = max(objectives) - min(objectives)
+            if unique:
+                assert spread <= 1e-12 and negative == [0] * 8, (a, spread, negative)
+            else:
+                assert spread > 1e-12 and min(negative) > 0, (a, spread, negative)
+
+
 class TestRkhsNorm:
     def test_zero_alpha(self):
-        assert sp.rkhs_norm_sq(np.zeros(4), np.eye(4)) == 0.0
+        assert oracles.rkhs_norm_sq(np.zeros(4), np.eye(4)) == 0.0
 
     def test_quadratic_scaling(self):
         K = _psd_gram(6, seed=15)
         alpha = np.random.default_rng(16).normal(size=6)
-        base = sp.rkhs_norm_sq(alpha, K)
-        np.testing.assert_allclose(sp.rkhs_norm_sq(3.0 * alpha, K), 9.0 * base, rtol=1e-12)
+        base = oracles.rkhs_norm_sq(alpha, K)
+        np.testing.assert_allclose(oracles.rkhs_norm_sq(3.0 * alpha, K), 9.0 * base, rtol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -891,6 +956,16 @@ class TestSerialization:
         rec = json.loads(sp.model_to_json(m))
         del rec["fit_info"]
         assert sp.model_from_json(json.dumps(rec)).fit_info == {}
+
+    def test_fit_info_without_negative_weights_loads(self):
+        # records written before the summary counted negative weights
+        m = sp.fit_model(np.zeros((2, 1)), sp.SdoParams(a=1.0, d=1, m=1), T=8, seed=0)
+        rec = json.loads(sp.model_to_json(m))
+        assert rec["fit_info"]["negative_weights"] == int(np.sum(m.alpha < 0.0))
+        del rec["fit_info"]["negative_weights"]
+        back = sp.model_from_json(json.dumps(rec))
+        assert back.fit_info == rec["fit_info"]
+        np.testing.assert_array_equal(back.alpha, m.alpha)
 
     @pytest.mark.parametrize("field", ["alpha", "feature_weights"])
     @pytest.mark.parametrize("value", ["abc", ["x"] * 8, [[1.0]] * 8, [None] * 8, 1.0])

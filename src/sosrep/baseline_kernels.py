@@ -10,8 +10,9 @@ differences, so coincident points are exactly 0 apart and no entry is
 negative.
 
 The values are sigma^-d * exp(sq / (-2 sigma^2)) and
-sigma^-d * exp(sqrt(sq) / -sigma), the bits of the textbook formulas.  _exp_in_place keeps underflowing
-arguments off np.exp's slow path and gives the bits of one np.exp.
+sigma^-d * exp(sqrt(sq) / -sigma), the bits of the textbook formulas.
+_exp_in_place keeps underflowing arguments off np.exp's slow path and gives
+the bits of one np.exp.
 
 _sq_blocks works inside a DistanceReuse scope, and a call given none opens
 its own.  A scope keys the augmented rows by their content (shape and bytes,
@@ -27,7 +28,6 @@ blocks come through kernel_matrix_closed_form, which bench/layers.py traces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +105,11 @@ class DistanceReuse:
 def _sq_blocks(X, Y, copies=1, out=None, reuse: DistanceReuse | None = None):
     """Squared distances |x_i - y_j|^2 in blocks of rows of X.
 
-    Yields (lo, hi, buf, idx, sq_max) for each block X[lo:hi].  buf is a
+    Yields (lo, hi, buf, idx) for each block X[lo:hi].  buf is a
     (copies, hi - lo, M) view of a scratch buffer, or of the rows lo:hi of
     `out` (copies 1), and buf[0] holds the distances.  idx holds the flat
-    indices into buf[0] of the recomputed entries, and
-    sq_max = (max |x| + max |y|)^2 bounds every entry up to rounding.  The
-    record of a pair is stored after its last block, so an abandoned
-    iteration leaves none.
+    indices into buf[0] of the recomputed entries.  The record of a pair is
+    stored after its last block, so an abandoned iteration leaves none.
     """
     reuse = DistanceReuse() if reuse is None else reuse
     n, m = X.shape[0], Y.shape[0]
@@ -119,7 +117,6 @@ def _sq_blocks(X, Y, copies=1, out=None, reuse: DistanceReuse | None = None):
     (kx, Xa, xx_max), (ky, Yb, yy_max) = reuse.rows(X, True), reuse.rows(Y, False)
     record = reuse._pairs.get((kx, ky, step))
     tol = 1e-4 * (xx_max + yy_max)
-    sq_max = (math.sqrt(xx_max) + math.sqrt(yy_max)) ** 2
     scratch = np.empty((copies, 0 if out is not None else min(step, n), m))
     blocks = [] if record is None else record
     for lo in range(0, n, step):
@@ -134,33 +131,21 @@ def _sq_blocks(X, Y, copies=1, out=None, reuse: DistanceReuse | None = None):
             blocks.append((idx, np.einsum("kd,kd->k", diff, diff)))
         idx, exact = blocks[lo // step]
         sq.reshape(-1)[idx] = exact  # sq is contiguous: a view
-        yield lo, lo + rows, buf, idx, sq_max
+        yield lo, lo + rows, buf, idx
     if record is None:
         reuse._pairs[kx, ky, step] = blocks
 
 
-def _may_underflow(k: ClosedFormKernel, sq_max: float) -> bool:
-    """Whether a squared distance of at most sq_max, up to rounding, can give
-    k an exp argument below _EXP_ZERO; False proves that it cannot.
-
-    The margin of 1 is about 1e-3 of the argument, far above the relative
-    rounding of the distances; a NaN bound is True.
-    """
-    far = sq_max / (2.0 * k.sigma**2) if k.family == "gaussian" else math.sqrt(sq_max) / k.sigma
-    return not far <= -_EXP_ZERO - 1.0
-
-
-def _exp_in_place(z: np.ndarray, gate: bool) -> np.ndarray:
+def _exp_in_place(z: np.ndarray) -> np.ndarray:
     """np.exp(z) into z, bit for bit, with underflowing arguments kept off
     np.exp's slow path, which costs many times its fast one.
 
     Where at least 1/16 of z is below _EXP_ZERO, those give +0.0, those in
     [_EXP_ZERO, _EXP_SLOW) go through np.exp on a gathered copy and the rest
     through np.exp in place; np.exp works lane by lane, so the bits are those
-    of one np.exp.  gate False, where _may_underflow has ruled such arguments
-    out, skips the check; it picks the path only.
+    of one np.exp.
     """
-    if not z.size or not gate or z.min() >= _EXP_ZERO:
+    if not z.size or z.min() >= _EXP_ZERO:
         return np.exp(z, out=z)
     keep = z >= _EXP_ZERO
     if np.count_nonzero(keep) > z.size - z.size // 16:  # the split would cost more
@@ -174,18 +159,16 @@ def _exp_in_place(z: np.ndarray, gate: bool) -> np.ndarray:
     return z
 
 
-def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None,
-                     sq_max: float = math.inf) -> np.ndarray:
+def _values_in_place(k: ClosedFormKernel, sq: np.ndarray, dist=None) -> np.ndarray:
     """Overwrite the squared distances `sq` with the kernel values.
 
     A Laplacian call may pass `dist`, of sq's shape, to keep the distances.
-    sq_max bounds the entries of sq up to rounding.
     """
     if k.family == "gaussian":
         np.divide(sq, -2.0 * k.sigma**2, out=sq)
     else:
         np.divide(np.sqrt(sq, out=sq if dist is None else dist), -k.sigma, out=sq)
-    _exp_in_place(sq, _may_underflow(k, sq_max))
+    _exp_in_place(sq)
     return np.multiply(sq, k.sigma ** (-k.d), out=sq)
 
 
@@ -199,8 +182,8 @@ def kernel_matrix_closed_form(k: ClosedFormKernel, X, Y, *,
     symmetric = Y is X
     X, Y = _as_rows(k, X, Y)
     out = np.empty((X.shape[0], Y.shape[0]))
-    for lo, hi, buf, _, sq_max in _sq_blocks(X, Y, out=out, reuse=reuse):
-        _values_in_place(k, buf[0], sq_max=sq_max)
+    for lo, hi, buf, _ in _sq_blocks(X, Y, out=out, reuse=reuse):
+        _values_in_place(k, buf[0])
         if symmetric:  # entries left of the diagonal, from the rows above
             out[lo:hi, :lo] = out[:lo, lo:hi].T
             block, below = out[lo:hi, lo:hi], np.tril_indices(hi - lo, -1)
@@ -266,11 +249,11 @@ def f_and_grad_closed_form(k: ClosedFormKernel, X, alpha, Y, *,
     near = np.zeros((m, d))  # sum of alpha k (x - y) / r over the recomputed pairs
     f = np.zeros(m)
     # a block also keeps its distances
-    for lo, hi, buf, idx, sq_max in _sq_blocks(X, Y, 2, reuse=reuse):
+    for lo, hi, buf, idx in _sq_blocks(X, Y, 2, reuse=reuse):
         i, j = np.divmod(idx, m)
         diff = X[lo + i] - Y[j]
         r = buf[1]
-        K = _values_in_place(k, buf[0], r, sq_max)
+        K = _values_in_place(k, buf[0], r)
         f += alpha[lo:hi] @ K
         w = alpha[lo + i] * K[i, j] / np.where(r[i, j] > 0.0, r[i, j], np.inf)
         np.add.at(near, j, w[:, None] * diff)

@@ -212,12 +212,13 @@ def _radial_support(m: int, d: int) -> float:
     Beyond r, zeta is at most r^(d-1-2m)/c with c = (2*pi)^(2m), so the tail
     mass beyond r is at most r^(-p)/(c p) with p = 2m - d.  The mass is the
     closed form `_radial_mass`, so the power of two is one ceil of a log2.
-    Where c p overflows the tail bound reads 0 and r_max is 1.
+    The log2 is a sum of the factors' logs, as c p can overflow float64.
     """
     c = (2.0 * np.pi) ** (2 * m)
     p = 2 * m - d  # tail decay exponent, positive by 2m > d
-    bound = c * p * (_TAIL_FRACTION * _radial_mass(c, d, 2 * m))
-    return 2.0 ** math.ceil(max(0.0, -math.log2(bound) / p))
+    mass = _radial_mass(c, d, 2 * m)
+    log_bound = math.log2(c) + math.log2(p) + math.log2(_TAIL_FRACTION * mass)
+    return 2.0 ** math.ceil(max(0.0, -log_bound / p))
 
 
 @lru_cache(maxsize=64)
@@ -262,39 +263,6 @@ def _radial_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r, cdf
 
 
-_COUNTER_ZERO = np.zeros(4, dtype=np.uint64)  # Philox's 256-bit counter at 0
-_COUNTER_ZERO.flags.writeable = False
-
-
-class _PhiloxKey:
-    """A seed sequence whose state is a given Philox key.
-
-    Philox keys itself with generate_state(2, np.uint64) of its seed
-    sequence, so Philox(_PhiloxKey(key)) is the generator of
-    Philox(key=key), counter 0, bit for bit.  Philox(key=key) also builds a
-    SeedSequence from OS entropy that it never uses, most of the cost of
-    each construction; a counter given as an array, rather than the int 0,
-    saves most of the rest.  It is registered as a numpy ISeedSequence on
-    first use (_register_philox_key) rather than subclassing one, so that
-    importing the package does not import numpy.random: imported ahead of
-    the caller's data, numpy.random raised the peak RSS of three
-    ad_kde_gaussian operations by about 0.6 MB in a one-process check.
-    """
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or dtype is not np.uint64:
-            raise ValueError("a Philox key is two np.uint64 words")
-        return self.key.copy()
-
-
-@lru_cache(maxsize=None)
-def _register_philox_key() -> None:
-    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
-
-
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """The package's one seeded generator: Philox keyed by (seed, stream).
 
@@ -304,9 +272,7 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     (a bool or a float too) raises ValidationError.
     """
     _check_key(seed, stream)
-    key = np.array([seed, stream], dtype=np.uint64)
-    _register_philox_key()
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_COUNTER_ZERO))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def sample_frequencies(params: SdoParams, T: int, seed: int) -> FrequencySample:

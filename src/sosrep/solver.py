@@ -22,7 +22,10 @@ errstate.  A drawn start follows the one start law, alpha = |g| with g
 standard normal from the Philox stream (seed, stream) (`_draw_init`), and
 enters the loop as a given start does.  SolverOptions holds the iteration's
 settings only (method, lr, n_iters, grad_tol); the start is an argument of
-`fit`.  Each iteration forms the products of all running starts at once, as
+`fit`.  The objective is not convex: on data with isolated rows (the
+outliers of criterion 10 at small a) the SDO fit is one of many local
+minima and the start picks which; at a = 6.31 the starts on such data agree.
+Each iteration forms the products of all running starts at once, as
 one matrix-matrix product (`_matvecs`): a natural iteration makes one
 (f = K alpha) and a standard iteration two (f and K f^(-1)).  With one start
 running numpy makes it a matrix-vector product, so a lone fit has the bits

@@ -15,18 +15,20 @@ matrix products, and `assert_matrix_within_error_bounds` the closed-form
 kernel matrix, to a rounding-error bound around the per-pair kernels and
 gradients.
 
-The exact d=1, m=1 kernel and the adaptive quadrature of the 1-D kernel
-integral check the sampled kernel, the whole-array radial table, whose
-support is found by doubling, checks the sampler's one-pass table and its
-closed-form support bit for bit, and the one-point Hutchinson estimate
-checks the batched Fisher-divergence statistic.  The probe numbering as a
-loop over rows and probes, and the statistic that gathers its scores probe
-by probe, are the references for the sort-based numbering and the one-pass
-gather of `score_fd`, which must equal them bit for bit.  The
-stable-minimum rule run on a whole profile, and the selection kind worked
-out again from a profile and its pick, check the kind that `tune` records
-as it sweeps.  The quadrature needs scipy, a test dependency; the package
-itself needs numpy alone.
+The exact d=1, m=1 kernel, the adaptive quadrature of the 1-D kernel
+integral, and the exact d=2, m=2 kernel and its gradient (Kelvin
+functions) check the sampled kernel and its f and grad f; the whole-array
+radial table, whose support is found by doubling, checks the sampler's
+one-pass table and its closed-form support bit for bit, and the one-point
+Hutchinson estimate checks the batched Fisher-divergence statistic.  The
+probe numbering as a loop over rows and probes, and the statistic that
+gathers its scores probe by probe, are the references for the sort-based
+numbering and the one-pass gather of `score_fd`, which must equal them
+bit for bit.  The stable-minimum rule run on a whole profile, and the
+selection kind worked out again from a profile and its pick, check the
+kind that `tune` records as it sweeps.  The quadrature and the Kelvin
+functions need scipy, a test dependency; the package itself needs numpy
+alone.
 
 The one-ulp gate judges a change that is not bit for bit: the parent's
 run_ad cells on an input and on one-ulp copies of it give the picks, AUCs
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from sosrep import harness, sdo_kernel, solver
 from sosrep.baseline_kernels import (
@@ -328,6 +330,37 @@ def closed_form_kernel_1d(x, y, a: float):
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(out)
     return out
+
+
+def _pairs_2d(x, y, a: float):
+    """(y_j - x_i, |y_j - x_i| a^(-1/4), a^(-1/4)) over the rows of x and y."""
+    if a <= 0:
+        raise ValidationError("a must be positive")
+    diff = np.atleast_2d(np.asarray(y, dtype=float))[None] - np.atleast_2d(
+        np.asarray(x, dtype=float))[:, None]
+    scale = a ** -0.25
+    return diff, np.linalg.norm(diff, axis=2) * scale, scale
+
+
+def closed_form_kernel_2d(x, y, a: float) -> np.ndarray:
+    """Exact kernel for d=2, m=2 at the default normalization, k / (2W):
+    -(2/pi) kei(|x - y| a^(-1/4)), an N x M matrix over the rows of x and y.
+
+    kei is the Kelvin function, whose 2-D Fourier transform is the spectral
+    weight 1 / (1 + a (2 pi)^4 |z|^4) up to scale; the kernel is 0.5 at 0
+    and has its minimum, about -0.00714, near |x - y| = 4.93 a^(1/4).
+    """
+    _, r, _ = _pairs_2d(x, y, a)
+    return -(2.0 / np.pi) * special.kei(r)
+
+
+def closed_form_kernel_grad_2d(x, y, a: float) -> np.ndarray:
+    """Gradient of closed_form_kernel_2d with respect to y_j, of shape (N, M, 2):
+    -(2/pi) kei'(|x - y| a^(-1/4)) a^(-1/4) (y - x) / |x - y|, 0 where x = y."""
+    diff, r, scale = _pairs_2d(x, y, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where(r > 0.0, -(2.0 / np.pi) * special.keip(r) * scale * scale / r, 0.0)
+    return radial[:, :, None] * diff
 
 
 def numeric_kernel_1d(x: float, y: float, params: SdoParams) -> float:

@@ -581,9 +581,8 @@ class TestValuesInPlace:
 
 
 def _squared_blocks(X, Y):
-    """The squared distances _sq_blocks gives for X and Y, and its sq_max."""
-    blocks = [(buf[0].copy(), sq_max) for _, _, buf, _, sq_max in baseline_kernels._sq_blocks(X, Y)]
-    return np.vstack([sq for sq, _ in blocks]), blocks[0][1]
+    """The squared distances _sq_blocks gives for X and Y."""
+    return np.vstack([buf[0].copy() for _, _, buf, _ in baseline_kernels._sq_blocks(X, Y)])
 
 
 def _standardized_rows(n, seed):
@@ -596,36 +595,33 @@ def _standardized_rows(n, seed):
 
 
 class TestExpGate:
-    """A call whose row norms bound every exp argument above _EXP_ZERO skips
-    _exp_in_place's check for underflowing arguments; the values stay those
-    of one np.exp either way."""
+    """Kernel matrices over the bench's sigma grid take the values of one
+    np.exp, whether or not _exp_in_place splits off underflowing arguments."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_values_equal_one_exp_across_the_sigma_grid(self, family):
         # the bench's sigma grid, on standardized rows and on rows 40 times
         # as far apart, where the Laplacian's arguments fall below -746 too
-        skips = set()
+        splits = set()
         for scale in (1.0, 40.0):
             X, Y = scale * _standardized_rows(300, 70), scale * _standardized_rows(120, 71)
-            sq, sq_max = _squared_blocks(X, Y)
+            sq = _squared_blocks(X, Y)
             for sigma in np.geomspace(5.0, 0.05, 11):
                 k = sp.ClosedFormKernel(family, sigma, 2)
-                skips.add(not baseline_kernels._may_underflow(k, sq_max))
+                z = sq / (-2.0 * sigma**2) if family == "gaussian" else np.sqrt(sq) / -sigma
+                splits.add(bool(np.count_nonzero(z < baseline_kernels._EXP_ZERO) >= z.size // 16))
                 got = sp.kernel_matrix_closed_form(k, X, Y)
                 assert got.tobytes() == _plain_values(k, sq).tobytes()
-        assert skips == {True, False}
+        assert splits == {True, False}  # both of _exp_in_place's paths ran
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_a_nan_row_keeps_the_bound_and_the_values(self, family):
-        # fmax skips the NaN row's norm, as it does for tol, so the bound
-        # still skips the check at the large sigmas
+    def test_a_nan_row_keeps_the_values(self, family):
+        # the NaN row's entries stay NaN and every other entry is one np.exp's
         X, Y = _standardized_rows(300, 72), _standardized_rows(120, 73)
-        _, sq_max = _squared_blocks(X, Y)
         X[17] = np.nan
         with np.errstate(invalid="ignore"):
-            sq, nan_sq_max = _squared_blocks(X, Y)
-        assert nan_sq_max == sq_max and np.isnan(sq[17]).all()
-        assert not baseline_kernels._may_underflow(sp.ClosedFormKernel(family, 5.0, 2), sq_max)
+            sq = _squared_blocks(X, Y)
+        assert np.isnan(sq[17]).all()
         for sigma in np.geomspace(5.0, 0.05, 11):
             k = sp.ClosedFormKernel(family, sigma, 2)
             with np.errstate(invalid="ignore"):
@@ -633,32 +629,6 @@ class TestExpGate:
                 want = _plain_values(k, sq)
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("d", [1, 2, 8, 13])
-    def test_bound_never_skips_where_an_argument_is_below_the_zero_threshold(self, family, d):
-        # an antipodal pair at the largest norms makes the bound tight; sigma
-        # sweeps the farthest argument across -744..-748
-        rng = np.random.default_rng(74 + d)
-        X, Y = rng.normal(size=(40, d)), 3.0 * rng.normal(size=(30, d))
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        X[0] = np.linalg.norm(X, axis=1).max() * u
-        Y[0] = -np.linalg.norm(Y, axis=1).max() * u
-        sq, sq_max = _squared_blocks(X, Y)
-        outcomes = set()
-        for far in np.linspace(744.0, 748.0, 401):
-            if family == "gaussian":
-                sigma = math.sqrt(sq_max / (2.0 * far))
-                z = sq / (-2.0 * sigma**2)
-            else:
-                sigma = math.sqrt(sq_max) / far
-                z = np.sqrt(sq) / -sigma
-            below = bool(z.min() < baseline_kernels._EXP_ZERO)
-            skip = not baseline_kernels._may_underflow(sp.ClosedFormKernel(family, sigma, d), sq_max)
-            assert not (skip and below)
-            outcomes.add((skip, below))
-        assert {(True, False), (False, True)} <= outcomes
 
 
 class TestSquaredDistanceBlocks:
@@ -721,7 +691,7 @@ class TestDistanceReuse:
         splits = 0
         for scale in (1.0, 40.0):
             X, Y = self._rows(scale)
-            sq, _ = _squared_blocks(X, Y)
+            sq = _squared_blocks(X, Y)
             reuse = baseline_kernels.DistanceReuse()
             for sigma in self.SIGMAS:
                 k = sp.ClosedFormKernel(family, sigma, 2)

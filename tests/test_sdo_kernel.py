@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 import sosrep as sp
 from sosrep.errors import NumericsError, ValidationError
+from sosrep.solver import FittedModel
 from sosrep.sdo_kernel import (
     _MAX_M,
     _cos_sin,
@@ -176,16 +177,35 @@ class TestRadialGrid:
 
     def test_support_is_the_least_power_of_two_meeting_the_tail_rule(self):
         # every (m, d) that SdoParams accepts: the one ceil of a log2 is the
-        # smallest power of two whose tail bound, as a float, is at most
-        # 1e-4 of the radial mass
+        # smallest power of two whose tail bound r_max^(-p) / (c p), taken in
+        # log space since c p can overflow, is at most 1e-4 of the radial mass
         for m in range(1, _MAX_M + 1):
             c = (2.0 * np.pi) ** (2 * m)
             for d in range(1, 2 * m):
                 p = 2 * m - d
-                threshold = 1e-4 * _radial_mass(c, d, 2 * m)
+                threshold = math.log2(1e-4) + math.log2(_radial_mass(c, d, 2 * m))
                 r_max = _radial_support(m, d)
-                assert r_max ** (-p) / (c * p) <= threshold, (m, d)
-                assert r_max == 1.0 or (r_max / 2) ** (-p) / (c * p) > threshold, (m, d)
+                k = math.log2(r_max)
+                assert k == int(k) >= 0, (m, d)
+                assert -p * k - math.log2(c) - math.log2(p) <= threshold, (m, d)
+                assert k == 0 or -p * (k - 1) - math.log2(c) - math.log2(p) > threshold, (m, d)
+
+    @pytest.mark.parametrize("d, r_max", [(381, 2.0), (382, 2.0), (383, 4.0), (384, 16.0)])
+    def test_support_where_the_tail_bound_overflows(self, d, r_max):
+        # at m = 193, c p overflows float64 for these d: a float tail bound
+        # reads 0 and would keep r_max = 1, which leaves 1e-4 to 2.5e-2 of
+        # the radial mass beyond the table.  The table builds on the whole
+        # support or raises; at d = 384 the density is NaN on [0, 16].
+        m, c = 193, (2.0 * np.pi) ** 386
+        assert math.isinf(c * (2 * m - d))
+        assert _radial_support(m, d) == r_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d == 384:
+                with pytest.raises(NumericsError, match=r"total is nan on \[0, 16.0\]"):
+                    _radial_table.__wrapped__(m, d)
+            else:
+                r, cdf = _radial_table.__wrapped__(m, d)
+                assert r[-1] == r_max and cdf[-1] == 1.0 and np.all(np.isfinite(cdf))
 
     @pytest.mark.parametrize("d", [4, 6, 7, 10, 12, 20, 24, 31, 32, 40, 48, 63, 64])
     def test_support_matches_the_doubling_oracle(self, d):
@@ -237,8 +257,8 @@ class TestRngFromSeed:
 
     @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (3, 191), (2**64 - 1, 2**64 - 1)])
     def test_stream_is_philox_keyed_by_seed_and_stream(self, seed, stream):
-        # the key reaches Philox through its seed sequence, not key=; the
-        # state and every kind of draw are those of Philox(key=...)
+        # the state and every kind of draw are those of Philox(key=...),
+        # counter 0, the constructor tests/conftest.py seeds with
         key = np.array([seed, stream], dtype=np.uint64)
         got, want = rng_from_seed(seed, stream), np.random.Generator(np.random.Philox(key=key))
         assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
@@ -571,6 +591,73 @@ class TestOracles1d:
     def test_quadrature_rejects_high_dimension(self):
         with pytest.raises(ValidationError):
             oracles.numeric_kernel_1d(0.0, 1.0, sp.SdoParams(a=1.0, d=2, m=2))
+
+
+def _kelvin_case(a):
+    """12 training rows, 12 query rows (three on training rows) and weights;
+    the rows are scaled by a^(1/4), so at every a their distances cover the
+    kernel's peak and its negative lobe alike."""
+    rng = np.random.default_rng(20261022)
+    X, Y = rng.uniform(-3.0, 3.0, (12, 2)), rng.uniform(-3.0, 3.0, (12, 2))
+    Y[:3] = X[:3]
+    return a**0.25 * X, a**0.25 * Y, rng.uniform(0.5, 1.5, 12)
+
+
+class TestOracles2d:
+    """The exact d = m = 2 kernel, -(2/pi) kei(|x - y| a^(-1/4)), against the
+    sampled kernel at T = 2e5.  The tolerances come from 16 frequency seeds
+    (100-115) per a: the largest entry error read 0.0019-0.0041 for the
+    kernel (a Monte Carlo sd of about 0.0011 per entry), 0.0066-0.0226 for f
+    and 0.0105-0.0263 a^(-1/4) for grad f."""
+
+    @pytest.mark.parametrize("a", [1.0, 0.1])
+    def test_oracle_is_the_spectral_integral(self, a):
+        # k / (2W) = (1 / 2W) * integral of 2 pi r J0(2 pi r |x - y|) w^a(r) dr
+        from scipy import integrate, special
+        c = a * (2.0 * np.pi) ** 4
+        w2 = 2.0 * sp.spectral_mass(sp.SdoParams(a=a, d=2, m=2))
+        for delta in (0.0, 0.7, 2.0, 4.93 * a**0.25):
+            val, _ = integrate.quad(
+                lambda r: 2.0 * np.pi * r * special.j0(2.0 * np.pi * r * delta) / (1.0 + c * r**4),
+                0.0, np.inf, limit=400)
+            got = oracles.closed_form_kernel_2d(np.zeros((1, 2)), np.array([[delta, 0.0]]), a)
+            assert got[0, 0] == pytest.approx(val / w2, abs=1e-8)
+
+    def test_oracle_peak_minimum_and_gradient(self):
+        a = 0.1
+        x = np.zeros((1, 2))
+        assert oracles.closed_form_kernel_2d(x, x, a)[0, 0] == 0.5
+        r = np.linspace(4.8, 5.1, 301)[:, None] * a**0.25 * np.array([[1.0, 0.0]])
+        k = oracles.closed_form_kernel_2d(x, r, a)[0]
+        assert abs(r[np.argmin(k), 0] / a**0.25 - 4.93) < 0.01
+        assert k.min() == pytest.approx(-0.00714, abs=1e-5)
+        X, Y, _ = _kelvin_case(a)
+        G = oracles.closed_form_kernel_grad_2d(X, Y, a)
+        h = 1e-6
+        for axis in range(2):
+            e = h * np.eye(2)[axis]
+            fd = (oracles.closed_form_kernel_2d(X, Y + e, a)
+                  - oracles.closed_form_kernel_2d(X, Y - e, a)) / (2.0 * h)
+            np.testing.assert_allclose(G[:, 3:, axis], fd[:, 3:], atol=1e-8)
+        assert not G[[0, 1, 2], [0, 1, 2]].any()  # coinciding rows
+
+    @pytest.mark.parametrize("a, seed", [(1.0, 1), (0.1, 2), (0.01, 3)])
+    def test_kernel_matrix_matches_the_closed_form(self, a, seed):
+        X, Y, _ = _kelvin_case(a)
+        fs = sp.sample_frequencies(sp.SdoParams(a=a, d=2, m=2), 200_000, seed)
+        err = np.abs(sp.kernel_matrix(X, Y, fs) - oracles.closed_form_kernel_2d(X, Y, a))
+        assert err.max() <= 0.006
+
+    def test_f_and_grad_match_the_closed_form(self):
+        a = 0.1
+        X, Y, alpha = _kelvin_case(a)
+        fs = sp.sample_frequencies(sp.SdoParams(a=a, d=2, m=2), 200_000, 4)
+        model = FittedModel(alpha=alpha, fs=fs, feature_weights=sp.feature_map(X, fs).T @ alpha)
+        f, G = model.f_and_grad(Y)
+        f_ref = alpha @ oracles.closed_form_kernel_2d(X, Y, a)
+        G_ref = np.einsum("n,nmd->md", alpha, oracles.closed_form_kernel_grad_2d(X, Y, a))
+        assert np.abs(f - f_ref).max() <= 0.035
+        assert np.abs(G - G_ref).max() <= 0.04 * a**-0.25
 
 
 class TestSpectralMass:
